@@ -614,13 +614,6 @@ class FleetSimulator:
                     )
         return reasons
 
-    def _vector_fallback_reason(self) -> str | None:
-        """All refusal reasons joined (``None`` = vector-eligible)."""
-        reasons = self._vector_fallback_reasons(
-            epoch=self.core == "vector-epoch"
-        )
-        return "; ".join(reasons) if reasons else None
-
     def _seal_sketches(self, horizon: float) -> None:
         """Close sketch accumulators at the measurement horizon.
 

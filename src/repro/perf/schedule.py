@@ -115,22 +115,24 @@ def list_schedule(
 
 
 def list_makespan(
-    topo: "Sequence[tuple[str, tuple[str, ...]]]",
-    latencies: dict[str, float],
+    deps: Sequence[tuple[int, ...]],
+    latencies: Sequence[float],
     workers: int,
 ) -> tuple[float, float]:
     """Makespan and busy-seconds of the greedy list schedule, nothing else.
 
     The evaluator's bandwidth-contention fixpoint bisects over dozens
-    of candidate shares, re-scheduling the same graph each time; this
-    fast path performs the identical float operations as
-    :func:`list_schedule` (same dispatch order, same running max/sum)
-    without materializing per-node :class:`NodeSchedule` records.
+    of candidate shares, re-scheduling the same graph each time.  This
+    kernel returns exactly :func:`list_schedule`'s ``(makespan_s,
+    busy_s)`` -- same dispatch order, same worker tie-breaks, same
+    running max/sum -- on an index-keyed topology, without building
+    per-node :class:`NodeSchedule` records or a name-keyed latency map.
 
     Args:
-        topo: ``(name, deps)`` pairs in topological order (e.g. from
-            ``[(n.name, n.deps) for n in graph.topological_order()]``).
-        latencies: Per-node execution time in seconds.
+        deps: Per node in topological order, the indices of the nodes
+            it depends on.
+        latencies: Per-node execution time in seconds (>= 0), in the
+            same order.
         workers: Number of parallel operator workers (>= 1).
 
     Returns:
@@ -138,20 +140,30 @@ def list_makespan(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    worker_free = [(0.0, w) for w in range(workers)]
-    heapq.heapify(worker_free)
-    finish: dict[str, float] = {}
-    makespan = 0.0
-    busy = 0.0
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    for name, deps in topo:
-        ready_at = max((finish[d] for d in deps), default=0.0)
-        free_at, worker = heappop(worker_free)
+    if workers == 1:
+        # One worker runs the nodes back to back: every dependency has
+        # finished by the time the worker frees up (latencies are
+        # non-negative), so each node starts at its predecessor's
+        # finish and the schedule is a running sum.
+        t = busy = 0.0
+        for lat in latencies:
+            end = t + lat
+            busy += end - t
+            t = end
+        return t, busy
+    free = [0.0] * workers
+    finish: list[float] = []
+    makespan = busy = 0.0
+    for node_deps, lat in zip(deps, latencies):
+        ready_at = max([finish[d] for d in node_deps], default=0.0)
+        # The earliest-free worker, lowest index on ties: the worker
+        # list_schedule's (free_at, worker) heap pops.
+        free_at = min(free)
+        worker = free.index(free_at)
         start = max(ready_at, free_at)
-        end = start + latencies[name]
-        finish[name] = end
-        heappush(worker_free, (end, worker))
+        end = start + lat
+        finish.append(end)
+        free[worker] = end
         if end > makespan:
             makespan = end
         busy += end - start

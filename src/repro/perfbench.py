@@ -252,10 +252,13 @@ def _scenario_profile_table(ctx: _Context) -> dict[str, Any]:
     if not ctx.quick:
         ctx.table = table  # full table covers the fleet's slice
     pairs = len(table.entries)
+    evaluations = sum(t.evaluations for t in table.entries.values())
     return {
         "wall_s": wall,
         "pairs": pairs,
         "pairs_per_s": pairs / wall if wall > 0 else 0.0,
+        "evaluations": evaluations,
+        "evals_per_s": evaluations / wall if wall > 0 else 0.0,
         "feasible_pairs": sum(1 for t in table.entries.values() if t.feasible),
         "jobs": ctx.jobs,
     }
@@ -481,8 +484,6 @@ def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
     boundaries); the scenario bounds the drift in-process: completed
     counts within 1%, average power within 2%, p50 within 2x.
     """
-    # repro.fleet first: importing repro.cluster.state before it trips
-    # the cluster -> scheduling -> fleet -> cluster import cycle.
     from repro.fleet import FleetSimulator, build_fleet, build_fleet_trace
     from repro.cluster.state import Allocation
     from repro.models import build_model

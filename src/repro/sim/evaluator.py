@@ -20,6 +20,7 @@ these formulas; the integration tests compare the two.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.hardware.server import ServerType
@@ -288,37 +289,77 @@ class ServerEvaluator:
         if not math.isfinite(capacity_qps) or capacity_qps <= 0:
             return ServerPerformance.infeasible("plan has no capacity")
 
-        def feasible(qps: float) -> ServerPerformance | None:
-            perf = self.perf_at(timings, workload, qps, power_budget_w)
-            if perf.feasible and perf.latency.p99_ms <= sla_ms:
-                return perf
-            return None
+        meets_sla = self._sla_probe(timings, workload, sla_ms, power_budget_w)
 
         # Find a feasible anchor scanning down from capacity, then
         # bisect between it and the lowest infeasible rate above it.
         fractions = (0.98, 0.95, 0.9, 0.8, 0.65, 0.5, 0.35, 0.2, 0.1, 0.05, 0.02)
-        best: ServerPerformance | None = None
         hi = capacity_qps
         for frac in fractions:
-            qps = capacity_qps * frac
-            perf = feasible(qps)
-            if perf is not None:
-                best = perf
+            lo = capacity_qps * frac
+            if meets_sla(lo):
                 break
-            hi = qps
-        if best is None:
+            hi = lo
+        else:
             return ServerPerformance.infeasible(
                 f"SLA {sla_ms} ms unreachable at any load"
             )
-        lo = best.qps
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            perf = feasible(mid)
-            if perf is not None:
-                best, lo = perf, mid
+            if meets_sla(mid):
+                lo = mid
             else:
                 hi = mid
-        return best
+        # The probe decides exactly as perf_at does, so the operating
+        # point is built once, at the winning rate.
+        return self.perf_at(timings, workload, lo, power_budget_w)
+
+    def _sla_probe(
+        self,
+        timings: PlanTimings,
+        workload: QueryWorkload,
+        sla_ms: float,
+        power_budget_w: float | None,
+    ) -> Callable[[float], bool]:
+        """``qps -> bool``: is ``perf_at(timings, workload, qps,
+        power_budget_w)`` feasible with its p99 within ``sla_ms``?
+
+        Without a power budget only the utilization check and the p99
+        arithmetic decide that, so the probe evaluates exactly those, in
+        :meth:`perf_at`'s operation order, and builds nothing.  With a
+        budget, power decides too and the probe calls :meth:`perf_at`.
+        """
+        if power_budget_w is not None:
+
+            def meets_sla(qps: float) -> bool:
+                perf = self.perf_at(timings, workload, qps, power_budget_w)
+                return perf.feasible and perf.latency.p99_ms <= sla_ms
+
+            return meets_sla
+
+        mean_size = workload.mean_size
+        capacity = timings.capacity_items_s
+        half_bulk = timings.bulk_mean / 2.0
+        units = timings.bottleneck.units
+        batch_s = timings.bottleneck.batch_s
+        fill_items = timings.fill_items
+        spans = timings.span_cache()
+        tail = workload.tail_size(99.0)
+        tail_span = spans.get(tail)
+        if tail_span is None:
+            tail_span = spans[tail] = timings.service_span_s(tail)
+
+        def meets_sla(qps: float) -> bool:
+            arrival_items = qps * mean_size
+            rho = arrival_items / capacity
+            if rho >= _MAX_RHO:
+                return False
+            wait_mean = half_bulk * rho / (units * (1.0 - rho)) * batch_s
+            fill_s = fill_items / arrival_items if fill_items > 0 else 0.0
+            p99_ms = (_P99_WAIT_FACTOR * wait_mean + fill_s + tail_span) * 1e3
+            return p99_ms <= sla_ms
+
+        return meets_sla
 
     # ------------------------------------------------------------------
     # queueing + power
@@ -428,14 +469,21 @@ class ServerEvaluator:
     def _graph_profile(self, graph: Graph, items: int) -> tuple:
         """Hoisted per-(graph, items) inputs of the contention fixpoint.
 
-        Per node: name, dispatch overhead, compute seconds, sparse
-        flag, and the bandwidth-share-dependent memory term -- either
-        the NMP LUT latency (divided by the share later) or
-        ``(mem_bytes, base_bw)`` for the roofline path.  These are
-        exactly the values :meth:`CpuOpModel.op_timing` derives before
-        applying ``bw_fraction``; hoisting them keeps the bisection's
-        per-share work to one multiply/divide per node.  Also returns
-        the ``(name, deps)`` topology for the makespan fast path.
+        Returns ``(nodes, deps, mem_bytes, nmp_bytes)``, index-keyed in
+        the graph's topological order:
+
+        - ``nodes``: per node ``(overhead_s, compute_s, is_sparse,
+          mem_term, bw)`` -- exactly the values
+          :meth:`CpuOpModel.op_timing` derives before applying
+          ``bw_fraction``, whose memory time is ``mem_term / (bw *
+          bw_fraction)``: ``mem_bytes`` at the roofline bandwidth, or
+          the NMP LUT latency with ``bw = 1.0`` (``1.0 * f`` is exactly
+          ``f``).  Hoisting them keeps the bisection's per-share work
+          to one divide and two multiplies per node.
+        - ``deps``: per node, the indices of its dependencies -- the
+          topology :func:`list_makespan` schedules.
+        - ``mem_bytes`` / ``nmp_bytes``: :meth:`Graph.total_mem_bytes`
+          and the NMP-eligible share of it (0.0 off NMP servers).
 
         Keyed by object identity (graphs are long-lived partition
         members, pinned here); this cache never crosses processes.
@@ -457,18 +505,24 @@ class ServerEvaluator:
                 # latency scaled by 1/share.
                 assert cpu_model.nmp_lut is not None
                 nodes.append(
-                    (node.name, CPU_DISPATCH_OVERHEAD_S, 0.0, True,
-                     cpu_model.nmp_lut.latency_s(op, items), None)
+                    (CPU_DISPATCH_OVERHEAD_S, 0.0, True,
+                     cpu_model.nmp_lut.latency_s(op, items), 1.0)
                 )
             else:
                 timing = cpu_model.op_timing(op, items, 1.0)
                 bw = gather_bw if is_sparse else peak_bw
                 nodes.append(
-                    (node.name, timing.overhead_s, timing.compute_s,
-                     is_sparse, op.mem_bytes(items), bw)
+                    (timing.overhead_s, timing.compute_s, is_sparse,
+                     op.mem_bytes(items), bw)
                 )
-        topo = tuple((n.name, n.deps) for n in graph.topological_order())
-        profile = (tuple(nodes), topo)
+        index = {name: i for i, name in enumerate(graph.node_names)}
+        deps = tuple(tuple(index[d] for d in n.deps) for n in graph)
+        nmp_bytes = (
+            sum(n.op.mem_bytes(items) for n in graph if cpu_model._nmp_eligible(n.op))
+            if nmp_ok
+            else 0.0
+        )
+        profile = (tuple(nodes), deps, graph.total_mem_bytes(items), nmp_bytes)
         self._graph_profiles[key] = profile
         self._pinned_graphs[id(graph)] = graph
         return profile
@@ -487,40 +541,29 @@ class ServerEvaluator:
         contention-free, aggregate bandwidth demand is derived, and the
         memory components are rescaled by the resulting share.
         """
-        node_profile, topo = self._graph_profile(graph, items)
+        nodes, deps, graph_bytes, graph_nmp_bytes = self._graph_profile(graph, items)
+        rows = [
+            (overhead, compute_s * mem_scale if is_sparse else compute_s, mem_term, bw)
+            for overhead, compute_s, is_sparse, mem_term, bw in nodes
+        ]
 
-        def timings(bw_fraction: float) -> dict[str, float]:
-            # Bit-identical to per-node ``op_timing(op, items, f)``:
-            # the roofline memory term is mem_bytes / (bw * f) and the
-            # NMP term is lut_latency / f, with the same operation
-            # order as the un-hoisted code.
-            out = {}
-            for name, overhead, compute_s, is_sparse, mem_term, bw in node_profile:
-                if bw is None:
-                    memory_s = mem_term / bw_fraction
-                else:
-                    memory_s = mem_term / (bw * bw_fraction)
-                scaled_mem = memory_s * mem_scale
-                scaled_compute = compute_s * mem_scale if is_sparse else compute_s
-                out[name] = overhead + max(scaled_compute, scaled_mem)
-            return out
+        def latencies(f: float) -> list[float]:
+            # Bit-identical to per-node ``op_timing(op, items, f)`` with
+            # the memory term scaled by mem_scale, in the un-hoisted
+            # operation order; ``m if m > c else c`` is ``max(c, m)``.
+            return [
+                overhead
+                + (m if (m := mem_term / (bw * f) * mem_scale) > compute else compute)
+                for overhead, compute, mem_term, bw in rows
+            ]
 
-        mem_bytes = graph.total_mem_bytes(items) * mem_scale
-        nmp_bytes = 0.0
-        if self.server.memory.is_nmp:
-            nmp_bytes = (
-                sum(
-                    n.op.mem_bytes(items)
-                    for n in graph
-                    if self.cpu_model._nmp_eligible(n.op)
-                )
-                * mem_scale
-            )
+        mem_bytes = graph_bytes * mem_scale
+        nmp_bytes = graph_nmp_bytes * mem_scale
         host_bytes = mem_bytes - nmp_bytes
         inflation = self.interference.llc_inflation(co_located_threads)
 
         def span_at(f: float) -> float:
-            return list_makespan(topo, timings(f), workers)[0]
+            return list_makespan(deps, latencies(f), workers)[0]
 
         def saturating_share(pool_bytes: float, peak: float, f_max: float) -> float:
             """The share at which this pool's achieved bandwidth hits peak.
@@ -562,7 +605,7 @@ class ServerEvaluator:
                 nmp_bytes, self.server.memory.nmp_gather_reduce_bw_bytes, f_max
             ),
         )
-        makespan, busy = list_makespan(topo, timings(effective), workers)
+        makespan, busy = list_makespan(deps, latencies(effective), workers)
         return makespan, busy, mem_bytes
 
     def _cpu_model_based(

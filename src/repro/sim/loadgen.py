@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.queries import Query, QueryWorkload
-from repro.traces.arrivals import poisson_segment
 
 __all__ = ["generate_trace", "PoissonLoadGenerator"]
 
@@ -40,6 +39,11 @@ def generate_trace(
     Returns:
         Queries sorted by arrival time.
     """
+    # Imported here, not at module level: repro.traces imports
+    # repro.sim, so a top-level import would close an import cycle
+    # whenever repro.traces (or a package importing it) loads first.
+    from repro.traces.arrivals import poisson_segment
+
     return poisson_segment(
         workload,
         arrival_rate_qps,
@@ -71,6 +75,8 @@ class PoissonLoadGenerator:
 
     def next_segment(self, arrival_rate_qps: float, duration_s: float) -> list[Query]:
         """Generate the next contiguous segment of the trace."""
+        from repro.traces.arrivals import poisson_segment
+
         queries = poisson_segment(
             self.workload,
             arrival_rate_qps,

@@ -9,6 +9,7 @@ from repro.models import build_model
 from repro.models.graph import Graph, Node
 from repro.models.ops import FullyConnected
 from repro.perf import list_schedule
+from repro.perf.schedule import list_makespan
 
 
 def _chain(n: int) -> Graph:
@@ -104,3 +105,34 @@ def test_missing_latency_rejected():
 def test_zero_workers_rejected():
     with pytest.raises(ValueError):
         list_schedule(_fan(1), {"n0": 1.0}, 0)
+    with pytest.raises(ValueError):
+        list_makespan([()], [1.0], 0)
+
+
+@st.composite
+def _dags(draw):
+    """A random DAG in topological order -- per node, the indices of
+    earlier nodes it depends on -- and its latencies.  Zeros and
+    repeated grid values tie worker free times, so the lowest-index
+    tie-break is exercised."""
+    n = draw(st.integers(1, 13))
+    deps = [()] + [
+        tuple(sorted(draw(st.sets(st.integers(0, i - 1), max_size=3))))
+        for i in range(1, n)
+    ]
+    latency = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 5.0)
+    return deps, [draw(latency) for _ in range(n)]
+
+
+@given(dag=_dags(), workers=st.integers(1, 5))
+def test_list_makespan_matches_list_schedule(dag, workers):
+    """The index-keyed kernel the evaluator runs returns the reference
+    scheduler's exact floats, on one worker and on several."""
+    deps, lats = dag
+    graph = Graph("dag")
+    for i, node_deps in enumerate(deps):
+        graph.add(
+            Node(op=FullyConnected(name=f"n{i}"), deps=tuple(f"n{d}" for d in node_deps))
+        )
+    ref = list_schedule(graph, {f"n{i}": lat for i, lat in enumerate(lats)}, workers)
+    assert list_makespan(deps, lats, workers) == (ref.makespan_s, ref.busy_s)

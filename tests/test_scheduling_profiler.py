@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.hardware import SERVER_TYPES
-from repro.models import build_model
+from repro.models import MODEL_NAMES, build_model
 from repro.scheduling import (
     ClassificationTable,
     EfficiencyTuple,
@@ -108,3 +110,24 @@ class TestOfflineProfiler:
                 / small_table.get("T2", model).qps_per_watt
             )
             assert low < gain < high
+
+
+#: sha256 of the full 10 x 6 classification table's per-pair reprs
+#: ``(server, model, qps, power_w, plan, evaluations)``: every float,
+#: plan and search cost of the offline stage, pinned bit-for-bit.
+_FULL_TABLE_SHA256 = (
+    "48a5f96708e52f533a63cfa67532fde4f4cab9ff029481b960f2289274afe5ed"
+)
+
+
+def test_full_table_is_bit_identical():
+    table = OfflineProfiler().profile(
+        list(SERVER_TYPES.values()), [build_model(m) for m in MODEL_NAMES]
+    )
+    rows = [
+        repr((t.server_name, t.model_name, t.qps, t.power_w,
+              t.plan.describe() if t.plan else None, t.evaluations))
+        for t in table.entries.values()
+    ]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == _FULL_TABLE_SHA256, "\n".join(rows)

@@ -9,7 +9,9 @@ import pytest
 from repro.hardware import SERVER_TYPES
 from repro.models import build_model, partition_model, ModelVariant
 from repro.plans import ExecutionPlan, Placement
+from repro.scheduling import HerculesTaskScheduler
 from repro.sim import QueryWorkload, ServerEvaluator
+from repro.sim.metrics import ServerPerformance
 
 
 def cpu_plan(threads=10, cores=2, batch=256):
@@ -264,3 +266,73 @@ class TestGpuPlacements:
             sla_ms=50.0,
         )
         assert fused.qps > 1.5 * no_fusion.qps
+
+
+def _per_probe_latency_bounded(
+    evaluator, partitioned, workload, plan, sla_ms, power_budget_w=None
+):
+    """Reference copy of the rate bisection before the scalar probe:
+    a full ``perf_at`` operating point at every probed rate."""
+    try:
+        timings = evaluator.plan_timings(partitioned, workload, plan)
+    except ValueError as exc:
+        return ServerPerformance.infeasible(str(exc))
+    capacity_qps = timings.capacity_items_s / workload.mean_size
+    if not math.isfinite(capacity_qps) or capacity_qps <= 0:
+        return ServerPerformance.infeasible("plan has no capacity")
+
+    def feasible(qps):
+        perf = evaluator.perf_at(timings, workload, qps, power_budget_w)
+        if perf.feasible and perf.latency.p99_ms <= sla_ms:
+            return perf
+        return None
+
+    fractions = (0.98, 0.95, 0.9, 0.8, 0.65, 0.5, 0.35, 0.2, 0.1, 0.05, 0.02)
+    best = None
+    hi = capacity_qps
+    for frac in fractions:
+        qps = capacity_qps * frac
+        perf = feasible(qps)
+        if perf is not None:
+            best = perf
+            break
+        hi = qps
+    if best is None:
+        return ServerPerformance.infeasible(
+            f"SLA {sla_ms} ms unreachable at any load"
+        )
+    lo = best.qps
+    for _ in range(24):
+        mid = (lo + hi) / 2.0
+        perf = feasible(mid)
+        if perf is not None:
+            best, lo = perf, mid
+        else:
+            hi = mid
+    return best
+
+
+@pytest.mark.parametrize("server", ["T2", "T3", "T7"])
+@pytest.mark.parametrize("model_name", ["DLRM-RMC1", "DLRM-RMC2"])
+def test_latency_bounded_matches_per_probe_bisection(server, model_name):
+    """Every plan a search visits scores ``==`` to the per-probe
+    reference, with no power budget and with a binding one."""
+    evaluator = ServerEvaluator(SERVER_TYPES[server])
+    scheduler = HerculesTaskScheduler(evaluator, build_model(model_name))
+    space = scheduler.search_space
+    visited = scheduler.search().visited
+    assert visited
+    for plan, _ in visited:
+        partitioned = (
+            space.gpu_partition(plan.threads)
+            if plan.placement is Placement.GPU_MODEL_BASED
+            else space.host_partition()
+        )
+        args = (partitioned, space.workload, plan, space.sla_ms)
+        free = evaluator.latency_bounded(*args)
+        assert free == _per_probe_latency_bounded(evaluator, *args)
+        if free.feasible:
+            budget = 0.9 * free.power_w
+            capped = evaluator.latency_bounded(*args, budget)
+            assert capped == _per_probe_latency_bounded(evaluator, *args, budget)
+            assert capped.qps < free.qps
