@@ -28,20 +28,23 @@ stay interactive):
   :class:`~repro.fleet.autoscaler.ReactiveAutoscaler` activates or
   drains replicas between provisioning intervals based on windowed
   SLA-violation rates.
-- Fault injection (crashes, stragglers, retries, hedging) lives in
-  :mod:`repro.fleet.faults`: runs with any fault machinery configured
-  take the fault-aware twin of the hot loop, while fault-free runs keep
-  this module's loop bit-identical to the pre-fault engine
-  (``tests/test_perf_equivalence.py`` enforces both).
+- The hot loops live in :mod:`repro.fleet.faults`: every run without
+  retries, hedging or tracing takes the *light* loop, which handles a
+  fault schedule between queries and is the exact pre-fault loop when
+  there is none; the rest take the *tracked* loop
+  (``tests/test_perf_equivalence.py`` pins both).
 """
 
 from __future__ import annotations
 
+import gc
 import logging
-from heapq import heappop, heappush
+from contextlib import contextmanager
+from heapq import heappush
 from typing import Sequence
 
 from repro.cluster.state import Allocation
+from repro.fleet.faults import _run_light_loop, run_fault_loop
 from repro.fleet.report import (
     FleetResult,
     ModelStats,
@@ -55,7 +58,7 @@ from repro.models.zoo import RecommendationModel
 from repro.scheduling.profiler import ClassificationTable
 from repro.sim import plan_cache
 from repro.sim.evaluator import PlanTimings
-from repro.sim.event_core import DirectStage, EventHeap, Pipeline, QueryState
+from repro.sim.event_core import DirectStage, EventHeap, Pipeline
 from repro.sim.queries import Query, QueryWorkload
 from repro.traces.arrivals import FleetArrivals, PiecewisePoissonProcess
 
@@ -71,6 +74,24 @@ __all__ = [
     "build_fleet_trace",
     "diurnal_segments",
 ]
+
+
+@contextmanager
+def _gc_paused():
+    """Keep the generational GC out of a replay.
+
+    The replay loops allocate an event tuple (or batch list) per event
+    and never build cycles; collections would only rescan them, which
+    costs a few percent on long replays.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class FleetServer:
@@ -284,8 +305,7 @@ class FleetSimulator:
         seed: Seed for policy randomness (p2c sampling) and for
             materializing stochastic fault schedules.
         faults: Optional :class:`~repro.fleet.faults.FaultSchedule`.
-            ``None`` (and an empty schedule with no retries/hedging)
-            keeps the exact fault-free hot loop.
+            ``None`` and an empty schedule replay identically.
         retries: Per-query budget of router re-dispatches after a
             crash kills the query's last outstanding attempt.
         hedge_ms: If set, a duplicate attempt is dispatched to a second
@@ -490,13 +510,13 @@ class FleetSimulator:
         window_arrivals: dict,
         window_drops: dict,
         scale_events: list,
-        window_failures: dict | None = None,
+        window_failures: dict,
     ) -> None:
         """One autoscaler window: tick, apply decisions, reset the feeds.
 
-        Cold path (fires once per window), shared verbatim by the
-        fault-free loop and both fault loops so scale-event application
-        cannot drift between them.
+        Cold path (fires once per window), shared verbatim by every
+        replay loop so scale-event application cannot drift between
+        them.
         """
         routable = self._routable
         dead_domains = None
@@ -536,26 +556,25 @@ class FleetSimulator:
             window_arrivals[m] = 0
         for m in window_drops:
             window_drops[m] = 0
-        if window_failures is not None:
-            for m in window_failures:
-                window_failures[m] = 0
+        for m in window_failures:
+            window_failures[m] = 0
 
     @property
-    def _fault_mode(self) -> bool:
-        """Whether the run needs the fault-aware loop.
-
-        True as soon as any fault machinery could fire: a non-``None``
-        schedule (even an empty one forces the fault loop, which the
-        differential tests exploit), a retry budget, or hedging.  A
-        tracing observer also forces it -- spans are built from the
-        tracked loop's per-query log.
-        """
+    def _tracked(self) -> bool:
+        """Whether the run needs per-query records: retries, hedging,
+        or a tracing observer (spans are built from the tracked loop's
+        per-query log)."""
         return (
-            self.faults is not None
-            or self.retries > 0
+            self.retries > 0
             or self.hedge_ms is not None
             or (self.observer is not None and self.observer.trace)
         )
+
+    @property
+    def _fault_mode(self) -> bool:
+        """Whether any fault machinery could fire: a non-``None``
+        schedule (even an empty one) or a tracked run."""
+        return self.faults is not None or self._tracked
 
     def _vector_fallback_reasons(self, epoch: bool = False) -> list[str]:
         """Every reason this run cannot use the vectorized core.
@@ -577,11 +596,7 @@ class FleetSimulator:
         caller would have to change, not just the first obstacle.
         """
         reasons: list[str] = []
-        if (
-            self.retries > 0
-            or self.hedge_ms is not None
-            or (self.observer is not None and self.observer.trace)
-        ):
+        if self._tracked:
             reasons.append(
                 "retries, hedging, or tracing requires the per-event core"
             )
@@ -687,13 +702,10 @@ class FleetSimulator:
                         "numpy is unavailable (the vectorized core needs it)"
                     )
             if not reasons:
-                if epoch:
-                    return fast_core.run_epoch(self, trace, warmup_s)
-                if self.faults is not None:
-                    return fast_core.run_vectorized_faults(
-                        self, trace, warmup_s
-                    )
-                return fast_core.run_vectorized(self, trace, warmup_s)
+                with _gc_paused():
+                    if epoch:
+                        return fast_core.run_epoch(self, trace, warmup_s)
+                    return fast_core.run_vectorized(self, trace, warmup_s)
             reason = "; ".join(reasons)
             if self.core != "auto":
                 raise ValueError(
@@ -713,6 +725,13 @@ class FleetSimulator:
 
             trace = list(trace)
             arr = np.asarray([q.arrival_s for _, q in trace])
+            finite = np.isfinite(arr)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ValueError(
+                    f"trace entry {k} ({trace[k][0]!r}) has a non-finite "
+                    f"arrival time ({float(arr[k])!r})"
+                )
             if len(arr) > 1 and bool((np.diff(arr) < 0.0).any()):
                 # Stable order keeps trace position on ties, matching
                 # the event counters the old all-arrivals-on-the-heap
@@ -780,48 +799,30 @@ class FleetSimulator:
         streams = {
             m: (self._routable[m], self._policies[m]) for m in self._routable
         }
-        events = heap.items
-        dead = heap.dead
-        finished: list[QueryState] = []
-        # The loop allocates an event tuple per batch and never builds
-        # cycles; keeping the generational GC out of it saves a few
-        # percent on long replays.
-        import gc
-
-        fault_info = None
         if self.observer is not None:
             self.observer.bind(self)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if self._fault_mode:
-                from repro.fleet.faults import run_fault_loop
-
+        with _gc_paused():
+            if self._tracked:
                 fault_info = run_fault_loop(
                     self, arrivals, first, streams, heap,
                     warmup_s, end_hint, scaling, completions, dropped,
                     window_lat, window_arrivals, window_drops, scale_events,
                 )
-                count = fault_info["arrivals"]
-                horizon = fault_info["horizon"]
-                ticks = fault_info["ticks"]
             else:
-                count, horizon, ticks = self._run_loop(
-                    arrivals, first, streams, events, dead, finished, heap,
-                    warmup_s, scaling, completions, dropped,
+                fault_info = _run_light_loop(
+                    self, arrivals, first, streams, heap,
+                    warmup_s, end_hint, scaling, completions, dropped,
                     window_lat, window_arrivals, window_drops, scale_events,
                     horizon_s,
                 )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        horizon = fault_info["horizon"]
+        ticks = fault_info["ticks"]
 
         for server in self.servers:
             server.settle(horizon)
-        self.last_event_count = count + heap.seq + ticks
+        self.last_event_count = fault_info["arrivals"] + heap.seq + ticks
         self.last_tick_count = ticks
-        self.last_query_log = fault_info.pop("log") if fault_info else ()
+        self.last_query_log = fault_info.pop("log")
 
         result = self._summarize(
             completions, dropped, warmup_s, horizon, tuple(scale_events),
@@ -857,165 +858,6 @@ class FleetSimulator:
             self.observer.finish(horizon, warmup_s, result, self)
         return result
 
-    def _run_loop(
-        self, arrivals, first, streams, events, dead, finished, heap,
-        warmup_s, scaling, completions, dropped,
-        window_lat, window_arrivals, window_drops, scale_events,
-        horizon_s=None,
-    ) -> tuple[int, float, int]:
-        """The hot event loop (split out so the GC guard stays simple).
-
-        Arrivals are pulled lazily from the ``arrivals`` iterator (one
-        pair held in hand); the measurement horizon is the last
-        arrival's timestamp, discovered at stream exhaustion -- until
-        then it is ``inf``, which is equivalent because any event
-        popped while arrivals remain is strictly earlier than the next
-        (and hence the last) arrival.  A forced ``horizon_s`` replaces
-        that discovery (the sharded runner's fleet-wide horizon); it
-        behaves identically because every pre-exhaustion event is
-        earlier than the stream's last arrival <= ``horizon_s``, while
-        autoscaler ticks keep firing up to the forced horizon exactly
-        as they would in the fleet-wide run.  Returns
-        ``(arrival_count, horizon, ticks_fired)``.
-        """
-        horizon = float("inf") if horizon_s is None else horizon_s
-        count = 0
-        ticks = 0
-        window_s = self.autoscaler.window_s if scaling else 0.0
-        # Observability hooks: one pre-bound bool guards every site, so
-        # an unobserved run adds no float operations (bit-identical,
-        # pinned by tests/test_perf_equivalence.py).
-        probe = self.observer
-        probe_on = probe is not None and probe.metrics
-        nxt = first
-        nxt_t = first[1][1]  # arrival_s via the namedtuple fast path
-        while True:
-            # -- next event: arrival stream vs heap, arrivals win ties --
-            if nxt is not None:
-                now = nxt_t
-                if not events or now <= events[0][0]:
-                    model, query = nxt
-                    nxt = next(arrivals, None)
-                    if nxt is None:
-                        if horizon_s is None:
-                            horizon = now
-                        elif now > horizon_s:
-                            raise ValueError(
-                                f"horizon_s={horizon_s!r} precedes the "
-                                f"stream's last arrival (t={now!r})"
-                            )
-                        self._seal_sketches(horizon)
-                    else:
-                        t = nxt[1][1]
-                        if t < now:
-                            raise ValueError(
-                                "arrival stream is not sorted by time "
-                                f"(t={t!r} after t={now!r})"
-                            )
-                        nxt_t = t
-                    count += 1
-                    if probe_on:
-                        probe.on_arrival(model, now)
-                    stream = streams.get(model)
-                    if not stream or not stream[0]:
-                        # Warmup drops stay out of the stats (mirroring
-                        # the completion window) but feed the autoscaler.
-                        if model not in completions:
-                            completions[model] = []
-                        if now >= warmup_s:
-                            dropped[model] = dropped.get(model, 0) + 1
-                        if scaling:
-                            window_drops[model] = window_drops.get(model, 0) + 1
-                        if probe_on:
-                            probe.on_drop(model, now)
-                        continue
-                    candidates, policy = stream
-                    server = policy.choose(candidates)
-                    server.outstanding += 1
-                    if scaling:
-                        window_arrivals[model] += 1
-                    direct = server.direct
-                    if direct is not None:
-                        # Inlined heap.push; the (model, query) trace
-                        # pair rides along as the completion payload.
-                        seq = heap.seq
-                        heap.seq = seq + 1
-                        heappush(
-                            events,
-                            (
-                                direct.completion_time(
-                                    now, query.size, query.pooling_scale
-                                ),
-                                seq,
-                                server,
-                                -1,
-                                (model, query),
-                            ),
-                        )
-                    else:
-                        qs = QueryState(query, model)
-                        qs.server = server
-                        server.pipeline.enqueue(0, qs, qs.size, now, heap)
-                    continue
-            elif not events:
-                break
-            entry = heappop(events)
-            if dead and entry[1] in dead:
-                dead.discard(entry[1])
-                continue
-            now = entry[0]
-            server = entry[2]
-            if server is None:  # autoscaler tick
-                if now >= horizon:
-                    continue  # stream drained past the last arrival
-                ticks += 1
-                heappush(events, (now + window_s, -1, None, 0, None))
-                self._apply_autoscaler_tick(
-                    now, window_lat, window_arrivals, window_drops, scale_events
-                )
-                continue
-            idx = entry[3]
-            if idx < 0:  # direct-path completion event, bookkept inline
-                model, query = entry[4]
-                arrival = query.arrival_s
-                server.completed += 1
-                if arrival >= warmup_s and now <= horizon:
-                    server.completed_in_window += 1
-                server.items_done += query.size
-                server.outstanding -= 1
-                latency = now - arrival
-                completions[model].append((now, latency))
-                if scaling:
-                    window_lat[model].append(latency * 1e3)
-                if probe_on:
-                    probe.on_completion(model, latency, now)
-                if server.draining and server.outstanding == 0:
-                    server.settle(now)
-                    server.active = False
-                    server.draining = False
-                continue
-            server.pipeline.on_finish(idx, entry[4], now, heap, finished)
-            if finished:
-                for qs in finished:
-                    # Same bookkeeping as the direct path above.
-                    server.completed += 1
-                    if qs.arrival_s >= warmup_s and now <= horizon:
-                        server.completed_in_window += 1
-                    server.items_done += qs.size
-                    server.outstanding -= 1
-                    latency = now - qs.arrival_s
-                    completions[qs.model].append((now, latency))
-                    if scaling:
-                        window_lat[qs.model].append(latency * 1e3)
-                    if probe_on:
-                        probe.on_completion(qs.model, latency, now)
-                    if server.draining and server.outstanding == 0:
-                        server.settle(now)
-                        server.active = False
-                        server.draining = False
-                finished.clear()
-        return count, horizon, ticks
-
     # ------------------------------------------------------------------
 
     def _summarize(
@@ -1025,14 +867,20 @@ class FleetSimulator:
         warmup_s: float,
         horizon: float,
         scale_events: tuple,
-        fault_info: dict | None = None,
+        fault_info: dict,
     ) -> FleetResult:
+        """Build the report from a finished replay.
+
+        ``fault_info`` is the replay loop's fault accounting: per-model
+        ``failed``/``retried``/``hedged`` counts (absent models count
+        zero), the applied fault ``events``, and ``downtime_s``.
+        """
         import numpy as np
 
         duration = max(horizon - warmup_s, 1e-9)
-        failed_by = fault_info["failed"] if fault_info else {}
-        retried_by = fault_info["retried"] if fault_info else {}
-        hedged_by = fault_info["hedged"] if fault_info else {}
+        failed_by = fault_info["failed"]
+        retried_by = fault_info["retried"]
+        hedged_by = fault_info["hedged"]
         per_model: dict[str, ModelStats] = {}
         for model, samples in completions.items():
             # Measure the window [warmup, horizon]: arrivals before the
@@ -1122,31 +970,29 @@ class FleetSimulator:
                     domain=s.domain,
                 )
             )
+        # Uptime fraction of routable serving time: time replicas
+        # actually served over that plus time crashed-while-routable
+        # replicas spent dead.  Robust to mid-run activations and drains
+        # (both sides count the same replica-populations), and in [0, 1]
+        # by construction.
         availability = 1.0
-        fault_events: tuple = ()
-        phases: tuple = ()
-        if fault_info is not None:
-            # Uptime fraction of routable serving time: time replicas
-            # actually served over that plus time crashed-while-routable
-            # replicas spent dead.  Robust to mid-run activations and
-            # drains (both sides count the same replica-populations), and
-            # in [0, 1] by construction.
-            downtime = fault_info["downtime_s"]
+        downtime = fault_info["downtime_s"]
+        if downtime > 0.0:
             serving = sum(s.active_s for s in self.servers)
-            if downtime > 0.0:
-                availability = serving / (serving + downtime)
-            fault_events = fault_info["events"]
-            if fault_events and self.percentile_mode == "exact":
-                # Sketch mode keeps no finish-stamped samples to bucket
-                # into phases; documented as empty in that mode.
-                from repro.fleet.report import phase_breakdown
+            availability = serving / (serving + downtime)
+        fault_events = fault_info["events"]
+        phases: tuple = ()
+        if fault_events and self.percentile_mode == "exact":
+            # Sketch mode keeps no finish-stamped samples to bucket
+            # into phases; documented as empty in that mode.
+            from repro.fleet.report import phase_breakdown
 
-                phases = phase_breakdown(
-                    completions,
-                    tuple(ev.time_s for ev in fault_events),
-                    warmup_s,
-                    horizon,
-                )
+            phases = phase_breakdown(
+                completions,
+                tuple(ev.time_s for ev in fault_events),
+                warmup_s,
+                horizon,
+            )
         _, avg_power_w = fleet_power_summary(
             ((row.power_w, row.active_s) for row in server_stats), horizon
         )

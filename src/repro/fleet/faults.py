@@ -11,15 +11,17 @@ as a first-class, *seed-deterministic* input to the fleet DES:
   expands a schedule into atomic, time-sorted events for a concrete
   fleet, so identical ``(schedule, fleet, seed)`` triples always
   replay identically.
-- :func:`run_fault_loop` -- the fault-aware twin of the engine's hot
-  event loop.  Crashed replicas leave the routable set, their in-flight
-  queries are re-enqueued at the router (up to a retry budget) or
-  failed; stragglers have their stage service times scaled; hedged
-  dispatch races a duplicate attempt on a second replica after a
-  configurable delay.  The fault-free engine loop is untouched -- with
-  no faults scheduled the two loops execute the same float operations
-  in the same order, which ``tests/test_perf_equivalence.py`` enforces
-  with exact equality.
+- The engine's two replay loops.  The *light* loop serves every run
+  without retries, hedging or tracing: crashed replicas leave the
+  routable set and their in-flight queries fail; stragglers have their
+  stage service times scaled.  With no faults scheduled it is the
+  pre-fault hot loop, float for float.  :func:`run_fault_loop` is the
+  *tracked* loop: lost queries are re-enqueued at the router (up to a
+  retry budget) or failed, and hedged dispatch races a duplicate
+  attempt on a second replica after a configurable delay.  With an
+  empty schedule both loops execute the same float operations in the
+  same order, which ``tests/test_perf_equivalence.py`` enforces with
+  exact equality.
 
 Fault semantics (all deterministic):
 
@@ -28,7 +30,7 @@ Fault semantics (all deterministic):
   last outstanding attempt is retried at the router (if the per-query
   retry budget allows and a routable replica exists) or failed.
   Arrivals at exactly the crash timestamp still route to the dying
-  replica (arrivals win ties, as in the fault-free loop).
+  replica (arrivals win ties, as everywhere in the event loops).
 - ``recover``: a replica that was serving when it crashed rejoins the
   routable set with empty queues; standby/draining replicas come back
   cold, available to the autoscaler again.
@@ -946,8 +948,8 @@ def iter_boundaries(fault_events, window_s: float, last_t: float):
     the last arrival still fire -- the heap drains past the horizon.
 
     ``window_s <= 0`` disables the tick grid (no autoscaler).  This is
-    the segment skeleton of the vectorized fault path
-    (:func:`repro.sim.fast_core.run_vectorized_faults`): everything
+    the segment skeleton of the vectorized core
+    (:func:`repro.sim.fast_core.run_vectorized`): everything
     between two yielded items is fault-free and tick-free, so whole
     arrival spans can be routed and delivered in batches.
     """
@@ -982,24 +984,15 @@ def run_fault_loop(
     window_drops: dict,
     scale_events: list,
 ) -> dict:
-    """Fault-aware twin of ``FleetSimulator._run_loop``.
+    """The tracked loop: the light loop plus per-query records.
 
-    Runs the same lazily-pulled arrival-merge event loop with
-    crash/recover/slow handling, retries, and hedging layered on.
-    With an empty schedule it performs the identical float operations
-    in the identical order (same heap sequence numbers, same routing
-    draws), which the differential tests verify with ``==`` on floats.
-
-    Two variants share this entry point:
-
-    - With ``retries == 0``, hedging off, and no tracing observer, the
-      *light* loop runs: per query it is the fault-free hot loop verbatim
-      (no per-query
-      records -- crash victims simply fail), so an empty or sparse
-      schedule costs almost nothing.  ``last_query_log`` stays empty.
-    - Otherwise the *tracked* loop runs: every query gets a
-      :class:`TrackedQuery` with per-attempt history, enabling retries,
-      hedging, and the full query log.
+    Runs the same lazily-pulled arrival-merge event loop as
+    :func:`_run_light_loop`, but every query gets a
+    :class:`TrackedQuery` with per-attempt history, enabling retries,
+    hedging, and the full query log (``last_query_log``).  With an
+    empty schedule it performs the identical float operations in the
+    identical order (same heap sequence numbers, same routing draws),
+    which the differential tests verify with ``==`` on floats.
 
     Returns the fault accounting consumed by ``_summarize``:
     per-model ``failed``/``retried``/``hedged`` counts, the applied
@@ -1007,13 +1000,6 @@ def run_fault_loop(
     stream accounting (``arrivals``/``horizon``/``ticks``).
     """
     probe = sim.observer
-    trace_on = probe is not None and probe.trace
-    if sim.retries == 0 and sim.hedge_ms is None and not trace_on:
-        return _run_light_loop(
-            sim, arrivals, first, streams, heap, warmup_s, end_hint,
-            scaling, completions, dropped, window_lat, window_arrivals,
-            window_drops, scale_events,
-        )
     # One pre-bound bool guards every metrics hook; trace-only probes
     # keep it False (spans are built post-run from the query log).
     probe_on = probe is not None and probe.metrics
@@ -1071,7 +1057,7 @@ def run_fault_loop(
             heap.push(now + hedge_s, _HEDGE, 0, tracked)
 
     def complete(server, tracked: TrackedQuery, attempt: list, now: float) -> None:
-        """Retire one finished attempt (same bookkeeping as the fast loop)."""
+        """Retire one finished attempt (the light loop's bookkeeping)."""
         attempt[2] = now
         attempt[3] = 1
         query = tracked.query
@@ -1197,7 +1183,7 @@ def run_fault_loop(
                     sim._seal_sketches(now)
                 else:
                     t = nxt[1][1]
-                    if t < now:
+                    if not t >= now:  # also refuses a NaN time
                         raise ValueError(
                             "arrival stream is not sorted by time "
                             f"(t={t!r} after t={now!r})"
@@ -1236,14 +1222,14 @@ def run_fault_loop(
             continue
         now = entry[0]
         owner = entry[2]
-        if owner is None:  # autoscaler tick (shared with the fast loop)
+        if owner is None:  # autoscaler tick
             if now >= horizon:
                 continue  # stream drained past the last arrival
             ticks += 1
             heappush(events, (now + window_s, -1, None, 0, None))
             sim._apply_autoscaler_tick(
                 now, window_lat, window_arrivals, window_drops, scale_events,
-                window_failures=window_failures,
+                window_failures,
             )
             continue
         if owner is _FAULT:
@@ -1312,29 +1298,41 @@ def _run_light_loop(
     window_arrivals: dict,
     window_drops: dict,
     scale_events: list,
+    horizon_s: float | None,
 ) -> dict:
-    """The no-retries/no-hedging fault loop.
+    """The untracked python replay loop: no retries, hedging or tracing.
 
-    Per query this is the fault-free hot loop verbatim -- identical
-    payload shapes, allocations, and float operations, the same lazy
-    arrival pull -- with fault events handled between queries.
-    In-flight queries on a crashed replica are *failed* (there is no
-    retry budget to spend), so no per-query record is ever allocated
-    and a present-but-idle fault layer costs only the sentinel checks
-    at event pops.
+    Arrivals are pulled lazily from the ``arrivals`` iterator (one pair
+    held in hand) and merged with the event heap, arrivals winning
+    ties; fault events are handled between queries.  In-flight queries
+    on a crashed replica are *failed* (there is no retry budget to
+    spend), so no per-query record is ever allocated and a
+    present-but-idle fault layer costs only the sentinel checks at
+    event pops.
+
+    The measurement horizon is the last arrival's timestamp, discovered
+    at stream exhaustion -- until then it is ``inf``, which is
+    equivalent because any event popped while arrivals remain is
+    strictly earlier than the next (and hence the last) arrival.  A
+    forced ``horizon_s`` replaces that discovery (the sharded runner's
+    fleet-wide horizon; fault-free runs only); it behaves identically
+    because every pre-exhaustion event is earlier than the stream's
+    last arrival <= ``horizon_s``, while autoscaler ticks keep firing up
+    to the forced horizon exactly as they would in the fleet-wide run.
     """
     events = heap.items
     dead = heap.dead
     finished: list = []
     servers = sim.servers
     routable = sim._routable
-    horizon = float("inf")
+    horizon = float("inf") if horizon_s is None else horizon_s
     count = 0
     ticks = 0
     window_s = sim.autoscaler.window_s if scaling else 0.0
-    # Same single-bool hook guard as the fault-free loop; a tracing
-    # observer never reaches here (run_fault_loop forces the tracked
-    # twin), so only metrics hooks exist.
+    # One pre-bound bool guards every hook, so an unobserved run adds
+    # no float operations (bit-identical, pinned by
+    # tests/test_perf_equivalence.py); a tracing observer never reaches
+    # here (it takes the tracked loop), so only metrics hooks exist.
     probe = sim.observer
     probe_on = probe is not None and probe.metrics
 
@@ -1378,21 +1376,28 @@ def _run_light_loop(
             if probe_on:
                 probe.on_failure(model, now)
 
-    # -- the loop (the fault-free hot loop plus sentinel branches) -----
+    # -- the loop ------------------------------------------------------
     nxt = first
     nxt_t = first[1][1]  # arrival_s via the namedtuple fast path
     while True:
+        # -- next event: arrival stream vs heap, arrivals win ties --
         if nxt is not None:
             now = nxt_t
             if not events or now <= events[0][0]:
                 model, query = nxt
                 nxt = next(arrivals, None)
                 if nxt is None:
-                    horizon = now
-                    sim._seal_sketches(now)
+                    if horizon_s is None:
+                        horizon = now
+                    elif now > horizon_s:
+                        raise ValueError(
+                            f"horizon_s={horizon_s!r} precedes the "
+                            f"stream's last arrival (t={now!r})"
+                        )
+                    sim._seal_sketches(horizon)
                 else:
                     t = nxt[1][1]
-                    if t < now:
+                    if not t >= now:  # also refuses a NaN time
                         raise ValueError(
                             "arrival stream is not sorted by time "
                             f"(t={t!r} after t={now!r})"
@@ -1403,6 +1408,8 @@ def _run_light_loop(
                     probe.on_arrival(model, now)
                 stream = streams.get(model)
                 if not stream or not stream[0]:
+                    # Warmup drops stay out of the stats (mirroring the
+                    # completion window) but feed the autoscaler.
                     if model not in completions:
                         completions[model] = []
                     if now >= warmup_s:
@@ -1444,21 +1451,21 @@ def _run_light_loop(
             continue
         now = entry[0]
         server = entry[2]
-        if server is None:  # autoscaler tick (shared with the fast loop)
+        if server is None:  # autoscaler tick
             if now >= horizon:
                 continue  # stream drained past the last arrival
             ticks += 1
             heappush(events, (now + window_s, -1, None, 0, None))
             sim._apply_autoscaler_tick(
                 now, window_lat, window_arrivals, window_drops, scale_events,
-                window_failures=window_failures,
+                window_failures,
             )
             continue
         if server is _FAULT:
             fstate.apply(entry[4], now, horizon, kill_in_flight)
             continue
         idx = entry[3]
-        if idx < 0:  # direct-path completion (identical to the fast loop)
+        if idx < 0:  # direct-path completion, bookkept inline
             model, query = entry[4]
             arrival = query.arrival_s
             server.completed += 1

@@ -246,7 +246,13 @@ def _run_shard_task(task: tuple):
             warmup_s,
             horizon,
             (),
-            None,
+            {
+                "failed": {},
+                "retried": {},
+                "hedged": {},
+                "events": (),
+                "downtime_s": 0.0,
+            },
         )
         ticks = 0
     gmap = dict(enumerate(global_indices))

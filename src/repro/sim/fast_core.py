@@ -3,10 +3,12 @@
 The pure-Python fleet engine (:mod:`repro.fleet.engine`) processes one
 event at a time through a global heap.  For the common measurement
 configuration -- outstanding-oblivious routing (rr / weighted), no
-fault injection, no live observer -- per-event interleaving is
+retries or hedging, no live observer -- per-event interleaving is
 unnecessary: routing decisions depend only on arrival order within a
 model stream, and replicas never interact except through the router.
-This module exploits that:
+This module exploits that in two loops, :func:`run_vectorized` (exact)
+and :func:`run_epoch` (queue-aware routing by arrival micro-epochs,
+statistically equivalent):
 
 - Arrivals are ingested into flat numpy arrays and **pre-routed in
   batches** per model via :meth:`RoutingPolicy.choose_batch` (round-
@@ -22,12 +24,12 @@ This module exploits that:
   but with plain-tuple query states and the global heap replaced by a
   replica-private one, which preserves within-replica event order (the
   only order that matters for an isolated replica).
-- Only **segment boundaries** go through global coordination: when an
-  autoscaler is attached, the trace is cut at its tick times and the
-  engine's own :meth:`FleetSimulator._apply_autoscaler_tick` is invoked
-  between segments with identically-ordered window feeds, so scaling
-  decisions (and their seeds of divergence) cannot drift from the
-  python core.
+- Only **segment boundaries** go through global coordination: the
+  trace is cut at autoscaler tick times and fault events, and the
+  engine's own :meth:`FleetSimulator._apply_autoscaler_tick` (or the
+  shared fault state) runs between segments with identically-ordered
+  window feeds, so scaling decisions (and their seeds of divergence)
+  cannot drift from the python core.
 
 Exactness: per-replica completion floats are bit-identical to the
 python core (the recurrences perform the same operations in the same
@@ -50,7 +52,7 @@ from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
-__all__ = ["run_vectorized", "run_vectorized_faults", "run_epoch"]
+__all__ = ["run_vectorized", "run_epoch"]
 
 #: Per-ServicedStage dense service tables, shared across replicas (the
 #: stage objects themselves are shared via plan_cache).  Keyed by id()
@@ -485,6 +487,13 @@ def _ingest(sim, trace):
     arr_t = np.fromiter((q[1] for _, q in pairs), np.float64, count=n)
     arr_size = np.fromiter((q[2] for _, q in pairs), np.int64, count=n)
     arr_pool = np.fromiter((q[3] for _, q in pairs), np.float64, count=n)
+    finite = np.isfinite(arr_t)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"trace entry {k} ({pairs[k][0]!r}) has a non-finite "
+            f"arrival time ({float(arr_t[k])!r})"
+        )
     codes = {m: i for i, m in enumerate(sorted(sim._routable))}
     try:
         arr_m = np.fromiter((codes[m] for m, _ in pairs), np.int64, count=n)
@@ -515,292 +524,54 @@ def _ingest(sim, trace):
     return arr_t, arr_size, arr_pool, arr_m, model_names, codes
 
 
-def run_vectorized(sim, trace, warmup_s: float = 0.0):
-    """Play ``trace`` through ``sim``'s fleet on the vectorized core.
+def _drop_unroutable(
+    model, ts, warmup_s, known, dropped, drop_order, window_drops
+) -> None:
+    """Drop arrivals (times ``ts``) of a model with no routable replica.
 
-    The caller (:meth:`FleetSimulator.run`) has already verified
-    eligibility: outstanding-oblivious routing, no fault machinery, no
-    observer.  Results -- per-model stats, server counters, scale
-    events, event counts -- reproduce the python core exactly (modulo
-    the cross-replica tie caveat in the module docstring).
+    The python loop's drop path: post-warmup arrivals count as dropped,
+    every one feeds the autoscaler window, and models the fleet does
+    not serve at all (not in ``known``) are listed in first-drop order
+    so the report still shows them.
     """
-    # The local replica loops allocate event tuples and batch lists and
-    # never build cycles; keep the generational GC out of them, exactly
-    # as the python core's hot loop does.
-    import gc
-
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _run_vectorized(sim, trace, warmup_s)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    dropped[model] = dropped.get(model, 0) + int(
+        np.count_nonzero(ts >= warmup_s)
+    )
+    if model not in known and model not in drop_order:
+        drop_order.append(model)
+    window_drops[model] = window_drops.get(model, 0) + len(ts)
 
 
-def _run_vectorized(sim, trace, warmup_s: float):
-    servers = sim.servers
-    n_servers = len(servers)
-    arr_t, arr_size, arr_pool, arr_m, model_names, codes = _ingest(sim, trace)
-    n = len(arr_t)
-    horizon = float(arr_t[-1])
-    scaling = sim.autoscaler is not None
+def _apply_settles(pending: dict, before: float = float("inf")) -> None:
+    """Retire draining replicas whose last completion precedes ``before``.
 
-    finish = np.empty(n, dtype=np.float64)
-    server_of = np.full(n, -1, dtype=np.int64)
-    routable = sim._routable
-    policies = sim._policies
-
-    # Windowed autoscaler feeds (same shapes the python loop maintains).
-    window_lat: dict[str, list[float]] = {m: [] for m in routable}
-    window_arrivals: dict[str, int] = {m: 0 for m in routable}
-    window_drops: dict[str, int] = {m: 0 for m in routable}
-    scale_events: list = []
-    dropped: dict[str, int] = {m: 0 for m in routable}
-    drop_order: list[str] = []  # unknown models, first-drop order
-
-    runners: dict[int, _LocalReplicaSim] = {}
-    direct_pushes = 0
-    ticks = 0
-    if scaling:
-        outstanding_vec = np.zeros(n_servers, dtype=np.int64)
-        last_finish = np.zeros(n_servers, dtype=np.float64)
-        pool: list[tuple] = []  # (fin_arr, lat_arr, code, server_index)
-        pending_settles: dict = {}
-        window_s = sim.autoscaler.window_s
-
-    def deliver_segment(lo: int, hi: int, limit: float) -> None:
-        """Route and deliver arrivals [lo, hi); local fuse loops run
-        events strictly below ``limit`` (the next tick time)."""
-        nonlocal direct_pushes
-        if lo >= hi:
-            return
-        seg_m = arr_m[lo:hi]
-        seg_t = arr_t[lo:hi]
-        for code in np.unique(seg_m).tolist():
-            model = model_names[code]
-            sel = np.nonzero(seg_m == code)[0]
-            candidates = routable.get(model)
-            if not candidates:
-                # Same accounting as the python loop's drop path.
-                n_drop = int((seg_t[sel] >= warmup_s).sum())
-                if n_drop:
-                    dropped[model] = dropped.get(model, 0) + n_drop
-                if model not in dropped:
-                    dropped[model] = dropped.get(model, 0)
-                if model not in window_lat and model not in drop_order:
-                    drop_order.append(model)
-                if scaling:
-                    window_drops[model] = window_drops.get(model, 0) + len(sel)
-                continue
-            picks = policies[model].choose_batch(candidates, len(sel))
-            cand_idx = np.fromiter(
-                (s.index for s in candidates), np.int64, count=len(candidates)
-            )
-            server_of[lo + sel] = cand_idx[np.asarray(picks)]
-            if scaling:
-                window_arrivals[model] += len(sel)
-        seg_srv = server_of[lo:hi]
-        order = np.argsort(seg_srv, kind="stable")
-        sorted_srv = seg_srv[order]
-        uniq, starts = np.unique(sorted_srv, return_index=True)
-        bounds = starts.tolist() + [hi - lo]
-        for j, srv_i in enumerate(uniq.tolist()):
-            if srv_i < 0:
-                continue  # dropped arrivals
-            gidx = lo + order[bounds[j]:bounds[j + 1]]
-            s = servers[srv_i]
-            ts = arr_t[gidx]
-            szs = arr_size[gidx]
-            pls = arr_pool[gidx]
-            if scaling:
-                outstanding_vec[srv_i] += len(gidx)
-            if s.direct is not None:
-                st = s.direct.stage
-                c = st.chunk_items
-                ps = st.pooling_sensitivity
-                maxsz = int(szs.max())
-                base_tab = _service_table(st, maxsz if maxsz > c else c)
-                full, rem = np.divmod(szs, c)
-                has_rem = rem > 0
-                nch = full + has_rem
-                csf = float(c)
-                if ps > 0.0:
-                    svc_full = base_tab[c] * (
-                        1.0 - ps + ps * ((pls * csf) / csf)
-                    )
-                    remf = rem.astype(np.float64)
-                    svc_rem = base_tab[rem] * (
-                        1.0 - ps
-                        + ps * ((pls * remf) / np.where(has_rem, remf, 1.0))
-                    )
-                else:
-                    svc_full = np.full(len(ts), base_tab[c])
-                    svc_rem = base_tab[rem]
-                ends = np.cumsum(nch)
-                rep_t = np.repeat(ts, nch)
-                rep_svc = np.repeat(svc_full, nch)
-                rep_svc[ends[has_rem] - 1] = svc_rem[has_rem]
-                starts_q = np.concatenate(([0], ends[:-1]))
-                # The exact DirectStage recurrence against the replica's
-                # persistent unit-availability heap.
-                avail = s.direct.avail
-                done = []
-                ap = done.append
-                for now, sv in zip(rep_t.tolist(), rep_svc.tolist()):
-                    tf = avail[0]
-                    d = (tf if tf > now else now) + sv
-                    heapreplace(avail, d)
-                    ap(d)
-                fin = np.maximum.reduceat(np.asarray(done), starts_q)
-                finish[gidx] = fin
-                direct_pushes += len(gidx)
-                if scaling:
-                    fmax = float(fin.max())
-                    if fmax > last_finish[srv_i]:
-                        last_finish[srv_i] = fmax
-                    pool.append((fin, fin - ts, codes[s.model_name], srv_i))
-            else:
-                runner = runners.get(srv_i)
-                if runner is None:
-                    runner = runners[srv_i] = _LocalReplicaSim(s.pipeline)
-                runner.pump(
-                    ts.tolist(), szs.tolist(), pls.tolist(), gidx.tolist(),
-                    limit, finish, scaling,
-                )
-
-    def collect_fuse(limit: float) -> None:
-        """Run every local loop up to ``limit`` and bank completions."""
-        for srv_i, runner in runners.items():
-            if runner.events:
-                runner.pump((), (), (), (), limit, finish, scaling)
-            comps = runner.completions
-            if comps:
-                fin = np.fromiter(
-                    (c[0] for c in comps), np.float64, count=len(comps)
-                )
-                aidx = np.fromiter(
-                    (c[1] for c in comps), np.int64, count=len(comps)
-                )
-                runner.completions = []
-                s = servers[srv_i]
-                fmax = float(fin.max())
-                if fmax > last_finish[srv_i]:
-                    last_finish[srv_i] = fmax
-                pool.append((fin, fin - arr_t[aidx], codes[s.model_name], srv_i))
-
-    def harvest(tick_t: float) -> None:
-        """Feed the window ending at ``tick_t`` from the pool.
-
-        Completions with ``finish < tick_t`` pop before the tick in the
-        python loop (the tick's seq -1 wins ties), so strict less-than
-        matches its window membership exactly.  Within a window the
-        feed is finish-sorted; both built-in autoscalers are
-        order-insensitive (they count latencies, not fold them).
-        """
-        nonlocal pool
-        if not pool:
-            return
-        kept: list[tuple] = []
-        per_code: dict[int, list[tuple]] = {}
-        for fin, lats, code, srv_i in pool:
-            mask = fin < tick_t
-            n_in = int(mask.sum())
-            if n_in == 0:
-                kept.append((fin, lats, code, srv_i))
-                continue
-            if n_in == len(fin):
-                taken = (fin, lats)
-            else:
-                keep = ~mask
-                kept.append((fin[keep], lats[keep], code, srv_i))
-                taken = (fin[mask], lats[mask])
-            outstanding_vec[srv_i] -= n_in
-            per_code.setdefault(code, []).append(taken)
-        pool = kept
-        for code, chunks in per_code.items():
-            if len(chunks) == 1:
-                fin_c, lat_c = chunks[0]
-            else:
-                fin_c = np.concatenate([c[0] for c in chunks])
-                lat_c = np.concatenate([c[1] for c in chunks])
-            o = np.argsort(fin_c, kind="stable")
-            window_lat[model_names[code]] = (lat_c[o] * 1e3).tolist()
-
-    if scaling:
-        tick_t = window_s
-        prev_lo = 0
-        while tick_t < horizon:
-            hi = int(np.searchsorted(arr_t, tick_t, side="right"))
-            deliver_segment(prev_lo, hi, tick_t)
-            prev_lo = hi
-            collect_fuse(tick_t)
-            harvest(tick_t)
-            if pending_settles:
-                for drained, settle_t in list(pending_settles.items()):
-                    if settle_t < tick_t:
-                        drained.settle(settle_t)
-                        drained.active = False
-                        drained.draining = False
-                        del pending_settles[drained]
-            for s, out in zip(servers, outstanding_vec.tolist()):
-                s.outstanding = out
-            ticks += 1
-            before = len(scale_events)
-            sim._apply_autoscaler_tick(
-                tick_t, window_lat, window_arrivals, window_drops, scale_events
-            )
-            for ev in scale_events[before:]:
-                drained = ev.server
-                if ev.action == "drain" and drained.draining:
-                    # Outstanding work remains: the python loop settles
-                    # the replica when its last completion pops.  A
-                    # draining replica receives no new arrivals, so its
-                    # local loop can run dry now and the settle applies
-                    # lazily before the first later tick.
-                    runner = runners.get(drained.index)
-                    if runner is not None and runner.events:
-                        runner.pump(
-                            (), (), (), (), float("inf"), finish, True
-                        )
-                        comps = runner.completions
-                        if comps:
-                            fin = np.fromiter(
-                                (c[0] for c in comps), np.float64,
-                                count=len(comps),
-                            )
-                            aidx = np.fromiter(
-                                (c[1] for c in comps), np.int64,
-                                count=len(comps),
-                            )
-                            runner.completions = []
-                            fmax = float(fin.max())
-                            if fmax > last_finish[drained.index]:
-                                last_finish[drained.index] = fmax
-                            pool.append((
-                                fin, fin - arr_t[aidx],
-                                codes[drained.model_name], drained.index,
-                            ))
-                    pending_settles[drained] = float(last_finish[drained.index])
-            tick_t += window_s
-        deliver_segment(prev_lo, n, float("inf"))
-    else:
-        deliver_segment(0, n, float("inf"))
-
-    # Drain phase: no further ticks fire past the last arrival.
-    for runner in runners.values():
-        if runner.events:
-            runner.pump((), (), (), (), float("inf"), finish, False)
-        runner.completions = []
-    if scaling:
-        for drained, settle_t in pending_settles.items():
+    ``pending`` maps each drained replica to its last finish time; the
+    python loop settles it when that completion pops, so the settle
+    applies before any later boundary.
+    """
+    for drained, settle_t in list(pending.items()):
+        if settle_t < before:
             drained.settle(settle_t)
             drained.active = False
             drained.draining = False
+            del pending[drained]
 
-    # ---- final counters and summary ---------------------------------
-    routed = server_of >= 0
+
+def _report(
+    sim, ingested, warmup_s, horizon, server_of, routed, finish,
+    dropped, drop_order, scale_events, fault_info, events,
+):
+    """Fold a batch replay's per-arrival arrays into the fleet report.
+
+    ``routed`` marks the arrivals that completed (``server_of`` names
+    their replica, ``finish`` their completion time).  Sets every
+    replica's counters and settles it at ``horizon`` as the python
+    loops leave them, hands ``_summarize`` finish-sorted ``(finish,
+    latency)`` arrays per model, and records the event and tick counts.
+    """
+    arr_t, arr_size, _, arr_m, _, codes = ingested
+    servers = sim.servers
+    n_servers = len(servers)
     srv_routed = server_of[routed]
     counts = np.bincount(srv_routed, minlength=n_servers)
     items = np.bincount(
@@ -821,7 +592,7 @@ def _run_vectorized(sim, trace, warmup_s: float):
     lat_all = finish - arr_t
     completions: dict[str, tuple] = {}
     empty = (np.empty(0), np.empty(0))
-    for m in routable:
+    for m in sim._routable:
         completions[m] = empty
     for m in drop_order:
         completions.setdefault(m, empty)
@@ -834,43 +605,32 @@ def _run_vectorized(sim, trace, warmup_s: float):
         o = np.argsort(fin_m, kind="stable")
         completions[model] = (fin_m[o], lat_m[o])
 
-    local_pushes = sum(r.seq for r in runners.values())
-    sim.last_event_count = n + direct_pushes + local_pushes + ticks
+    sim.last_event_count = events
+    sim.last_tick_count = fault_info["ticks"]
     sim.last_query_log = ()
-    result = sim._summarize(
-        completions, dropped, warmup_s, horizon, tuple(scale_events), None
+    return sim._summarize(
+        completions, dropped, warmup_s, horizon, tuple(scale_events),
+        fault_info,
     )
-    return result
 
 
-def run_vectorized_faults(sim, trace, warmup_s: float = 0.0):
-    """Play a faulted ``trace`` through the vectorized core, exactly.
+def run_vectorized(sim, trace, warmup_s: float = 0.0):
+    """Play ``trace`` through ``sim``'s fleet on the vectorized core.
 
-    Crash/blip/slow schedules only perturb the simulation at their
-    event timestamps, so the horizon partitions into fault-free
-    segments: each segment routes and delivers arrivals exactly like
-    :func:`run_vectorized`, and at every segment boundary -- an
-    autoscaler tick or a fault event, merged in heap pop order by
-    :func:`repro.fleet.faults.iter_boundaries` -- the shared
-    :class:`~repro.fleet.faults._FaultState` applies role changes,
-    heap cancellation (killed in-flight queries), and service
-    rescaling.  Results are bit-identical to the python *light* fault
-    loop (``retries == 0``, no hedging, no observer -- the caller has
-    verified eligibility), so ``core="auto"`` can take this path.
+    Faults only perturb the simulation at their event timestamps, so
+    the horizon partitions into fault-free segments.  Each segment
+    routes and delivers its arrivals in per-replica batches, and at
+    every segment boundary -- an autoscaler tick or a fault event,
+    merged in heap pop order by
+    :func:`repro.fleet.faults.iter_boundaries` -- the engine's tick or
+    the shared :class:`~repro.fleet.faults._FaultState` runs (role
+    changes, heap cancellation of killed in-flight queries, service
+    rescaling).  ``sim.faults=None`` is zero fault boundaries.  Results
+    are bit-identical to the python light loop (modulo the
+    cross-replica tie caveat in the module docstring); the caller has
+    verified eligibility: outstanding-oblivious routing, no retries,
+    hedging, or observer.
     """
-    import gc
-
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _run_vectorized_faults(sim, trace, warmup_s)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run_vectorized_faults(sim, trace, warmup_s: float):
     from repro.fleet.faults import (
         _FaultState,
         _materialized_faults,
@@ -888,7 +648,8 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
         and getattr(sim.faults, "stochastic_params", None) is not None
     ):
         end_hint = getattr(trace, "end_s", None)
-    arr_t, arr_size, arr_pool, arr_m, model_names, codes = _ingest(sim, trace)
+    ingested = _ingest(sim, trace)
+    arr_t, arr_size, arr_pool, arr_m, model_names, codes = ingested
     n = len(arr_t)
     last_t = float(arr_t[-1])
     if isinstance(trace, (list, tuple)):
@@ -927,10 +688,11 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
 
     def deliver(lo: int, hi: int, limit: float) -> None:
         """Route and deliver arrivals [lo, hi) -- the fault-free
-        segment body.  Identical to run_vectorized's deliver_segment
-        except for the victim-lookback bookkeeping and the slowed
-        direct branch (a slow fault sets ``server.slow_factor``; the
-        python loop then takes ``completion_time_slowed`` per query)."""
+        segment body.  Direct replicas run the exact DirectStage
+        recurrence in batches (per query while a slow fault holds, as
+        the python loop does) and keep their delivered indices for the
+        crash-victim lookback; FUSE-bearing replicas pump their local
+        loops to ``limit`` (the next boundary)."""
         nonlocal direct_pushes
         if lo >= hi:
             return
@@ -941,15 +703,10 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
             sel = np.nonzero(seg_m == code)[0]
             candidates = routable.get(model)
             if not candidates:
-                n_drop = int((seg_t[sel] >= warmup_s).sum())
-                if n_drop:
-                    dropped[model] = dropped.get(model, 0) + n_drop
-                if model not in dropped:
-                    dropped[model] = dropped.get(model, 0)
-                if model not in window_lat and model not in drop_order:
-                    drop_order.append(model)
-                if scaling:
-                    window_drops[model] = window_drops.get(model, 0) + len(sel)
+                _drop_unroutable(
+                    model, seg_t[sel], warmup_s, routable,
+                    dropped, drop_order, window_drops,
+                )
                 continue
             picks = policies[model].choose_batch(candidates, len(sel))
             cand_idx = np.fromiter(
@@ -971,7 +728,8 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
             ts = arr_t[gidx]
             szs = arr_size[gidx]
             pls = arr_pool[gidx]
-            outstanding_vec[srv_i] += len(gidx)
+            if scaling:
+                outstanding_vec[srv_i] += len(gidx)
             if s.direct is not None:
                 factor = s.slow_factor
                 if factor != 1.0:
@@ -1015,6 +773,8 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
                     rep_svc = np.repeat(svc_full, nch)
                     rep_svc[ends[has_rem] - 1] = svc_rem[has_rem]
                     starts_q = np.concatenate(([0], ends[:-1]))
+                    # The exact DirectStage recurrence against the
+                    # replica's persistent unit-availability heap.
                     avail = s.direct.avail
                     done = []
                     ap = done.append
@@ -1026,15 +786,15 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
                     fin = np.maximum.reduceat(np.asarray(done), starts_q)
                 finish[gidx] = fin
                 direct_pushes += len(gidx)
-                fmax = float(fin.max())
-                if fmax > last_finish[srv_i]:
-                    last_finish[srv_i] = fmax
                 chunks = delivered.get(srv_i)
                 if chunks is None:
                     delivered[srv_i] = [gidx]
                 else:
                     chunks.append(gidx)
                 if scaling:
+                    fmax = float(fin.max())
+                    if fmax > last_finish[srv_i]:
+                        last_finish[srv_i] = fmax
                     pool.append((fin, fin - ts, codes[s.model_name], srv_i))
             else:
                 runner = runners.get(srv_i)
@@ -1069,8 +829,14 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
                     )
 
     def harvest(tick_t: float) -> None:
-        """Feed the window ending at ``tick_t`` from the pool (same
-        strict ``finish < tick_t`` membership as run_vectorized)."""
+        """Feed the window ending at ``tick_t`` from the pool.
+
+        Completions with ``finish < tick_t`` pop before the tick in the
+        python loop (the tick's seq -1 wins ties), so strict less-than
+        matches its window membership exactly.  Within a window the
+        feed is finish-sorted; both built-in autoscalers are
+        order-insensitive (they count latencies, not fold them).
+        """
         nonlocal pool
         if not pool:
             return
@@ -1165,8 +931,6 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
             # Harvest will still decrement for the kept samples, so
             # park outstanding exactly that far above the python zero.
             outstanding_vec[srv_i] = kept_count
-        else:
-            outstanding_vec[srv_i] = 0
         server.outstanding = 0
         last_finish[srv_i] = 0.0
         draining_fuse.discard(server)
@@ -1174,9 +938,7 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
 
     # -- boundary loop -------------------------------------------------
     pos = 0
-    for kind, item in iter_boundaries(
-        fault_evs, window_s if scaling else 0.0, last_t
-    ):
+    for kind, item in iter_boundaries(fault_evs, window_s, last_t):
         bt = item if kind == "tick" else item.time_s
         hi = int(np.searchsorted(arr_t, bt, side="right"))
         deliver(pos, hi, bt)
@@ -1191,13 +953,7 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
                     ):
                         pending_settles[s] = float(last_finish[s.index])
                         draining_fuse.discard(s)
-            if pending_settles:
-                for drained, settle_t in list(pending_settles.items()):
-                    if settle_t < bt:
-                        drained.settle(settle_t)
-                        drained.active = False
-                        drained.draining = False
-                        del pending_settles[drained]
+            _apply_settles(pending_settles, bt)
         if kind == "tick":
             harvest(bt)
             for s, out in zip(servers, outstanding_vec.tolist()):
@@ -1206,7 +962,7 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
             before = len(scale_events)
             sim._apply_autoscaler_tick(
                 bt, window_lat, window_arrivals, window_drops, scale_events,
-                window_failures=window_failures,
+                window_failures,
             )
             for ev in scale_events[before:]:
                 drained = ev.server
@@ -1233,67 +989,22 @@ def _run_vectorized_faults(sim, trace, warmup_s: float):
         for s in list(draining_fuse):
             pending_settles[s] = float(last_finish[s.index])
         draining_fuse.clear()
-        for drained, settle_t in pending_settles.items():
-            drained.settle(settle_t)
-            drained.active = False
-            drained.draining = False
+        _apply_settles(pending_settles)
 
-    # -- final counters and summary ------------------------------------
-    routed = (server_of >= 0) & ~killed
-    srv_routed = server_of[routed]
-    counts = np.bincount(srv_routed, minlength=n_servers)
-    items = np.bincount(
-        srv_routed,
-        weights=arr_size[routed].astype(np.float64),
-        minlength=n_servers,
-    )
-    inwin_mask = routed & (arr_t >= warmup_s)
-    inwin_mask[inwin_mask] &= finish[inwin_mask] <= last_t
-    inwin = np.bincount(server_of[inwin_mask], minlength=n_servers)
-    for i, s in enumerate(servers):
-        s.completed = int(counts[i])
-        s.items_done = int(items[i])
-        s.completed_in_window = int(inwin[i])
-        s.outstanding = 0
-        s.settle(last_t)
-
-    lat_all = finish - arr_t
-    completions: dict[str, tuple] = {}
-    empty = (np.empty(0), np.empty(0))
-    for m in routable:
-        completions[m] = empty
-    for m in drop_order:
-        completions.setdefault(m, empty)
-    for model, code in codes.items():
-        sel = routed & (arr_m == code)
-        if not bool(sel.any()):
-            continue
-        fin_m = finish[sel]
-        lat_m = lat_all[sel]
-        o = np.argsort(fin_m, kind="stable")
-        completions[model] = (fin_m[o], lat_m[o])
-
-    local_pushes = sum(r.seq for r in runners.values())
-    sim.last_event_count = (
-        n + len(fault_evs) + direct_pushes + local_pushes + ticks
-    )
-    sim.last_tick_count = ticks
-    sim.last_query_log = ()
     fault_info = {
         "failed": failed,
-        "retried": {m: 0 for m in completions},
-        "hedged": {m: 0 for m in completions},
+        "retried": {},
+        "hedged": {},
         "events": tuple(fstate.applied),
         "downtime_s": fstate.close(last_t),
-        "arrivals": n,
-        "horizon": last_t,
         "ticks": ticks,
     }
-    result = sim._summarize(
-        completions, dropped, warmup_s, last_t, tuple(scale_events),
-        fault_info,
+    local_pushes = sum(r.seq for r in runners.values())
+    return _report(
+        sim, ingested, warmup_s, last_t, server_of, (server_of >= 0) & ~killed,
+        finish, dropped, drop_order, scale_events, fault_info,
+        n + len(fault_evs) + direct_pushes + local_pushes + ticks,
     )
-    return result
 
 
 def run_epoch(sim, trace, warmup_s: float = 0.0):
@@ -1316,24 +1027,10 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
     p50/p99/violation/power drift.  Fault machinery is refused by the
     caller (mid-epoch kills would invalidate the snapshot contract).
     """
-    import gc
-
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _run_epoch(sim, trace, warmup_s)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-
-
-def _run_epoch(sim, trace, warmup_s: float):
     servers = sim.servers
     n_servers = len(servers)
-    arr_t, arr_size, arr_pool, arr_m, model_names, codes = _ingest(sim, trace)
+    ingested = _ingest(sim, trace)
+    arr_t, arr_size, arr_pool, arr_m, model_names, codes = ingested
     n = len(arr_t)
     horizon = float(arr_t[-1])
     eps = sim.epoch_ms * 1e-3
@@ -1368,6 +1065,7 @@ def _run_epoch(sim, trace, warmup_s: float):
     window_lat: dict[str, list[float]] = {m: [] for m in routable}
     window_arrivals: dict[str, int] = {m: 0 for m in routable}
     window_drops: dict[str, int] = {m: 0 for m in routable}
+    window_failures: dict[str, int] = {m: 0 for m in routable}
     win: dict[str, list] = {m: [] for m in routable}  # pending samples
     scale_events: list = []
     dropped: dict[str, int] = {m: 0 for m in routable}
@@ -1416,13 +1114,7 @@ def _run_epoch(sim, trace, warmup_s: float):
         for srv_i in range(n_servers):
             if pend[srv_i]:
                 prune(srv_i, T)
-        if pending_settles:
-            for drained, settle_t in list(pending_settles.items()):
-                if settle_t < T:
-                    drained.settle(settle_t)
-                    drained.active = False
-                    drained.draining = False
-                    del pending_settles[drained]
+        _apply_settles(pending_settles, T)
         for s, o in zip(servers, out_ct):
             s.outstanding = o
         for m, samples in win.items():
@@ -1440,7 +1132,8 @@ def _run_epoch(sim, trace, warmup_s: float):
         ticks += 1
         before = len(scale_events)
         sim._apply_autoscaler_tick(
-            T, window_lat, window_arrivals, window_drops, scale_events
+            T, window_lat, window_arrivals, window_drops, scale_events,
+            window_failures,
         )
         for ev in scale_events[before:]:
             drained = ev.server
@@ -1487,18 +1180,11 @@ def _run_epoch(sim, trace, warmup_s: float):
             candidates = routable.get(model)
             cnt = hi - pos if idxs_np is None else len(idxs_np)
             if not candidates:
-                if idxs_np is None:
-                    nd = int(np.count_nonzero(arr_t[pos:hi] >= warmup_s))
-                else:
-                    nd = int(np.count_nonzero(arr_t[idxs_np] >= warmup_s))
-                if nd:
-                    dropped[model] = dropped.get(model, 0) + nd
-                if model not in dropped:
-                    dropped[model] = dropped.get(model, 0)
-                if model not in window_lat and model not in drop_order:
-                    drop_order.append(model)
-                if scaling:
-                    window_drops[model] = window_drops.get(model, 0) + cnt
+                _drop_unroutable(
+                    model,
+                    arr_t[pos:hi] if idxs_np is None else arr_t[idxs_np],
+                    warmup_s, routable, dropped, drop_order, window_drops,
+                )
                 continue
             # Refresh this stream's queue snapshot at the epoch start:
             # pump candidate runners to t0 and retire finishes < t0.
@@ -1623,51 +1309,19 @@ def _run_epoch(sim, trace, warmup_s: float):
         if runner.events:
             runner.pump((), (), (), (), float("inf"), fin_l, True)
         bank(srv_i, runner)
-    for drained, settle_t in pending_settles.items():
-        drained.settle(settle_t)
-        drained.active = False
-        drained.draining = False
+    _apply_settles(pending_settles)
 
-    # -- final counters and summary ------------------------------------
-    finish = np.asarray(fin_l)
-    routed = server_of >= 0
-    srv_routed = server_of[routed]
-    counts = np.bincount(srv_routed, minlength=n_servers)
-    items = np.bincount(
-        srv_routed,
-        weights=arr_size[routed].astype(np.float64),
-        minlength=n_servers,
-    )
-    inwin_mask = routed & (arr_t >= warmup_s)
-    inwin_mask[inwin_mask] &= finish[inwin_mask] <= horizon
-    inwin = np.bincount(server_of[inwin_mask], minlength=n_servers)
-    for i, s in enumerate(servers):
-        s.completed = int(counts[i])
-        s.items_done = int(items[i])
-        s.completed_in_window = int(inwin[i])
-        s.outstanding = 0
-        s.settle(horizon)
-
-    lat_all = finish - arr_t
-    completions: dict[str, tuple] = {}
-    empty = (np.empty(0), np.empty(0))
-    for m in routable:
-        completions[m] = empty
-    for m in drop_order:
-        completions.setdefault(m, empty)
-    for model, code in codes.items():
-        msel = routed & (arr_m == code)
-        if not bool(msel.any()):
-            continue
-        fin_m = finish[msel]
-        lat_m = lat_all[msel]
-        o = np.argsort(fin_m, kind="stable")
-        completions[model] = (fin_m[o], lat_m[o])
-
+    no_faults = {
+        "failed": {},
+        "retried": {},
+        "hedged": {},
+        "events": (),
+        "downtime_s": 0.0,
+        "ticks": ticks,
+    }
     local_pushes = sum(r.seq for r in runners.values())
-    sim.last_event_count = n + direct_pushes + local_pushes + ticks
-    sim.last_tick_count = ticks
-    sim.last_query_log = ()
-    return sim._summarize(
-        completions, dropped, warmup_s, horizon, tuple(scale_events), None
+    return _report(
+        sim, ingested, warmup_s, horizon, server_of, server_of >= 0,
+        np.asarray(fin_l), dropped, drop_order, scale_events, no_faults,
+        n + direct_pushes + local_pushes + ticks,
     )

@@ -148,12 +148,17 @@ class Query(_QueryBase):
     __slots__ = ()
 
     def __new__(cls, query_id, arrival_s, size, pooling_scale=1.0):
-        if size < 1:
-            raise ValueError("query size must be >= 1")
-        if arrival_s < 0:
-            raise ValueError("arrival time must be >= 0")
-        if pooling_scale <= 0:
-            raise ValueError("pooling_scale must be positive")
+        # Negated comparisons so NaN fails them too.
+        if not size >= 1:
+            raise ValueError(f"query size must be >= 1, got {size!r}")
+        if not 0 <= arrival_s < math.inf:
+            raise ValueError(
+                f"arrival time must be finite and >= 0, got {arrival_s!r}"
+            )
+        if not 0 < pooling_scale < math.inf:
+            raise ValueError(
+                f"pooling_scale must be positive and finite, got {pooling_scale!r}"
+            )
         return tuple.__new__(cls, (query_id, arrival_s, size, pooling_scale))
 
 

@@ -88,6 +88,15 @@ def save_trace(path: str, trace: Iterable, fmt: str | None = None) -> int:
     return count
 
 
+def _row_query(path: str, line_no: int, qid: int, t, size, pooling) -> Query:
+    """One row's :class:`Query`; a malformed or out-of-range value
+    (a NaN arrival, a zero size, ...) raises naming ``{path}:{line}``."""
+    try:
+        return Query(qid, float(t), int(size), float(pooling))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{line_no}: {exc}") from None
+
+
 def read_trace(
     path: str, default_model: str | None = None, fmt: str | None = None
 ) -> Iterator[tuple[str, Query]]:
@@ -95,7 +104,8 @@ def read_trace(
 
     Query ids are assigned per model in file order (0, 1, ...), the
     same convention the synthetic processes use.  Rows without a model
-    take ``default_model``; a file with neither raises.
+    take ``default_model``; a file with neither raises.  Every bad row
+    raises a :class:`ValueError` prefixed ``"{path}:{line}:"``.
     """
     fmt = _format_for(path, fmt)
     next_id: dict[str, int] = {}
@@ -127,16 +137,16 @@ def read_trace(
                         f"{path}:{line_no}: row names no model and no "
                         "default_model was given"
                     )
-                t = float(parts[idx["arrival_s"]])
-                size = int(parts[idx["size"]]) if "size" in idx else 1
-                pooling = (
-                    float(parts[idx["pooling_scale"]])
-                    if "pooling_scale" in idx
-                    else 1.0
-                )
                 qid = next_id.get(model, 0)
                 next_id[model] = qid + 1
-                yield model, Query(qid, t, size, pooling)
+                yield model, _row_query(
+                    path,
+                    line_no,
+                    qid,
+                    parts[idx["arrival_s"]],
+                    parts[idx["size"]] if "size" in idx else 1,
+                    parts[idx["pooling_scale"]] if "pooling_scale" in idx else 1.0,
+                )
         else:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -151,11 +161,13 @@ def read_trace(
                     )
                 qid = next_id.get(model, 0)
                 next_id[model] = qid + 1
-                yield model, Query(
+                yield model, _row_query(
+                    path,
+                    line_no,
                     qid,
-                    float(rec["t"]),
-                    int(rec.get("size", 1)),
-                    float(rec.get("pooling", 1.0)),
+                    rec["t"],
+                    rec.get("size", 1),
+                    rec.get("pooling", 1.0),
                 )
 
 

@@ -24,7 +24,7 @@ def _doc(mode="full", seed=42, **scenarios):
 def _passing_scenarios():
     """One value per gated metric, comfortably on the passing side."""
     out: dict[str, dict] = {}
-    for scenario, metric, op, threshold in BENCH_GATES:
+    for scenario, metric, op, threshold, _full_only in BENCH_GATES:
         block = out.setdefault(scenario, {"wall_s": 1.0})
         block[metric] = threshold * (0.5 if op == "<" else 2.0)
     return out
@@ -32,7 +32,7 @@ def _passing_scenarios():
 
 class TestGateList:
     def test_every_gate_names_a_real_scenario(self):
-        for scenario, _metric, op, threshold in BENCH_GATES:
+        for scenario, _metric, op, threshold, _full_only in BENCH_GATES:
             assert scenario in SCENARIOS
             assert op in ("<", ">")
             assert threshold > 0
@@ -40,7 +40,7 @@ class TestGateList:
     def test_vector_path_gates_present(self):
         """The two coverage-gap speedups are gated alongside the
         original fastcore gate."""
-        gates = {(s, m): (op, t) for s, m, op, t in BENCH_GATES}
+        gates = {(s, m): (op, t) for s, m, op, t, _ in BENCH_GATES}
         assert gates[("fleet_replay_fastcore", "speedup_vector_vs_python")] == (">", 3.0)
         assert gates[
             ("fleet_replay_faultpath", "speedup_vector_fault_vs_python")
@@ -90,6 +90,41 @@ class TestCompareBench:
         text, regressed = compare_bench(_doc(), _doc())
         assert not regressed
         assert "PASS" not in text and "FAIL" not in text
+
+    def test_full_only_gates_skip_on_quick_document(self):
+        """The vector-core speedups are sized for the full fleets: a
+        quick document reading below their thresholds SKIPs them and
+        says why, instead of failing."""
+        quick = _passing_scenarios()
+        quick["fleet_replay_fastcore"]["speedup_vector_vs_python"] = 2.42
+        quick["fleet_replay_faultpath"]["speedup_vector_fault_vs_python"] = 2.32
+        quick["fleet_replay_queueaware"]["speedup_vector_epoch_vs_python"] = 1.82
+        text, regressed = compare_bench(
+            _doc(**_passing_scenarios()), _doc(mode="quick", **quick)
+        )
+        assert not regressed
+        full_only = [g for g in BENCH_GATES if g[4]]
+        assert len(full_only) == 3
+        for scenario, metric, *_ in full_only:
+            row = next(l for l in text.splitlines() if f"{scenario}.{metric}" in l)
+            assert "SKIP (needs a full-mode document)" in row
+        assert text.count("PASS") == len(BENCH_GATES) - len(full_only)
+        # The same readings in a full-mode document fail.
+        _, regressed = compare_bench(
+            _doc(**_passing_scenarios()), _doc(mode="full", **quick)
+        )
+        assert regressed
+
+    def test_skipped_scenario_fails_its_gates(self):
+        """A gated scenario that ran but returned ``{"skipped": ...}``
+        (e.g. numpy absent) fails instead of silently skipping."""
+        new = _passing_scenarios()
+        new["fleet_replay_fastcore"] = {"skipped": "numpy absent"}
+        text, regressed = compare_bench(_doc(**_passing_scenarios()), _doc(**new))
+        assert regressed
+        row = next(l for l in text.splitlines() if "FAIL" in l)
+        assert "speedup_vector_vs_python" in row
+        assert "numpy absent" in row
 
     def test_mode_mismatch_noted(self):
         text, _ = compare_bench(

@@ -145,14 +145,9 @@ def test_vector_bit_identical_two_models(small_table, two_model_inputs):
     assert set(vec.per_model) == {"DLRM-RMC1", "DLRM-RMC2"}
 
 
-@pytest.mark.parametrize("mode", ["reactive", "predictive"])
-def test_vector_bit_identical_with_autoscaler(
-    small_table, two_model_inputs, mode
-):
-    """Segmented delivery reproduces every autoscaler decision exactly:
-    the vector core replays arrivals window by window, hands the scaler
-    the same outstanding counts and window sketches at every tick, and
-    honours drain settles identically."""
+def _autoscaled_replays(small_table, inputs, mode):
+    """One T2 replica plus two standbys at 2x its capacity, replayed on
+    both cores under rr; returns ``{core: (sim, result)}``."""
     from repro.fleet import PredictiveAutoscaler, ReactiveAutoscaler
 
     allocation = Allocation()
@@ -161,7 +156,7 @@ def test_vector_bit_identical_with_autoscaler(
     standby.add("T2", "DLRM-RMC1", 2)
     tup = small_table.get("T2", "DLRM-RMC1")
     trace = build_fleet_trace(
-        {"DLRM-RMC1": two_model_inputs[1]["DLRM-RMC1"]},
+        {"DLRM-RMC1": inputs[1]["DLRM-RMC1"]},
         {"DLRM-RMC1": [(2.0 * tup.qps, 3.0)]},
         seed=23,
     )
@@ -173,15 +168,37 @@ def test_vector_bit_identical_with_autoscaler(
             )
         return PredictiveAutoscaler({"DLRM-RMC1": 20.0}, window_s=0.25)
 
-    def run(core):
-        return _replay(
-            small_table, two_model_inputs, allocation, trace, core,
+    return {
+        core: _replay(
+            small_table, inputs, allocation, trace, core,
             standby=standby, autoscaler=scaler(),
-        )[1]
+        )
+        for core in ("python", "vector")
+    }
 
-    base, vec = run("python"), run("vector")
+
+@pytest.mark.parametrize("mode", ["reactive", "predictive"])
+def test_vector_bit_identical_with_autoscaler(
+    small_table, two_model_inputs, mode
+):
+    """Segmented delivery reproduces every autoscaler decision exactly:
+    the vector core replays arrivals window by window, hands the scaler
+    the same outstanding counts and window sketches at every tick, and
+    honours drain settles identically."""
+    runs = _autoscaled_replays(small_table, two_model_inputs, mode)
+    base, vec = runs["python"][1], runs["vector"][1]
     _assert_identical(vec, base)
     assert base.scale_events  # the scaler actually acted
+
+
+@pytest.mark.parametrize("mode", ["reactive", "predictive"])
+def test_vector_counts_ticks_like_python(small_table, two_model_inputs, mode):
+    """``last_tick_count`` and ``last_event_count`` agree across cores on
+    an autoscaled, fault-free rr run."""
+    runs = _autoscaled_replays(small_table, two_model_inputs, mode)
+    py, vec = runs["python"][0], runs["vector"][0]
+    assert vec.last_tick_count == py.last_tick_count > 0
+    assert vec.last_event_count == py.last_event_count
 
 
 @pytest.mark.parametrize("shape", ["mmpp", "diurnal", "recorded"])
@@ -610,6 +627,22 @@ def test_vector_unsorted_stream_raises(small_table, two_model_inputs):
         _replay(
             small_table, two_model_inputs, _mixed_allocation(), stream, "vector"
         )
+
+
+@pytest.mark.parametrize("core", ["python", "vector"])
+@pytest.mark.parametrize("shape", ["list", "stream"])
+def test_nan_arrival_raises(small_table, two_model_inputs, core, shape):
+    """A NaN arrival time fails loudly on both cores and both trace
+    shapes instead of slipping past the sortedness checks and silently
+    losing queries."""
+    trace = _rmc1_trace(small_table, two_model_inputs[1], 0.5, seed=3)
+    model, query = trace[2]
+    trace[2] = (model, query._replace(arrival_s=float("nan")))
+    source = trace if shape == "list" else iter(trace)
+    with pytest.raises(
+        ValueError, match=r"trace entry 2 .* non-finite arrival time \(nan\)|t=nan"
+    ):
+        _replay(small_table, two_model_inputs, _mixed_allocation(), source, core)
 
 
 def test_vector_unsorted_list_sorted_like_python(small_table, two_model_inputs):

@@ -16,8 +16,10 @@ scanner, and the engine's unsorted-stream guard.
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -229,6 +231,41 @@ class TestRecordedRoundTrip:
                 list(read_trace(path))
         finally:
             os.unlink(path)
+
+    @pytest.mark.parametrize("ext", [".csv", ".jsonl"])
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, float("nan"), "arrival time must be finite"),
+            (2, 0, "query size must be >= 1"),
+            (3, -1.0, "pooling_scale must be positive"),
+        ],
+    )
+    def test_bad_row_value_names_file_and_line(
+        self, tmp_path, ext, column, value, message
+    ):
+        """A NaN arrival, a zero size or a non-positive pooling scale in
+        the third row fails with the file and line (a NaN arrival must
+        not replay as 2 of 4 queries completed, none dropped)."""
+        rows = [["M", 0.1 * (k + 1), 10, 1.0] for k in range(4)]
+        rows[2][column] = value
+        path = tmp_path / f"trace{ext}"
+        if ext == ".csv":
+            lines = ["model,arrival_s,size,pooling_scale"]
+            lines += [",".join(repr(v) if k else v for k, v in enumerate(r))
+                      for r in rows]
+            line_no = 4
+        else:
+            lines = [
+                json.dumps({"model": m, "t": t, "size": sz, "pooling": pl})
+                for m, t, sz, pl in rows
+            ]
+            line_no = 3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=rf"{re.escape(str(path))}:{line_no}: {message}"
+        ):
+            list(RecordedTrace(str(path)))
 
     def test_csv_rejects_model_names_that_would_corrupt_rows(self):
         """A comma or newline in a model name would silently shift every
