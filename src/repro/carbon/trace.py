@@ -96,9 +96,15 @@ def read_carbon_trace(
                 f"{path}:{line_no}: breakpoint is not numeric "
                 f"(time={t!r}, intensity={g!r})"
             )
-        if g < 0.0:
+        # Negated comparisons so NaN fails them too.
+        if not -math.inf < t < math.inf:
             raise ValueError(
-                f"{path}:{line_no}: carbon intensity must be >= 0, got {g!r}"
+                f"{path}:{line_no}: breakpoint time must be finite, got {t!r}"
+            )
+        if not 0.0 <= g < math.inf:
+            raise ValueError(
+                f"{path}:{line_no}: carbon intensity must be finite and "
+                f">= 0, got {g!r}"
             )
         if times and t <= times[-1]:
             raise ValueError(
@@ -178,6 +184,9 @@ class CarbonTrace:
         self.intensities = tuple(float(g) for g in intensities)
         prev = None
         for t in self.times:
+            # Negated comparisons so NaN fails them too.
+            if not -math.inf < t < math.inf:
+                raise ValueError(f"breakpoint time must be finite, got {t!r}")
             if prev is not None and t <= prev:
                 raise ValueError(
                     f"breakpoint times must strictly increase "
@@ -185,8 +194,10 @@ class CarbonTrace:
                 )
             prev = t
         for g in self.intensities:
-            if g < 0.0:
-                raise ValueError(f"carbon intensity must be >= 0, got {g!r}")
+            if not 0.0 <= g < math.inf:
+                raise ValueError(
+                    f"carbon intensity must be finite and >= 0, got {g!r}"
+                )
 
     # -- constructors ---------------------------------------------------
 

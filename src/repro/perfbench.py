@@ -20,7 +20,9 @@ repo's four hot paths:
 - ``fleet_replay_streaming`` -- the same replay fed by a lazily
   streamed arrival process instead of the materialized list, reporting
   the wall-time ratio against the list path (CI bounds it at < 1.1)
-  and asserting both agree exactly;
+  and asserting both agree exactly, once on the default p2c python
+  core and once under rr on the vector core (streamed source vs its
+  pre-built list, also bounded at < 1.1);
 - ``fleet_replay_faultpath`` -- the same replay with an empty fault
   schedule (asserting it equals no schedule) and through the tracked
   loop, then a scripted schedule on the python core vs the vectorized
@@ -792,6 +794,13 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
     materialized wall) is the number CI's perf-smoke job bounds at
     < 1.1, and the two replays must agree float-for-float -- a
     built-in differential smoke check of the lazy pull.
+
+    A second, vector leg replays the same traffic under rr on
+    ``core="vector"``: the source directly (its synthesis timed, its
+    merged blocks ingested as arrays) against its list built before
+    the timer.  ``ratio_vector_stream_vs_list`` (best of three walls
+    per side) is gated at < 1.1: a streamed vector replay must cost
+    about what the vector core costs on a pre-built list.
     """
     from repro.fleet import FleetSimulator
 
@@ -799,13 +808,13 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
     if stream is None:  # pre-traces checkout (baseline measurements)
         return {"skipped": "traces subsystem absent"}
 
-    def replay(make_source):
-        # Best of two runs: the ratio feeds a CI gate, so single-sample
-        # scheduler noise must not flake it.
+    def replay(make_source, reps=2, **kwargs):
+        # Best of several runs: the ratios feed CI gates, so
+        # single-sample scheduler noise must not flake them.
         walls, result = [], None
-        for _ in range(2):
+        for _ in range(reps):
             sim = FleetSimulator(
-                make_servers(), policy="p2c", sla_ms=sla, seed=ctx.seed
+                make_servers(), sla_ms=sla, seed=ctx.seed, **kwargs
             )
             wall, result = _timed(
                 lambda: sim.run(make_source(), warmup_s=duration * 0.1)
@@ -813,12 +822,29 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
             walls.append(wall)
         return min(walls), result
 
-    wall_mat, result_mat = replay(lambda: list(stream))
-    wall_stream, result_stream = replay(lambda: stream)
+    wall_mat, result_mat = replay(lambda: list(stream), policy="p2c")
+    wall_stream, result_stream = replay(lambda: stream, policy="p2c")
     if result_stream.per_model != result_mat.per_model:
         raise AssertionError(
             "streamed arrivals diverged from the materialized trace"
         )
+
+    rows = list(stream)
+    try:
+        wall_vec_list, result_vec_list = replay(
+            lambda: rows, reps=3, policy="rr", core="vector"
+        )
+    except TypeError:  # pre-core checkout (baseline measurements)
+        wall_vec_list = wall_vec_stream = None
+    else:
+        wall_vec_stream, result_vec_stream = replay(
+            lambda: stream, reps=3, policy="rr", core="vector"
+        )
+        if result_vec_stream.per_model != result_vec_list.per_model:
+            raise AssertionError(
+                "streamed arrivals diverged from the pre-built list on "
+                "the vector core"
+            )
 
     events = getattr(result_stream, "events", None)
     return {
@@ -826,6 +852,11 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
         "wall_materialized_s": wall_mat,
         "ratio_vs_materialized": (
             wall_stream / wall_mat if wall_mat > 0 else None
+        ),
+        "wall_vector_list_s": wall_vec_list,
+        "wall_vector_stream_s": wall_vec_stream,
+        "ratio_vector_stream_vs_list": (
+            wall_vec_stream / wall_vec_list if wall_vec_list else None
         ),
         "queries": len(trace),
         "queries_per_s": len(trace) / wall_stream if wall_stream > 0 else 0.0,
@@ -1349,6 +1380,7 @@ def format_bench(doc: dict[str, Any]) -> str:
 BENCH_GATES: tuple[tuple[str, str, str, float, bool], ...] = (
     ("fleet_replay_carbonpath", "ratio_vs_carbon_off", "<", 1.10, False),
     ("fleet_replay_streaming", "ratio_vs_materialized", "<", 1.10, False),
+    ("fleet_replay_streaming", "ratio_vector_stream_vs_list", "<", 1.10, False),
     ("fleet_replay_observed", "ratio_off_vs_plain", "<", 1.05, False),
     ("fleet_replay_observed", "ratio_traced_vs_tracked", "<", 1.50, False),
     ("fleet_replay_observed", "ratio_metrics_vs_off", "<", 1.60, False),

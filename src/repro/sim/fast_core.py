@@ -10,10 +10,12 @@ This module exploits that in two loops, :func:`run_vectorized` (exact)
 and :func:`run_epoch` (queue-aware routing by arrival micro-epochs,
 statistically equivalent):
 
-- Arrivals are ingested into flat numpy arrays and **pre-routed in
-  batches** per model via :meth:`RoutingPolicy.choose_batch` (round-
-  robin collapses to modular index arithmetic, smooth-WRR to a tight
-  local credit loop).
+- Arrivals are ingested into flat numpy arrays -- a
+  :class:`~repro.traces.FleetArrivals` source hands over its merged
+  blocks, so synthetic traffic never becomes a Python object per
+  arrival -- and **pre-routed in batches** per model via
+  :meth:`RoutingPolicy.choose_batch` (round-robin collapses to modular
+  index arithmetic, smooth-WRR to a tight local credit loop).
 - Queries routed to a :class:`~repro.sim.event_core.DirectStage`
   replica (every CPU placement) are delivered as **per-replica batches**:
   chunk service times are expanded vectorized, then a compact
@@ -469,41 +471,90 @@ class _LocalReplicaSim:
         self.seq = seq
 
 
+def _ingest_blocks(models, blocks, codes):
+    """Concatenate merged ``(t, size, pooling, model_index)`` blocks.
+
+    ``models[model_index]`` names each arrival; models with no replica
+    are added to ``codes`` in first-arrival order, as the pair path
+    does.  Returns ``None`` for an empty source.
+    """
+    cols = ([], [], [], [])
+    for block in blocks:
+        for col, arr in zip(cols, block):
+            col.append(arr)
+    if not cols[0]:
+        return None
+    arr_t, arr_size, arr_pool, src = (np.concatenate(col) for col in cols)
+    lut = np.full(len(models), -1, dtype=np.int64)
+    firsts = []
+    for k, m in enumerate(models):
+        if m in codes:
+            lut[k] = codes[m]
+        else:
+            hits = np.flatnonzero(src == k)
+            if len(hits):
+                firsts.append((int(hits[0]), k))
+    for _, k in sorted(firsts):
+        lut[k] = codes[models[k]] = len(codes)
+    return arr_t, arr_size.astype(np.int64, copy=False), arr_pool, lut[src]
+
+
 def _ingest(sim, trace):
     """Materialize the trace into flat arrays (sorted by arrival).
 
-    Lists/tuples are stably sorted like the python core; streamed
-    sources must already be sorted (same error text as the engine's
-    lazy check).  Returns ``(arr_t, arr_size, arr_pool, arr_m,
-    model_names, codes)`` where ``codes`` maps model name -> row code
-    (routable models first, in sorted order, then unknown models in
-    first-arrival order).
+    A source whose iterator offers its merged blocks (``take_blocks``,
+    see :class:`~repro.traces.FleetArrivals`) is concatenated block by
+    block with no per-arrival Python object; any other source is read
+    as ``(model, query)`` pairs.  Lists/tuples are stably sorted like
+    the python core; streamed sources must already be sorted (same
+    error text as the engine's lazy check).  Returns ``(arr_t,
+    arr_size, arr_pool, arr_m, model_names, codes)`` where ``codes``
+    maps model name -> row code (routable models first, in sorted
+    order, then unknown models in first-arrival order).
     """
     is_list = isinstance(trace, (list, tuple))
-    pairs = list(trace)
-    if not pairs:
-        raise ValueError("empty fleet trace")
-    n = len(pairs)
-    arr_t = np.fromiter((q[1] for _, q in pairs), np.float64, count=n)
-    arr_size = np.fromiter((q[2] for _, q in pairs), np.int64, count=n)
-    arr_pool = np.fromiter((q[3] for _, q in pairs), np.float64, count=n)
+    codes = {m: i for i, m in enumerate(sorted(sim._routable))}
+    rows = iter(trace)
+    take = getattr(rows, "take_blocks", None)
+    blocks = take() if take is not None else None
+    if blocks is not None:
+        arrays = _ingest_blocks(rows.models, blocks, codes)
+        if arrays is None:
+            raise ValueError("empty fleet trace")
+        arr_t, arr_size, arr_pool, arr_m = arrays
+        n = len(arr_t)
+    else:
+        pairs = list(rows)
+        if not pairs:
+            raise ValueError("empty fleet trace")
+        n = len(pairs)
+        arr_t = np.fromiter((q[1] for _, q in pairs), np.float64, count=n)
+        arr_size = np.fromiter((q[2] for _, q in pairs), np.int64, count=n)
+        arr_pool = np.fromiter((q[3] for _, q in pairs), np.float64, count=n)
+        try:
+            arr_m = np.fromiter(
+                (codes[m] for m, _ in pairs), np.int64, count=n
+            )
+        except KeyError:
+            # Rare: the trace names models with no replica anywhere.
+            # They surface as dropped streams, coded in first-arrival
+            # order.
+            for m, _ in pairs:
+                if m not in codes:
+                    codes[m] = len(codes)
+            arr_m = np.fromiter(
+                (codes[m] for m, _ in pairs), np.int64, count=n
+            )
+    model_names = [None] * len(codes)
+    for m, c in codes.items():
+        model_names[c] = m
     finite = np.isfinite(arr_t)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(
-            f"trace entry {k} ({pairs[k][0]!r}) has a non-finite "
+            f"trace entry {k} ({model_names[arr_m[k]]!r}) has a non-finite "
             f"arrival time ({float(arr_t[k])!r})"
         )
-    codes = {m: i for i, m in enumerate(sorted(sim._routable))}
-    try:
-        arr_m = np.fromiter((codes[m] for m, _ in pairs), np.int64, count=n)
-    except KeyError:
-        # Rare: the trace names models with no replica anywhere.  They
-        # surface as dropped streams, coded in first-arrival order.
-        for m, _ in pairs:
-            if m not in codes:
-                codes[m] = len(codes)
-        arr_m = np.fromiter((codes[m] for m, _ in pairs), np.int64, count=n)
     if n > 1:
         deltas = np.diff(arr_t)
         if bool((deltas < 0.0).any()):
@@ -511,16 +562,14 @@ def _ingest(sim, trace):
                 bad = int(np.nonzero(deltas < 0.0)[0][0])
                 raise ValueError(
                     "arrival stream is not sorted by time "
-                    f"(t={arr_t[bad + 1]!r} after t={arr_t[bad]!r})"
+                    f"(t={float(arr_t[bad + 1])!r} after "
+                    f"t={float(arr_t[bad])!r})"
                 )
             order = np.argsort(arr_t, kind="stable")
             arr_t = arr_t[order]
             arr_size = arr_size[order]
             arr_pool = arr_pool[order]
             arr_m = arr_m[order]
-    model_names = [None] * len(codes)
-    for m, c in codes.items():
-        model_names[c] = m
     return arr_t, arr_size, arr_pool, arr_m, model_names, codes
 
 

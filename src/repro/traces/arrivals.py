@@ -4,19 +4,33 @@ Every consumer in the repo used to hard-code piecewise-Poisson arrivals
 materialized into one sorted query list.  This module makes the arrival
 process itself a pluggable object: a :class:`ArrivalProcess` describes
 *how* traffic arrives (steady Poisson, Markov-modulated bursts, diurnal
-ramps, superpositions), and ``stream()`` lazily yields the concrete
-time-sorted :class:`~repro.sim.queries.Query` records -- one segment at
-a time, so a multi-million-query replay never holds the whole trace in
-memory.
+ramps, superpositions).
+
+The primitive every process implements is ``blocks(seed)``: it lazily
+yields time-sorted ``(t, size, pooling)`` numpy arrays, one segment at
+a time, exactly as the process draws them -- so a multi-million-query
+replay never holds the whole trace in memory, and a columnar consumer
+never sees a Python object per arrival.  Rows are derived from blocks
+in one place: ``stream()`` turns them into consecutive-id
+:class:`~repro.sim.queries.Query` records.
 
 Two shapes flow through the repo:
 
 - single-model streams (``Iterator[Query]``) feed the single-node DES;
 - multi-model streams (``Iterator[(model_name, Query)]``) feed the
-  fleet engine.  :class:`FleetArrivals` merges per-model processes into
-  one lazily-sorted pair stream and is *re-iterable*: each ``iter()``
+  fleet engine.  :class:`FleetArrivals` merges per-model block streams
+  into one time-sorted stream and is *re-iterable*: each ``iter()``
   restarts the replay, which is what lets the fault-aware provisioner
-  replay the same traffic at every candidate ``R``.
+  replay the same traffic at every candidate ``R``.  The iterator it
+  returns yields rows, or -- to a bulk consumer that asks before
+  pulling any row (the vectorized fleet core) -- hands over the merged
+  ``(t, size, pooling, model_index)`` blocks instead.
+
+One block merge serves :class:`SuperposedProcess` and
+:class:`FleetArrivals`.  It emits only arrivals strictly earlier than
+the smallest last-buffered time among the sources that may still
+yield, ordered by (time, source index, position): ``heapq.merge``'s
+order, so ties resolve exactly as the legacy row-at-a-time merge did.
 
 Bit-compatibility: :class:`PiecewisePoissonProcess` reproduces the
 legacy ``repro.sim.loadgen`` draw sequence exactly (same per-segment
@@ -28,13 +42,13 @@ with ``==`` on floats.
 HPC benchmarking practice (RZBENCH; the Broadwell/Cascade Lake
 characterizations) warns that synthetic-only inputs flatter
 steady-state designs; :mod:`repro.traces.recorded` adds measured-trace
-replay on the same protocol.
+replay on the same row protocol.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import merge as _heapq_merge
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,6 +71,56 @@ __all__ = [
 #: (models in sorted-name order draw from disjoint seed lanes).
 MODEL_SEED_STRIDE = 7919
 
+#: One block of arrivals: ``(arrival_s, size, pooling_scale)`` arrays of
+#: equal length (float64, int64, float64), sorted by arrival time.
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _draw_block(
+    workload: QueryWorkload,
+    rng: np.random.Generator,
+    arrival_rate_qps: float,
+    start_s: float,
+    duration_s: float,
+) -> Block | None:
+    """One Poisson segment's arrays, or ``None`` when it drew none.
+
+    Draw the arrival count then sort uniforms: equivalent to a Poisson
+    process without growing a list of exponential gaps.  Nothing is
+    drawn after a zero count, so processes that run one generator
+    through many segments (MMPP dwells, diurnal noise) stay on the
+    historically pinned sequence.
+    """
+    if not arrival_rate_qps > 0:
+        return None
+    count = int(rng.poisson(arrival_rate_qps * duration_s))
+    if count == 0:
+        return None
+    times = np.sort(rng.uniform(0.0, duration_s, size=count)) + start_s
+    sizes = workload.size_dist.sample(rng, count)
+    if workload.pooling_cv > 0:
+        shape = 1.0 / workload.pooling_cv**2
+        pooling = np.maximum(rng.gamma(shape, 1.0 / shape, size=count), 1e-3)
+    else:
+        pooling = np.ones(count)
+    return times, sizes, pooling
+
+
+def _query_rows(ids: Iterable[int], t, size, pooling) -> Iterator[Query]:
+    """:class:`Query` records for one block.
+
+    ``tolist`` converts each column to Python scalars in one C pass, and
+    ``tuple.__new__`` builds each record as ``Query._make`` does, minus
+    its Python frame: per-field validation is skipped because every
+    field is already validated in bulk (sizes clipped >= min_size >= 1,
+    times shifted by a non-negative start, pooling clamped positive).
+    """
+    return map(
+        tuple.__new__,
+        repeat(Query),
+        zip(ids, t.tolist(), size.tolist(), pooling.tolist()),
+    )
+
 
 def poisson_segment(
     workload: QueryWorkload,
@@ -68,76 +132,29 @@ def poisson_segment(
 ) -> list[Query]:
     """One fully-drawn Poisson segment (the legacy loadgen core).
 
-    Draw the arrival count then sort uniforms: equivalent to a Poisson
-    process without growing a list of exponential gaps.  All sampling
-    and clamping is vectorized; ``tolist`` converts to Python scalars
-    in one C pass.  ``repro.sim.loadgen.generate_trace`` is a thin
-    wrapper around this function, so the draw sequence here is the
-    historically pinned one -- change it and the float-equivalence
-    suite fails.
+    ``repro.sim.loadgen.generate_trace`` is a thin wrapper around this
+    function, so the draw sequence here is the historically pinned one
+    -- change it and the float-equivalence suite fails.
     """
-    if arrival_rate_qps <= 0:
-        raise ValueError("arrival rate must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    rng = np.random.default_rng(seed)
-    count = rng.poisson(arrival_rate_qps * duration_s)
-    times = (np.sort(rng.uniform(0.0, duration_s, size=count)) + start_s).tolist()
-    sizes = workload.size_dist.sample(rng, count).tolist()
-    if workload.pooling_cv > 0:
-        shape = 1.0 / workload.pooling_cv**2
-        pooling = rng.gamma(shape, 1.0 / shape, size=count)
-    else:
-        pooling = np.ones(count)
-    pooling = np.maximum(pooling, 1e-3).tolist()
-    # Query._make skips per-field validation -- every field above is
-    # already validated in bulk (sizes clipped >= min_size >= 1, times
-    # shifted by a non-negative start, pooling clamped positive).
-    return list(
-        map(
-            Query._make,
-            zip(range(first_id, first_id + count), times, sizes, pooling),
-        )
+    # Negated comparisons so NaN fails them too.
+    if not 0 < arrival_rate_qps < math.inf:
+        raise ValueError("arrival rate must be positive and finite")
+    if not 0 < duration_s < math.inf:
+        raise ValueError("duration must be positive and finite")
+    block = _draw_block(
+        workload, np.random.default_rng(seed), arrival_rate_qps, start_s,
+        duration_s,
     )
-
-
-def _segment_with_rng(
-    workload: QueryWorkload,
-    rng: np.random.Generator,
-    arrival_rate_qps: float,
-    start_s: float,
-    duration_s: float,
-    first_id: int,
-) -> list[Query]:
-    """A Poisson segment drawn from a *running* generator.
-
-    Used by processes whose rate trajectory itself consumes randomness
-    (MMPP dwell times, diurnal noise): one sequentially-consumed RNG
-    keeps the whole trajectory deterministic per seed without a seed
-    schedule per segment.
-    """
-    count = int(rng.poisson(arrival_rate_qps * duration_s)) if arrival_rate_qps > 0 else 0
-    if count == 0:
+    if block is None:
         return []
-    times = (np.sort(rng.uniform(0.0, duration_s, size=count)) + start_s).tolist()
-    sizes = workload.size_dist.sample(rng, count).tolist()
-    if workload.pooling_cv > 0:
-        shape = 1.0 / workload.pooling_cv**2
-        pooling = np.maximum(rng.gamma(shape, 1.0 / shape, size=count), 1e-3).tolist()
-    else:
-        pooling = [1.0] * count
-    return list(
-        map(
-            Query._make,
-            zip(range(first_id, first_id + count), times, sizes, pooling),
-        )
-    )
+    return list(_query_rows(range(first_id, first_id + len(block[0])), *block))
 
 
 class ArrivalProcess:
     """One model's arrival traffic, described as a process.
 
-    Subclasses implement :meth:`stream`, lazily yielding
+    Subclasses implement :meth:`blocks`, lazily yielding time-sorted
+    :data:`Block` arrays drawn from ``seed``; :meth:`stream` derives
     :class:`Query` records with non-decreasing ``arrival_s`` and
     consecutive ids from ``first_id``.  The three derived quantities
     every consumer needs are part of the protocol:
@@ -165,8 +182,16 @@ class ArrivalProcess:
     def peak_qps(self) -> float:
         return self.mean_qps
 
-    def stream(self, seed: int = 0, first_id: int = 0) -> Iterator[Query]:
+    def blocks(self, seed: int = 0) -> Iterator[Block]:
         raise NotImplementedError
+
+    def stream(self, seed: int = 0, first_id: int = 0) -> Iterator[Query]:
+        next_id = first_id
+        for t, size, pooling in self.blocks(seed):
+            yield from _query_rows(
+                range(next_id, next_id + len(t)), t, size, pooling
+            )
+            next_id += len(t)
 
     def materialize(self, seed: int = 0, first_id: int = 0) -> list[Query]:
         """The fully-drawn trace (legacy list shape)."""
@@ -198,7 +223,13 @@ class PiecewisePoissonProcess(ArrivalProcess):
         self.segments = tuple((float(q), float(d)) for q, d in segments)
         if not self.segments:
             raise ValueError("need at least one segment")
-        if sum(max(d, 0.0) for _, d in self.segments) <= 0:
+        for q, d in self.segments:
+            if not (-math.inf < q < math.inf and -math.inf < d < math.inf):
+                raise ValueError(
+                    "segment rates and durations must be finite, got "
+                    f"({q!r}, {d!r})"
+                )
+        if not sum(max(d, 0.0) for _, d in self.segments) > 0:
             raise ValueError("need positive total duration")
         self.seed_offset = seed_offset
         self.seed_stride = seed_stride
@@ -218,21 +249,16 @@ class PiecewisePoissonProcess(ArrivalProcess):
     def peak_qps(self) -> float:
         return max(q for q, _ in self.segments)
 
-    def stream(self, seed: int = 0, first_id: int = 0) -> Iterator[Query]:
+    def blocks(self, seed: int = 0) -> Iterator[Block]:
         clock = 0.0
-        next_id = first_id
         for s_idx, (qps, dur) in enumerate(self.segments):
             if qps > 0 and dur > 0:
-                queries = poisson_segment(
-                    self.workload,
-                    qps,
-                    dur,
-                    seed=seed + self.seed_offset + self.seed_stride * s_idx,
-                    start_s=clock,
-                    first_id=next_id,
+                rng = np.random.default_rng(
+                    seed + self.seed_offset + self.seed_stride * s_idx
                 )
-                next_id += len(queries)
-                yield from queries
+                block = _draw_block(self.workload, rng, qps, clock, dur)
+                if block is not None:
+                    yield block
             clock += dur
 
 
@@ -242,8 +268,10 @@ class PoissonProcess(PiecewisePoissonProcess):
     def __init__(
         self, workload: QueryWorkload, qps: float, duration_s: float
     ) -> None:
-        if qps <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0 < qps < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
+        if not 0 < duration_s < math.inf:
+            raise ValueError("duration must be positive and finite")
         super().__init__(workload, [(qps, duration_s)])
 
 
@@ -271,19 +299,19 @@ class MMPPProcess(ArrivalProcess):
         self.rates = tuple(float(r) for r in rates)
         if len(self.rates) < 2:
             raise ValueError("MMPP needs at least two states")
-        if any(r < 0 for r in self.rates):
-            raise ValueError("state rates must be >= 0")
-        if max(self.rates) <= 0:
+        if any(not 0 <= r < math.inf for r in self.rates):
+            raise ValueError("state rates must be finite and >= 0")
+        if not max(self.rates) > 0:
             raise ValueError("at least one state rate must be positive")
         if isinstance(dwell_s, (int, float)):
             dwell_s = [float(dwell_s)] * len(self.rates)
         self.dwell_s = tuple(float(d) for d in dwell_s)
         if len(self.dwell_s) != len(self.rates):
             raise ValueError("need one dwell time per state")
-        if any(d <= 0 for d in self.dwell_s):
-            raise ValueError("dwell times must be > 0")
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if any(not 0 < d < math.inf for d in self.dwell_s):
+            raise ValueError("dwell times must be finite and > 0")
+        if not 0 < duration_s < math.inf:
+            raise ValueError("duration must be positive and finite")
         self.duration_s = float(duration_s)
 
     @property
@@ -300,21 +328,22 @@ class MMPPProcess(ArrivalProcess):
     def peak_qps(self) -> float:
         return max(self.rates)
 
-    def stream(self, seed: int = 0, first_id: int = 0) -> Iterator[Query]:
+    def blocks(self, seed: int = 0) -> Iterator[Block]:
+        # One sequentially-consumed generator keeps the whole dwell
+        # trajectory deterministic per seed.
         rng = np.random.default_rng(seed)
         clock = 0.0
         state = 0
-        next_id = first_id
         n_states = len(self.rates)
         while clock < self.duration_s:
             dwell = float(rng.exponential(self.dwell_s[state]))
             dwell = min(dwell, self.duration_s - clock)
             if dwell > 0.0:
-                queries = _segment_with_rng(
-                    self.workload, rng, self.rates[state], clock, dwell, next_id
+                block = _draw_block(
+                    self.workload, rng, self.rates[state], clock, dwell
                 )
-                next_id += len(queries)
-                yield from queries
+                if block is not None:
+                    yield block
             clock += dwell
             state = (state + 1) % n_states
 
@@ -342,20 +371,21 @@ class DiurnalProcess(ArrivalProcess):
         noise: float = 0.0,
         days: int = 1,
     ) -> None:
-        if peak_qps <= 0:
-            raise ValueError("peak_qps must be positive")
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if steps < 1 or days < 1:
+        # Negated comparisons so NaN (and inf, where bounded) fail them.
+        if not 0 < peak_qps < math.inf:
+            raise ValueError("peak_qps must be positive and finite")
+        if not 0 < duration_s < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if not (steps >= 1 and days >= 1):
             raise ValueError("need steps >= 1 and days >= 1")
         if not 0.0 < trough_ratio <= 1.0:
             raise ValueError("trough_ratio must be in (0, 1]")
         if not 0.0 <= peak_position < 1.0:
             raise ValueError("peak_position must be in [0, 1)")
-        if sharpness < 1.0:
-            raise ValueError("sharpness must be >= 1")
-        if noise < 0.0:
-            raise ValueError("noise must be >= 0")
+        if not 1.0 <= sharpness < math.inf:
+            raise ValueError("sharpness must be finite and >= 1")
+        if not 0.0 <= noise < math.inf:
+            raise ValueError("noise must be finite and >= 0")
         self.workload = workload
         self._peak_qps = float(peak_qps)
         self.duration_s = float(duration_s)
@@ -386,21 +416,18 @@ class DiurnalProcess(ArrivalProcess):
     def peak_qps(self) -> float:
         return self._peak_qps
 
-    def stream(self, seed: int = 0, first_id: int = 0) -> Iterator[Query]:
+    def blocks(self, seed: int = 0) -> Iterator[Block]:
         rng = np.random.default_rng(seed)
         seg = self.duration_s / self.steps
         clock = 0.0
-        next_id = first_id
         for _day in range(self.days):
             for i in range(self.steps):
                 rate = self.peak_qps * self.level_at(i / self.steps)
                 if self.noise > 0.0:
                     rate *= max(0.0, 1.0 + self.noise * float(rng.standard_normal()))
-                queries = _segment_with_rng(
-                    self.workload, rng, rate, clock, seg, next_id
-                )
-                next_id += len(queries)
-                yield from queries
+                block = _draw_block(self.workload, rng, rate, clock, seg)
+                if block is not None:
+                    yield block
                 clock += seg
 
 
@@ -434,30 +461,153 @@ class SuperposedProcess(ArrivalProcess):
         # sum bounds the true instantaneous peak.
         return sum(p.peak_qps for p in self.parts)
 
-    def stream(self, seed: int = 0, first_id: int = 0) -> Iterator[Query]:
-        streams = [
-            part.stream(seed=seed + k) for k, part in enumerate(self.parts)
-        ]
-        for qid, q in enumerate(
-            _heapq_merge(*streams, key=_arrival_key), start=first_id
-        ):
-            yield Query._make((qid, q[1], q[2], q[3]))
+    def blocks(self, seed: int = 0) -> Iterator[Block]:
+        merged = _merge_blocks(
+            [part.blocks(seed=seed + k) for k, part in enumerate(self.parts)]
+        )
+        for t, size, pooling, _ in merged:
+            yield t, size, pooling
 
 
-def _arrival_key(query: Query) -> float:
-    return query[1]  # arrival_s, via the namedtuple fast path
+def _checked(blocks: Iterable[Block]) -> Iterator[Block]:
+    """Pass a source's non-empty blocks through, refusing any arrival
+    earlier than its predecessor (a NaN fails the comparison too) --
+    the merge is exact only over sorted sources."""
+    last = -math.inf
+    for block in blocks:
+        t = block[0]
+        if not len(t):
+            continue
+        ok = t >= np.concatenate(([last], t[:-1]))
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            before = last if bad == 0 else t[bad - 1]
+            raise ValueError(
+                "arrival stream is not sorted by time "
+                f"(t={float(t[bad])!r} after t={float(before)!r})"
+            )
+        last = t[-1]
+        yield block
 
 
-def _pair_key(pair: tuple[str, Query]) -> float:
-    return pair[1][1]
+def _take(pending: list, cut: float | None):
+    """Split every pending block at ``cut`` (all of it when ``None``)
+    and merge the heads: a stable sort of their source-ordered
+    concatenation orders them by (time, source, position)."""
+    heads = []
+    for k, block in enumerate(pending):
+        if block is None:
+            continue
+        n = len(block[0]) if cut is None else int(np.searchsorted(block[0], cut))
+        if n == 0:
+            continue
+        heads.append((k, [col[:n] for col in block]))
+        pending[k] = tuple(col[n:] for col in block) if n < len(block[0]) else None
+    if not heads:
+        return None
+    if len(heads) == 1:
+        k, (t, size, pooling) = heads[0]
+        return t, size, pooling, np.full(len(t), k, dtype=np.int64)
+    t, size, pooling = (
+        np.concatenate([cols[c] for _, cols in heads]) for c in range(3)
+    )
+    src = np.concatenate(
+        [np.full(len(cols[0]), k, dtype=np.int64) for k, cols in heads]
+    )
+    order = np.argsort(t, kind="stable")
+    return t[order], size[order], pooling[order], src[order]
+
+
+def _merge_blocks(
+    sources: Sequence[Iterable[Block]],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Merge time-sorted block sources into ``(t, size, pooling,
+    source_index)`` blocks, in ``heapq.merge(..., key=time)`` order.
+
+    Each source keeps its unemitted arrivals buffered.  An arrival is
+    emitted only once it is strictly earlier than the smallest
+    last-buffered time among the sources that may still yield: no
+    later block can then precede it, and ties at that time wait until
+    every source holding them has been merged.  The source that set
+    the bound is refilled by one block per round, so each round makes
+    progress; a source that breaks time order raises ``ValueError``.
+    """
+    its = [_checked(blocks) for blocks in sources]
+    pending: list = [next(it, None) for it in its]
+    live = [k for k, block in enumerate(pending) if block is not None]
+    while live:
+        lead = min(live, key=lambda k: pending[k][0][-1])
+        merged = _take(pending, pending[lead][0][-1])
+        if merged is not None:
+            yield merged
+        block = next(its[lead], None)
+        if block is None:
+            live.remove(lead)
+        else:
+            # The lead's last arrival sits at the bound, so it is still
+            # buffered (never emitted): ``pending[lead]`` is non-empty.
+            pending[lead] = tuple(
+                np.concatenate((old, new))
+                for old, new in zip(pending[lead], block)
+            )
+    merged = _take(pending, None)
+    if merged is not None:
+        yield merged
+
+
+class _FleetRows(chain):
+    """The ``(model_name, Query)`` rows of one :class:`FleetArrivals` pass.
+
+    A ``chain`` over per-block row iterators, so pulling a row runs no
+    Python frame.  A bulk consumer may instead call :meth:`take_blocks`
+    before pulling any row and receive the merged ``(t, size, pooling,
+    model_index)`` blocks (``models[model_index]`` names each arrival).
+    """
+
+    __slots__ = ("models", "_merged")
+
+    def take_blocks(self):
+        """The merged blocks, or ``None`` once rows have been pulled."""
+        return self._merged.pop() if self._merged else None
+
+
+def _fleet_rows(models: tuple[str, ...], merged) -> _FleetRows:
+    # One slot shared by both readers: the first row pulled or a
+    # take_blocks() call empties it, so the merge has one consumer.
+    cell = [merged]
+    rows = _FleetRows.from_iterable(_row_blocks(models, cell))
+    rows.models = models
+    rows._merged = cell
+    return rows
+
+
+def _row_blocks(models: tuple[str, ...], cell: list) -> Iterator[Iterator]:
+    """Per merged block, its rows; ids count per model from 0."""
+    if not cell:
+        raise RuntimeError("these arrivals were already taken as blocks")
+    merged = cell.pop()
+    names = np.array(models, dtype=object)
+    next_id = [0] * len(models)
+    for t, size, pooling, src in merged:
+        ids = np.empty(len(t), dtype=np.int64)
+        for k in range(len(models)):
+            sel = src == k
+            count = int(np.count_nonzero(sel))
+            if count:
+                ids[sel] = np.arange(next_id[k], next_id[k] + count)
+                next_id[k] += count
+        yield zip(
+            names[src].tolist(),
+            _query_rows(ids.tolist(), t, size, pooling),
+        )
 
 
 class FleetArrivals:
     """Re-iterable multi-model arrival source for the fleet engine.
 
-    Merges per-model :class:`ArrivalProcess` streams into one
+    Merges per-model :class:`ArrivalProcess` blocks into one
     time-sorted ``(model_name, Query)`` stream.  Models are taken in
-    sorted-name order and model ``m`` streams with seed
+    sorted-name order and model ``m`` draws with seed
     ``seed + MODEL_SEED_STRIDE * m`` -- the exact seed schedule and
     (stable) tie order of the legacy ``build_fleet_trace``, so a fleet
     of :class:`PiecewisePoissonProcess` inputs replays the historical
@@ -466,6 +616,8 @@ class FleetArrivals:
     Each ``iter()`` call restarts the replay from scratch: the fleet
     engine consumes it lazily, and repeat-replay consumers (the
     fault-aware provisioner, A/B benchmarks) simply iterate again.
+    The returned iterator yields rows; the vectorized core calls its
+    ``take_blocks()`` first and ingests the merged arrays instead.
 
     ``seeds`` pins each model's stream seed explicitly instead of the
     positional ``seed + stride * m_idx`` schedule.  The sharded runner
@@ -503,23 +655,15 @@ class FleetArrivals:
         return {m: p.mean_qps for m, p in self.processes.items()}
 
     def __iter__(self) -> Iterator[tuple[str, Query]]:
-        tagged: list[Iterable[tuple[str, Query]]] = []
+        sources = []
         for m_idx, (model, process) in enumerate(self.processes.items()):
             if self.seeds is not None:
                 lane = self.seeds[model]
             else:
                 lane = self.seed + MODEL_SEED_STRIDE * m_idx
-            stream = process.stream(seed=lane)
-            tagged.append(_tag_stream(model, stream))
-        if len(tagged) == 1:
-            return iter(tagged[0])
-        return _heapq_merge(*tagged, key=_pair_key)
+            sources.append(process.blocks(seed=lane))
+        return _fleet_rows(tuple(self.processes), _merge_blocks(sources))
 
     def materialize(self) -> list[tuple[str, Query]]:
         """The fully-drawn legacy list shape."""
         return list(self)
-
-
-def _tag_stream(model: str, stream: Iterator[Query]):
-    for query in stream:
-        yield (model, query)

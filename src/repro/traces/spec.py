@@ -30,6 +30,7 @@ ramp carrying burst storms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.sim.queries import QueryWorkload
@@ -91,6 +92,11 @@ class _Section:
     shape: str
     params: dict
 
+    def describe(self) -> str:
+        return f"{self.shape}:" + ",".join(
+            f"{k}={v}" for k, v in self.params.items()
+        )
+
     def build(
         self, workload: QueryWorkload, peak_qps: float, duration_s: float
     ) -> ArrivalProcess:
@@ -149,13 +155,18 @@ class ArrivalSpec:
     def build(
         self, workload: QueryWorkload, peak_qps: float, duration_s: float
     ) -> ArrivalProcess:
-        if peak_qps <= 0:
-            raise ValueError("peak_qps must be positive")
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        built = [
-            s.build(workload, peak_qps, duration_s) for s in self.sections
-        ]
+        if not 0 < peak_qps < math.inf:
+            raise ValueError("peak_qps must be positive and finite")
+        if not 0 < duration_s < math.inf:
+            raise ValueError("duration must be positive and finite")
+        built = []
+        for section in self.sections:
+            try:
+                built.append(section.build(workload, peak_qps, duration_s))
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad arrivals section {section.describe()!r}: {exc}"
+                ) from exc
         return built[0] if len(built) == 1 else SuperposedProcess(built)
 
     def describe(self) -> str:
@@ -166,9 +177,9 @@ def parse_arrivals(spec: str) -> ArrivalSpec:
     """Parse the ``--arrivals`` mini-language into an :class:`ArrivalSpec`.
 
     Raises :class:`ValueError` naming the offending section or key on
-    any syntax error; numeric validation (positive rates, dwell > 0)
-    happens at :meth:`ArrivalSpec.build` time through the process
-    constructors.
+    any syntax error; numeric validation (finite positive rates, dwell
+    > 0) happens at :meth:`ArrivalSpec.build` time through the process
+    constructors, whose errors are prefixed with the section.
     """
     spec = spec.strip()
     if not spec:

@@ -39,15 +39,19 @@ class TestGateList:
 
     def test_vector_path_gates_present(self):
         """The two coverage-gap speedups are gated alongside the
-        original fastcore gate."""
-        gates = {(s, m): (op, t) for s, m, op, t, _ in BENCH_GATES}
-        assert gates[("fleet_replay_fastcore", "speedup_vector_vs_python")] == (">", 3.0)
+        original fastcore gate, and a streamed vector replay is bounded
+        against the same replay on a pre-built list (in quick mode too)."""
+        gates = {(s, m): (op, t, f) for s, m, op, t, f in BENCH_GATES}
+        assert gates[("fleet_replay_fastcore", "speedup_vector_vs_python")][:2] == (">", 3.0)
         assert gates[
             ("fleet_replay_faultpath", "speedup_vector_fault_vs_python")
-        ] == (">", 2.5)
+        ][:2] == (">", 2.5)
         assert gates[
             ("fleet_replay_queueaware", "speedup_vector_epoch_vs_python")
-        ] == (">", 2.0)
+        ][:2] == (">", 2.0)
+        assert gates[
+            ("fleet_replay_streaming", "ratio_vector_stream_vs_list")
+        ] == ("<", 1.10, False)
 
 
 class TestCompareBench:

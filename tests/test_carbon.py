@@ -267,6 +267,23 @@ class TestCarbonTrace:
         with pytest.raises(ValueError, match="pair up"):
             CarbonTrace((0.0, 1.0), (1.0,))
 
+    @pytest.mark.parametrize(
+        "times,intensities",
+        [
+            ((0.0, math.nan, 10.0), (100.0, 200.0, 300.0)),
+            ((0.0, 10.0, math.inf), (100.0, 200.0, 300.0)),
+            ((-math.inf, 10.0), (100.0, 200.0)),
+            ((0.0, 10.0), (100.0, math.nan)),
+            ((0.0, 10.0), (100.0, math.inf)),
+        ],
+    )
+    def test_non_finite_breakpoints_refused(self, times, intensities):
+        """A NaN time used to slip past the strictly-increasing check
+        (every comparison with NaN is False) and an inf intensity made
+        ``integral`` inf; both now fail at construction."""
+        with pytest.raises(ValueError, match="finite"):
+            CarbonTrace(times, intensities)
+
 
 class TestCarbonTraceRoundTrip:
     @settings(max_examples=25, deadline=None)
@@ -324,6 +341,31 @@ class TestCarbonTraceRoundTrip:
                 assert detail in str(exc.value)
             finally:
                 os.unlink(path)
+
+    @pytest.mark.parametrize(
+        "suffix,text,line",
+        [
+            (".csv", "time_s,gco2_per_kwh\n0.0,100.0\n5.0,nan\n10.0,300.0\n", 3),
+            (".csv", "time_s,gco2_per_kwh\n0.0,100.0\nnan,200.0\n", 3),
+            (".csv", "time_s,gco2_per_kwh\n0.0,inf\n", 2),
+            (".csv", "time_s,gco2_per_kwh\ninf,100.0\n", 2),
+            (".jsonl", '{"t": 0.0, "gco2_per_kwh": 100.0}\n'
+                       '{"t": NaN, "gco2_per_kwh": 200.0}\n', 2),
+            (".jsonl", '{"t": 0.0, "gco2_per_kwh": Infinity}\n', 1),
+        ],
+    )
+    def test_non_finite_rows_name_path_and_line(self, suffix, text, line):
+        """``5.0,nan`` used to load (then ``mean(0.0, 10.0)`` was NaN),
+        as did a NaN time; every non-finite breakpoint now fails with
+        the reader's location prefix."""
+        path = self._write(suffix, text)
+        try:
+            with pytest.raises(ValueError) as exc:
+                read_carbon_trace(path)
+            assert str(exc.value).startswith(f"{path}:{line}:")
+            assert "finite" in str(exc.value)
+        finally:
+            os.unlink(path)
 
     def test_empty_file_and_bad_header(self):
         path = self._write(".csv", "time_s,gco2_per_kwh\n")

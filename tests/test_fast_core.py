@@ -656,3 +656,119 @@ def test_vector_unsorted_list_sorted_like_python(small_table, two_model_inputs):
         small_table, two_model_inputs, _mixed_allocation(), rotated, "vector"
     )
     _assert_identical(vec, base)
+
+
+# ----------------------------------------------------------------------
+# Block ingest: a FleetArrivals source hands the vector core its merged
+# arrays; every other source shape takes the pair path
+# ----------------------------------------------------------------------
+
+
+def _two_model_source(small_table, workloads, models=("DLRM-RMC1", "DLRM-RMC2")):
+    from repro.traces import FleetArrivals, MMPPProcess, PiecewisePoissonProcess
+
+    qps = small_table.qps("T2", "DLRM-RMC1")
+    processes = {}
+    for k, name in enumerate(models):
+        workload = workloads.get(name, workloads["DLRM-RMC1"])
+        if k % 2:
+            processes[name] = MMPPProcess(
+                workload, rates=(0.2 * qps, 1.2 * qps), dwell_s=(0.5, 0.2),
+                duration_s=2.0,
+            )
+        else:
+            processes[name] = PiecewisePoissonProcess(
+                workload, [(0.8 * qps, 0.7), (1.6 * qps, 0.6), (0.0, 0.2),
+                           (1.1 * qps, 0.5)],
+            )
+    return FleetArrivals(processes, seed=11)
+
+
+def _two_model_allocation() -> Allocation:
+    allocation = _mixed_allocation()
+    allocation.add("T2", "DLRM-RMC2", 2)
+    return allocation
+
+
+@pytest.mark.parametrize(
+    "models",
+    [
+        ("DLRM-RMC1", "DLRM-RMC2"),
+        ("DLRM-RMC1",),
+        # Models with no replica anywhere: dropped, coded in
+        # first-arrival order on both ingest paths.
+        ("DLRM-RMC1", "DLRM-RMC2", "ZZ-unserved", "AA-unserved"),
+    ],
+    ids=["two-models", "one-model", "unserved-models"],
+)
+@pytest.mark.parametrize("faults", [None, "crash"])
+def test_vector_block_ingest_matches_pair_path(
+    small_table, two_model_inputs, models, faults
+):
+    """The vector core on a FleetArrivals source (block ingest) gives a
+    report ``==`` to the same run on ``list(source)`` and on a plain
+    generator over it (the pair path a wrapped iterator takes)."""
+    from repro.fleet import FaultSchedule, crash
+
+    source = _two_model_source(small_table, two_model_inputs[1], models)
+    rows = list(source)
+
+    def run(trace):
+        kwargs = {}
+        if faults:
+            kwargs["faults"] = FaultSchedule([crash(0.9, 1, recover_after=0.4)])
+        sim, result = _replay(
+            small_table, two_model_inputs, _two_model_allocation(), trace,
+            "vector", **kwargs,
+        )
+        # per_model's key order is the drop order of unserved models.
+        return result.to_dict(), list(result.per_model), sim.last_event_count
+
+    blocks = run(source)
+    assert blocks == run(rows)
+    assert blocks == run(pair for pair in source)
+    for model in models:
+        if "unserved" in model:
+            assert blocks[0]["per_model"][model]["dropped"] > 0
+
+
+def test_block_source_rows_cannot_be_taken_twice(small_table, two_model_inputs):
+    """The row iterator offers its blocks only before the first row, and
+    never hands out both."""
+    source = _two_model_source(small_table, two_model_inputs[1])
+    rows = iter(source)
+    next(rows)
+    assert rows.take_blocks() is None
+    taken = iter(source)
+    assert taken.take_blocks() is not None
+    with pytest.raises(RuntimeError, match="already taken as blocks"):
+        next(taken)
+
+
+@pytest.mark.parametrize("core", ["python", "vector"])
+def test_backwards_blocks_raise_same_error_on_both_cores(
+    small_table, two_model_inputs, core
+):
+    """A process whose blocks go backwards in time is refused by the
+    merge itself, so both cores raise the identical error."""
+    from repro.traces import FleetArrivals, PoissonProcess
+    from repro.traces.arrivals import ArrivalProcess
+
+    class _Backwards(ArrivalProcess):
+        workload = two_model_inputs[1]["DLRM-RMC1"]
+        end_s = 2.0
+        mean_qps = 10.0
+
+        def blocks(self, seed=0):
+            yield np.array([1.0, 1.5]), np.array([10, 20]), np.ones(2)
+            yield np.array([0.5, 2.0]), np.array([30, 40]), np.ones(2)
+
+    steady = PoissonProcess(two_model_inputs[1]["DLRM-RMC2"], 50.0, 2.0)
+    source = FleetArrivals({"DLRM-RMC1": _Backwards(), "DLRM-RMC2": steady})
+    with pytest.raises(ValueError) as exc:
+        _replay(
+            small_table, two_model_inputs, _two_model_allocation(), source, core
+        )
+    assert str(exc.value) == (
+        "arrival stream is not sorted by time (t=0.5 after t=1.5)"
+    )

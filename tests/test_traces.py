@@ -16,12 +16,15 @@ scanner, and the engine's unsorted-stream guard.
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import json
 import math
 import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,6 +156,297 @@ class TestShapedProcesses:
         process = DiurnalProcess(WL, 1000.0, 8.0, peak_position=0.5)
         assert process.level_at(0.5) == pytest.approx(1.0)
         assert process.level_at(0.0) == pytest.approx(process.trough_ratio)
+
+
+# ----------------------------------------------------------------------
+# The block pipeline: blocks() is every process's primitive, rows are
+# derived from it, and one block merge replaces heapq.merge
+# ----------------------------------------------------------------------
+
+
+def _legacy_segment_with_rng(workload, rng, arrival_rate_qps, start_s,
+                             duration_s, first_id):
+    """Verbatim copy of the pre-block ``arrivals._segment_with_rng``."""
+    count = int(rng.poisson(arrival_rate_qps * duration_s)) if arrival_rate_qps > 0 else 0
+    if count == 0:
+        return []
+    times = (np.sort(rng.uniform(0.0, duration_s, size=count)) + start_s).tolist()
+    sizes = workload.size_dist.sample(rng, count).tolist()
+    if workload.pooling_cv > 0:
+        shape = 1.0 / workload.pooling_cv**2
+        pooling = np.maximum(rng.gamma(shape, 1.0 / shape, size=count), 1e-3).tolist()
+    else:
+        pooling = [1.0] * count
+    return list(
+        map(
+            Query._make,
+            zip(range(first_id, first_id + count), times, sizes, pooling),
+        )
+    )
+
+
+def _legacy_piecewise_stream(self, seed=0, first_id=0):
+    """Verbatim copy of the pre-block ``PiecewisePoissonProcess.stream``
+    (``poisson_segment`` is pinned to the legacy loadgen elsewhere)."""
+    from repro.traces import poisson_segment
+
+    clock = 0.0
+    next_id = first_id
+    for s_idx, (qps, dur) in enumerate(self.segments):
+        if qps > 0 and dur > 0:
+            queries = poisson_segment(
+                self.workload,
+                qps,
+                dur,
+                seed=seed + self.seed_offset + self.seed_stride * s_idx,
+                start_s=clock,
+                first_id=next_id,
+            )
+            next_id += len(queries)
+            yield from queries
+        clock += dur
+
+
+def _legacy_mmpp_stream(self, seed=0, first_id=0):
+    """Verbatim copy of the pre-block ``MMPPProcess.stream``."""
+    rng = np.random.default_rng(seed)
+    clock = 0.0
+    state = 0
+    next_id = first_id
+    n_states = len(self.rates)
+    while clock < self.duration_s:
+        dwell = float(rng.exponential(self.dwell_s[state]))
+        dwell = min(dwell, self.duration_s - clock)
+        if dwell > 0.0:
+            queries = _legacy_segment_with_rng(
+                self.workload, rng, self.rates[state], clock, dwell, next_id
+            )
+            next_id += len(queries)
+            yield from queries
+        clock += dwell
+        state = (state + 1) % n_states
+
+
+def _legacy_diurnal_stream(self, seed=0, first_id=0):
+    """Verbatim copy of the pre-block ``DiurnalProcess.stream``."""
+    rng = np.random.default_rng(seed)
+    seg = self.duration_s / self.steps
+    clock = 0.0
+    next_id = first_id
+    for _day in range(self.days):
+        for i in range(self.steps):
+            rate = self.peak_qps * self.level_at(i / self.steps)
+            if self.noise > 0.0:
+                rate *= max(0.0, 1.0 + self.noise * float(rng.standard_normal()))
+            queries = _legacy_segment_with_rng(
+                self.workload, rng, rate, clock, seg, next_id
+            )
+            next_id += len(queries)
+            yield from queries
+            clock += seg
+
+
+def _legacy_superposed_stream(self, seed=0, first_id=0):
+    """Verbatim copy of the pre-block ``SuperposedProcess.stream``
+    (parts stream through their legacy bodies too)."""
+    streams = [
+        _legacy_stream(part, seed=seed + k) for k, part in enumerate(self.parts)
+    ]
+    for qid, q in enumerate(
+        heapq.merge(*streams, key=lambda query: query[1]), start=first_id
+    ):
+        yield Query._make((qid, q[1], q[2], q[3]))
+
+
+def _legacy_stream(process, seed=0, first_id=0):
+    body = {
+        PoissonProcess: _legacy_piecewise_stream,
+        PiecewisePoissonProcess: _legacy_piecewise_stream,
+        MMPPProcess: _legacy_mmpp_stream,
+        DiurnalProcess: _legacy_diurnal_stream,
+        SuperposedProcess: _legacy_superposed_stream,
+    }[type(process)]
+    return body(process, seed, first_id)
+
+
+def _legacy_fleet_rows(source):
+    """The pre-block ``FleetArrivals.__iter__``: tagged legacy streams
+    merged by ``heapq.merge`` on arrival time."""
+
+    def tag(model, stream):
+        for query in stream:
+            yield (model, query)
+
+    tagged = [
+        tag(model, _legacy_stream(process, seed=source.seed + 7919 * m_idx))
+        for m_idx, (model, process) in enumerate(source.processes.items())
+    ]
+    return list(heapq.merge(*tagged, key=lambda pair: pair[1][1]))
+
+
+_WL_FLAT = dataclasses.replace(QueryWorkload.for_model(40), pooling_cv=0.0)
+
+_SHAPES = {
+    "mmpp": lambda: MMPPProcess(WL, [150.0, 2200.0], [0.4, 0.1], 2.5),
+    "mmpp-flat-pooling": lambda: MMPPProcess(
+        _WL_FLAT, [0.0, 900.0, 300.0], [0.3, 0.2, 0.5], 2.0
+    ),
+    "diurnal-noise": lambda: DiurnalProcess(
+        WL, 1200.0, 1.5, steps=12, noise=0.3, days=2
+    ),
+    "superposed": lambda: SuperposedProcess(
+        [
+            DiurnalProcess(WL, 900.0, 3.0, steps=8, noise=0.2),
+            MMPPProcess(WL, [0.0, 1500.0], [0.6, 0.15], 3.0),
+            PoissonProcess(WL, 250.0, 3.0),
+        ]
+    ),
+    "superposed-nested": lambda: SuperposedProcess(
+        [
+            SuperposedProcess([PoissonProcess(WL, 300.0, 2.0)] * 2),
+            PiecewisePoissonProcess(WL, [(500.0, 0.5), (0.0, 0.5), (800.0, 1.0)]),
+        ]
+    ),
+}
+
+
+@st.composite
+def _block_sources(draw):
+    """1-4 sorted sources cut into blocks: coarse times force ties
+    within a block, across block boundaries and across sources; repeated
+    cut points make empty blocks (and a source may be empty)."""
+    sources = []
+    for k in range(draw(st.integers(1, 4))):
+        times = sorted(draw(st.lists(st.integers(0, 12), max_size=25)))
+        cuts = sorted(draw(st.lists(st.integers(0, len(times)), max_size=5)))
+        bounds = [0, *cuts, len(times)]
+        blocks = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            t = np.array(times[a:b], dtype=np.float64) / 4.0
+            # size encodes (source, position), pooling the source.
+            blocks.append(
+                (t, np.arange(a, b, dtype=np.int64) + 1000 * k,
+                 np.full(b - a, float(k)))
+            )
+        sources.append(blocks)
+    return sources
+
+
+def _block_rows(blocks):
+    return [
+        row
+        for block in blocks
+        for row in zip(*(col.tolist() for col in block))
+    ]
+
+
+class TestBlockPipeline:
+    @settings(max_examples=300, deadline=None)
+    @given(sources=_block_sources())
+    def test_block_merge_equals_heapq_merge(self, sources):
+        from repro.traces.arrivals import _merge_blocks
+
+        merged = list(_merge_blocks([iter(blocks) for blocks in sources]))
+        reference = list(
+            heapq.merge(
+                *(_block_rows(blocks) for blocks in sources),
+                key=lambda row: row[0],
+            )
+        )
+        rows = _block_rows(merged)
+        assert [row[:3] for row in rows] == reference
+        assert [row[3] for row in rows] == [int(row[2]) for row in reference]
+        assert all(len(block[0]) for block in merged)
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            ([[1.0, 2.0], [1.5, 3.0]], "t=1.5 after t=2.0"),
+            ([[1.0, 0.5]], "t=0.5 after t=1.0"),
+            ([[1.0, math.nan]], "t=nan after t=1.0"),
+        ],
+    )
+    def test_merge_refuses_unsorted_sources(self, blocks, message):
+        from repro.traces.arrivals import _merge_blocks
+
+        bad = [
+            (np.array(t), np.ones(len(t), dtype=np.int64), np.ones(len(t)))
+            for t in blocks
+        ]
+        steady = [(np.array([0.25, 4.0]), np.ones(2, dtype=np.int64), np.ones(2))]
+        for sources in ([bad], [steady, bad]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                list(_merge_blocks([iter(s) for s in sources]))
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("seed,first_id", [(0, 0), (7, 5), (123, 1000)])
+    def test_stream_equals_legacy_body(self, shape, seed, first_id):
+        process = _SHAPES[shape]()
+        assert list(process.stream(seed=seed, first_id=first_id)) == list(
+            _legacy_stream(process, seed=seed, first_id=first_id)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fleet_rows_equal_legacy_merge(self, seed):
+        source = FleetArrivals(
+            {name: make() for name, make in _SHAPES.items()}, seed=seed
+        )
+        assert list(source) == _legacy_fleet_rows(source)
+
+    def test_blocks_are_columnar_and_sorted(self):
+        for make in _SHAPES.values():
+            for t, size, pooling in make().blocks(seed=2):
+                assert t.dtype == np.float64 and pooling.dtype == np.float64
+                assert size.dtype == np.int64
+                assert len(t) == len(size) == len(pooling) > 0
+                assert bool((np.diff(t) >= 0.0).all())
+
+
+class TestNonFiniteParameters:
+    """NaN and inf parameters used to build processes that silently
+    emitted nothing (or surfaced numpy's sampling errors); every
+    constructor check is a negated comparison, so both now fail."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "poisson:level=nan",
+            "poisson:qps=nan",
+            "poisson:level=inf",
+            "diurnal:level=nan",
+            "diurnal:noise=nan",
+            "diurnal:sharpness=nan",
+            "mmpp:levels=0.2/1.0,dwell=nan",
+            "mmpp:levels=nan/1.0,dwell=1",
+        ],
+    )
+    def test_spec_error_names_the_section(self, spec):
+        for text in (spec, f"poisson:level=0.5+{spec}"):
+            with pytest.raises(ValueError, match=re.escape(repr(spec))):
+                parse_arrivals(text).build(WL, 100.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PoissonProcess(WL, math.nan, 2.0),
+            lambda: PoissonProcess(WL, math.inf, 2.0),
+            lambda: PoissonProcess(WL, 100.0, math.nan),
+            lambda: PiecewisePoissonProcess(WL, [(100.0, math.nan), (100.0, 1.0)]),
+            lambda: PiecewisePoissonProcess(WL, [(math.nan, 1.0)]),
+            lambda: MMPPProcess(WL, [20.0, 100.0], 1.0, math.nan),
+            lambda: MMPPProcess(WL, [math.nan, 100.0], 1.0, 2.0),
+            lambda: MMPPProcess(WL, [20.0, 100.0], [1.0, math.nan], 2.0),
+            lambda: MMPPProcess(WL, [20.0, math.inf], 1.0, 2.0),
+            lambda: DiurnalProcess(WL, 100.0, math.nan),
+            lambda: DiurnalProcess(WL, math.nan, 2.0),
+            lambda: DiurnalProcess(WL, 100.0, 2.0, noise=math.nan),
+            lambda: DiurnalProcess(WL, 100.0, 2.0, sharpness=math.nan),
+            lambda: DiurnalProcess(WL, 100.0, 2.0, sharpness=math.inf),
+        ],
+    )
+    def test_constructors_refuse(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestRecordedRoundTrip:
