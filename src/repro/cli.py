@@ -791,14 +791,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         scenarios=tuple(args.scenarios) if args.scenarios else None,
-        core=args.core,
         progress=lambda name: print(f"bench: {name} ...", flush=True),
     )
-    if args.baseline:
-        import json
-
-        with open(args.baseline) as fh:
-            doc = perfbench.attach_baseline(doc, json.load(fh))
     perfbench.write_bench_json(args.output, doc)
     print(perfbench.format_bench(doc))
     print(f"\nwrote {args.output}")
@@ -1359,17 +1353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
-        "--core",
-        choices=("auto", "python", "vector", "vector-epoch"),
-        default="python",
-        help=(
-            "event core for the fleet_replay scenario (default 'python' "
-            "so its trajectory stays comparable across checkouts; the "
-            "fleet_replay_fastcore and fleet_replay_queueaware scenarios "
-            "always time their own core pairs)"
-        ),
-    )
-    bench.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -1389,11 +1372,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default="BENCH_perf.json",
         help="output JSON path (default: ./BENCH_perf.json)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        help="earlier BENCH_perf.json to embed and compute speedups against",
     )
     bench.add_argument(
         "--compare",

@@ -323,7 +323,7 @@ class FleetSimulator:
             weighted), no retries/hedging/tracing (plain fault
             schedules are fine: they run the segmented vectorized
             fault path, bit-identical to the python light loop), no
-            observer, numpy importable -- and otherwise falls back to
+            observer -- and otherwise falls back to
             the exact per-event python core, logging every applicable
             reason once.  ``"python"`` forces the per-event core;
             ``"vector"`` demands the vectorized core and raises
@@ -695,13 +695,8 @@ class FleetSimulator:
                     "per-event core"
                 )
             if not reasons:
-                try:
-                    from repro.sim import fast_core
-                except ImportError:
-                    reasons.append(
-                        "numpy is unavailable (the vectorized core needs it)"
-                    )
-            if not reasons:
+                from repro.sim import fast_core
+
                 with _gc_paused():
                     if epoch:
                         return fast_core.run_epoch(self, trace, warmup_s)

@@ -19,10 +19,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
-try:  # optional: vectorized choose_batch fast paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.fleet.engine import FleetServer
@@ -124,9 +121,7 @@ class RoundRobinPolicy(RoutingPolicy):
             raise RoutingError("no routable replicas (all replicas down?)")
         cursor = self._cursor
         self._cursor = cursor + n
-        if _np is not None:
-            return (cursor + _np.arange(n)) % k
-        return [(cursor + i) % k for i in range(n)]
+        return (cursor + np.arange(n)) % k
 
 
 class LeastOutstandingPolicy(RoutingPolicy):
@@ -209,7 +204,7 @@ class LeastOutstandingPolicy(RoutingPolicy):
         k = len(candidates)
         if k == 0:
             raise RoutingError("no routable replicas (all replicas down?)")
-        if _np is not None and 256 <= n * k <= 2_000_000:
+        if 256 <= n * k <= 2_000_000:
             # Sequential argmin over a snapshot that only ever grows by
             # its own picks is a k-way merge: replica ``i``'s ``t``-th
             # assignment carries key ``(outstanding[i] + t, rank_i)``
@@ -223,17 +218,17 @@ class LeastOutstandingPolicy(RoutingPolicy):
             rank = [0] * k
             for r, i in enumerate(order):
                 rank[i] = r
-            levels = _np.asarray(outstanding, dtype=_np.int64)[:, None] + (
-                _np.arange(n, dtype=_np.int64)[None, :]
+            levels = np.asarray(outstanding, dtype=np.int64)[:, None] + (
+                np.arange(n, dtype=np.int64)[None, :]
             )
             enc = (
-                levels * k + _np.asarray(rank, dtype=_np.int64)[:, None]
+                levels * k + np.asarray(rank, dtype=np.int64)[:, None]
             ).ravel()
-            take = _np.argpartition(enc, n - 1)[:n]
-            take = take[_np.argsort(enc[take], kind="stable")]
+            take = np.argpartition(enc, n - 1)[:n]
+            take = take[np.argsort(enc[take], kind="stable")]
             picks = take // n
             for i, c in enumerate(
-                _np.bincount(picks, minlength=k).tolist()
+                np.bincount(picks, minlength=k).tolist()
             ):
                 if c:
                     outstanding[i] += c

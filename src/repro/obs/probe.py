@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import json
 
-try:  # optional: vectorized window drains
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as np
 
 from repro.hardware.power import ComponentUtilization
 from repro.obs.sketch import QuantileSketch
@@ -110,18 +107,9 @@ class _Window:
         buf = self.buf
         if not buf:
             return
-        if _np is not None:
-            # Same elementwise *1e3 and > compare, done in C.
-            arr = _np.asarray(buf) * 1e3
-            viol = int((arr > self.sla_ms).sum())
-            vals = arr.tolist()
-        else:
-            sla = self.sla_ms
-            viol = 0
-            vals = [lat * 1e3 for lat in buf]
-            for ms in vals:
-                if ms > sla:
-                    viol += 1
+        arr = np.asarray(buf) * 1e3
+        viol = int((arr > self.sla_ms).sum())
+        vals = arr.tolist()
         self.completed += len(buf)
         self.violations += viol
         self.sketch.add_many(vals)

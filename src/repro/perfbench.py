@@ -49,11 +49,9 @@ a trajectory to defend.  ``python -m repro.cli bench`` drives it and
 writes ``BENCH_perf.json``; ``benchmarks/bench_perf_core.py`` wraps it
 for the pytest-benchmark lane.
 
-The harness deliberately sticks to long-stable public APIs (and
-feature-detects newer ones such as ``OfflineProfiler.profile(jobs=)``)
-so the *same file* can be dropped onto an older checkout to measure a
-baseline: BENCH_perf.json's ``baseline``/``speedup`` blocks are
-produced exactly that way.
+The harness measures the checkout it ships in.  To compare two
+checkouts or hosts, write a document from each and diff them with
+``python -m repro.cli bench --compare OLD.json NEW.json``.
 """
 
 from __future__ import annotations
@@ -67,32 +65,11 @@ from typing import Any, Callable
 __all__ = [
     "SCENARIOS",
     "BENCH_GATES",
-    "run_scenario",
     "run_bench",
-    "attach_baseline",
     "compare_bench",
     "format_bench",
     "write_bench_json",
 ]
-
-#: Scenario registry in execution order (later scenarios reuse earlier
-#: artifacts -- the classification table feeds the DES scenarios).
-SCENARIOS: tuple[str, ...] = (
-    "search",
-    "profile_table",
-    "loadgen",
-    "single_node_des",
-    "fleet_replay",
-    "fleet_replay_fastcore",
-    "fleet_replay_queueaware",
-    "fleet_replay_streaming",
-    "fleet_replay_faultpath",
-    "fleet_replay_carbonpath",
-    "fleet_replay_observed",
-    "fleet_replay_sharded",
-    "fleet_replay_sketchmem",
-    "fault_aware_provisioning",
-)
 
 #: Scenario dimensions.  ``quick`` keeps CI smoke runs in seconds;
 #: ``full`` is the acceptance configuration (50 servers x 100k queries,
@@ -136,9 +113,26 @@ _FULL = {
 #: regime the slow-lane fleet test also measures.
 _RHO = 0.75
 
+#: Server types every scenario fleet is built from.
+_FLEET_SERVERS = ("T2", "T3", "T7")
 
-def _config(quick: bool) -> dict[str, Any]:
-    return dict(_QUICK if quick else _FULL)
+#: Per-model ``{server type: share of the fleet}`` allocations.  The
+#: two-model fleet is availability-shaped (the full configuration
+#: reproduces the slow-lane 50 servers); the queue-aware scenario
+#: spreads one model fleet-wide; the scale-out scenarios need at least
+#: four models for four real shards (the planner clamps to one shard
+#: per model).  Each fleet's shares sum to 1.0.
+_TWO_MODEL_SHARES = {
+    "DLRM-RMC1": {"T2": 0.36, "T3": 0.12, "T7": 0.08},
+    "DLRM-RMC2": {"T2": 0.24, "T3": 0.12, "T7": 0.08},
+}
+_ONE_MODEL_SHARES = {"DLRM-RMC1": {"T2": 0.60, "T3": 0.24, "T7": 0.16}}
+_SCALE_OUT_SHARES = {
+    "DIN": {"T2": 0.12, "T7": 0.16},
+    "DLRM-RMC1": {"T2": 0.20, "T3": 0.08},
+    "DLRM-RMC2": {"T2": 0.16, "T3": 0.08},
+    "DLRM-RMC3": {"T3": 0.12, "T7": 0.08},
+}
 
 
 def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
@@ -167,45 +161,149 @@ def _max_rss_kb() -> int | None:
 class _Context:
     """Artifacts shared across scenarios of one bench run."""
 
-    def __init__(
-        self, quick: bool, seed: int, jobs: int, core: str = "python"
-    ) -> None:
-        self.quick = quick
+    def __init__(self, quick: bool, seed: int, jobs: int) -> None:
         self.seed = seed
         self.jobs = jobs
-        self.core = core
-        self.cfg = _config(quick)
-        self.table = None  # classification table, set by profile_table
+        self.cfg = dict(_QUICK if quick else _FULL)
+        self.tables: list = []  # classification tables built so far
 
-    def server_names(self) -> tuple[str, ...]:
+    def table(self, models: tuple[str, ...] = ("DLRM-RMC1", "DLRM-RMC2")):
+        """A classification table covering T2/T3/T7 x ``models``.
+
+        Reuses any table this run already built that covers those pairs
+        (``profile_table``'s does in full mode), else profiles the slice.
+        """
+        pairs = [(s, m) for s in _FLEET_SERVERS for m in models]
+        for table in self.tables:
+            if all(pair in table.entries for pair in pairs):
+                return table
         from repro.hardware import SERVER_TYPES
+        from repro.models import build_model
+        from repro.scheduling import OfflineProfiler
 
-        return self.cfg["profile_servers"] or tuple(SERVER_TYPES)
-
-    def model_names(self) -> tuple[str, ...]:
-        from repro.models import MODEL_NAMES
-
-        return self.cfg["profile_models"] or tuple(MODEL_NAMES)
-
-    def classification_table(self):
-        """The scenario table, profiling a small slice on demand."""
-        if self.table is None:
-            from repro.hardware import SERVER_TYPES
-            from repro.models import build_model
-            from repro.scheduling import OfflineProfiler
-
-            servers = [SERVER_TYPES[s] for s in ("T2", "T3", "T7")]
-            models = [build_model(m) for m in ("DLRM-RMC1", "DLRM-RMC2")]
-            self.table = _profile(OfflineProfiler(), servers, models, self.jobs)
-        return self.table
+        table = OfflineProfiler().profile(
+            [SERVER_TYPES[s] for s in _FLEET_SERVERS],
+            [build_model(m) for m in models],
+            jobs=self.jobs,
+        )
+        self.tables.append(table)
+        return table
 
 
-def _profile(profiler, servers, models, jobs):
-    """Call ``profile`` with ``jobs`` when supported (newer trees)."""
-    try:
-        return profiler.profile(servers, models, jobs=jobs)
-    except TypeError:
-        return profiler.profile(servers, models)
+class _Fleet:
+    """Replicas and rho-loaded arrival traffic for the fleet scenarios.
+
+    ``shares`` maps each model to ``{server type: share}``; a cell gets
+    ``max(1, round(servers * share))`` replicas.  Each model is offered
+    ``_RHO`` of its replicas' profiled capacity for the duration in
+    which the fleet expects ``queries`` arrivals, drawn lazily by
+    :attr:`stream` as ``segments`` equal back-to-back Poisson segments.
+    """
+
+    def __init__(
+        self,
+        ctx: _Context,
+        shares: dict[str, dict[str, float]],
+        servers: int,
+        queries: int,
+        segments: int = 1,
+    ) -> None:
+        from repro.cluster.state import Allocation
+        from repro.models import build_model
+        from repro.sim import QueryWorkload
+        from repro.traces import FleetArrivals, PiecewisePoissonProcess
+
+        self.seed = ctx.seed
+        self.table = table = ctx.table(tuple(shares))
+        self.models = {n: build_model(n) for n in shares}
+        self.workloads = {
+            n: QueryWorkload.for_model(m.config.mean_query_size)
+            for n, m in self.models.items()
+        }
+        self.sla = {n: m.sla_ms for n, m in self.models.items()}
+        self.allocation = allocation = Allocation()
+        for name, row in shares.items():
+            for srv, share in row.items():
+                allocation.add(srv, name, max(1, round(servers * share)))
+        self.servers = sum(allocation.counts.values())
+        capacity = {
+            n: sum(
+                c * table.qps(srv, m)
+                for (srv, m), c in allocation.counts.items()
+                if m == n
+            )
+            for n in shares
+        }
+        self.duration = queries / (_RHO * sum(capacity.values()))
+        self.stream = FleetArrivals(
+            {
+                n: PiecewisePoissonProcess(
+                    self.workloads[n],
+                    [(_RHO * capacity[n], self.duration / segments)] * segments,
+                )
+                for n in shares
+            },
+            seed=ctx.seed,
+        )
+
+    def make_servers(self) -> list:
+        from repro.fleet import build_fleet
+
+        return build_fleet(self.allocation, self.table, self.models, self.workloads)
+
+    def replay(
+        self,
+        reps: int,
+        source: Callable[[], Any],
+        make_probe: Callable[[], Any] | None = None,
+        **kwargs: Any,
+    ) -> tuple[float, Any, Any]:
+        """Best wall of ``reps`` timed ``sim.run(source())`` calls.
+
+        Each run gets a fresh simulator over fresh replicas, built with
+        ``kwargs`` (plus ``observer=make_probe()`` when given).
+        ``source()`` runs inside the timer, so a leg that materializes
+        its traffic pays for it.  The ratio legs feed CI gates, so they
+        take several runs to keep single-sample scheduler noise out.
+        Returns the best wall and the last run's result and probe.
+        """
+        from repro.fleet import FleetSimulator
+
+        best = probe = None
+        for _ in range(reps):
+            if make_probe is not None:
+                probe = kwargs["observer"] = make_probe()
+            sim = FleetSimulator(
+                self.make_servers(), sla_ms=self.sla, seed=self.seed, **kwargs
+            )
+            wall, result = _timed(
+                lambda: sim.run(source(), warmup_s=self.duration * 0.1)
+            )
+            best = wall if best is None else min(best, wall)
+        return best, result, probe
+
+
+def _two_model_fleet(ctx: _Context) -> tuple[_Fleet, list]:
+    """The fleet-replay scenarios' fleet and its materialized trace."""
+    fleet = _Fleet(
+        ctx, _TWO_MODEL_SHARES, ctx.cfg["fleet_servers"], ctx.cfg["fleet_queries"]
+    )
+    return fleet, list(fleet.stream)
+
+
+def _scale_out_fleet(ctx: _Context, queries: int) -> _Fleet:
+    """The four-model fleet, streamed and never materialized.
+
+    A piecewise process materializes one segment of arrivals at a time,
+    so a single queries-long segment would hold the whole stream
+    (~190 B/query -- GiBs at the sketchmem scale).  The constant rate is
+    chopped into <=100k-query segments to keep generation memory flat;
+    the rate trajectory is unchanged.
+    """
+    return _Fleet(
+        ctx, _SCALE_OUT_SHARES, ctx.cfg["fleet_servers"], queries,
+        segments=-(-queries // 100_000),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -243,17 +341,16 @@ def _scenario_search(ctx: _Context) -> dict[str, Any]:
 
 def _scenario_profile_table(ctx: _Context) -> dict[str, Any]:
     from repro.hardware import SERVER_TYPES
-    from repro.models import build_model
+    from repro.models import MODEL_NAMES, build_model
     from repro.scheduling import OfflineProfiler
 
-    servers = [SERVER_TYPES[s] for s in ctx.server_names()]
-    models = [build_model(m) for m in ctx.model_names()]
+    servers = [SERVER_TYPES[s] for s in ctx.cfg["profile_servers"] or SERVER_TYPES]
+    models = [build_model(m) for m in ctx.cfg["profile_models"] or MODEL_NAMES]
 
     wall, table = _timed(
-        lambda: _profile(OfflineProfiler(), servers, models, ctx.jobs)
+        lambda: OfflineProfiler().profile(servers, models, jobs=ctx.jobs)
     )
-    if not ctx.quick:
-        ctx.table = table  # full table covers the fleet's slice
+    ctx.tables.append(table)  # reused by the fleets it covers
     pairs = len(table.entries)
     evaluations = sum(t.evaluations for t in table.entries.values())
     return {
@@ -295,8 +392,7 @@ def _scenario_single_node_des(ctx: _Context) -> dict[str, Any]:
     from repro.sim.evaluator import ServerEvaluator
     from repro.models.partition import partition_model
 
-    table = ctx.classification_table()
-    tup = table.get("T2", "DLRM-RMC1")
+    tup = ctx.table().get("T2", "DLRM-RMC1")
     model = build_model("DLRM-RMC1")
     workload = QueryWorkload.for_model(model.config.mean_query_size)
     evaluator = ServerEvaluator(SERVER_TYPES["T2"])
@@ -310,7 +406,7 @@ def _scenario_single_node_des(ctx: _Context) -> dict[str, Any]:
 
     sim = DiscreteEventServerSim(list(stages))
     wall, result = _timed(lambda: sim.run(trace, warmup_s=duration * 0.1))
-    events = getattr(result, "events", None)
+    events = result.events
     return {
         "wall_s": wall,
         "queries": len(trace),
@@ -321,86 +417,18 @@ def _scenario_single_node_des(ctx: _Context) -> dict[str, Any]:
     }
 
 
-def _fleet_replay_inputs(ctx: _Context):
-    """Build the fleet-replay scenario inputs (shared by both variants)."""
-    from repro.cluster.state import Allocation
-    from repro.fleet import build_fleet, build_fleet_trace
-    from repro.models import build_model
-    from repro.sim import QueryWorkload
-
-    table = ctx.classification_table()
-    model_names = ("DLRM-RMC1", "DLRM-RMC2")
-    models = {n: build_model(n) for n in model_names}
-    workloads = {
-        n: QueryWorkload.for_model(m.config.mean_query_size)
-        for n, m in models.items()
-    }
-
-    # Availability-shaped allocation over T2/T3/T7 scaled to the target
-    # fleet size (the full configuration reproduces the slow-lane 50).
-    total = ctx.cfg["fleet_servers"]
-    shares = {
-        "DLRM-RMC1": {"T2": 0.36, "T3": 0.12, "T7": 0.08},
-        "DLRM-RMC2": {"T2": 0.24, "T3": 0.12, "T7": 0.08},
-    }
-    allocation = Allocation()
-    for name, row in shares.items():
-        for srv, share in row.items():
-            allocation.add(srv, name, max(1, round(total * share)))
-
-    capacity = {
-        n: sum(
-            c * table.qps(srv, m)
-            for (srv, m), c in allocation.counts.items()
-            if m == n
-        )
-        for n in model_names
-    }
-    rate = _RHO * sum(capacity.values())
-    queries = ctx.cfg["fleet_queries"]
-    duration = queries / rate
-    segments = {n: [(_RHO * capacity[n], duration)] for n in model_names}
-    trace = build_fleet_trace(workloads, segments, seed=ctx.seed)
-    try:  # the same traffic as a lazily-streamed source (newer trees)
-        from repro.traces import FleetArrivals, PiecewisePoissonProcess
-
-        stream = FleetArrivals(
-            {
-                n: PiecewisePoissonProcess(workloads[n], segs)
-                for n, segs in segments.items()
-            },
-            seed=ctx.seed,
-        )
-    except ImportError:
-        stream = None
-
-    def make_servers():
-        return build_fleet(allocation, table, models, workloads)
-
-    sla = {n: m.sla_ms for n, m in models.items()}
-    return make_servers, trace, duration, sla, stream
-
-
 def _scenario_fleet_replay(ctx: _Context) -> dict[str, Any]:
-    from repro.fleet import FleetSimulator
-
-    make_servers, trace, duration, sla, _ = _fleet_replay_inputs(ctx)
-    servers = make_servers()
-    try:
-        # Pinned to ctx.core (default "python") so the scenario's
-        # trajectory keeps measuring the per-event loop across
-        # checkouts; `bench --core` overrides.  Note p2c is queue-aware,
-        # so "auto" falls back to the python core here anyway.
-        sim = FleetSimulator(
-            servers, policy="p2c", sla_ms=sla, seed=ctx.seed, core=ctx.core
-        )
-    except TypeError:  # pre-core checkout (baseline measurements)
-        sim = FleetSimulator(servers, policy="p2c", sla_ms=sla, seed=ctx.seed)
-    wall, result = _timed(lambda: sim.run(trace, warmup_s=duration * 0.1))
-    events = getattr(result, "events", None)
+    fleet, trace = _two_model_fleet(ctx)
+    # Pinned to the python core so this scenario's trajectory keeps
+    # measuring the per-event loop (p2c is queue-aware, so "auto" would
+    # fall back to it anyway).
+    wall, result, _ = fleet.replay(
+        1, lambda: trace, policy="p2c", core="python"
+    )
+    events = result.events
     return {
         "wall_s": wall,
-        "servers": len(servers),
+        "servers": fleet.servers,
         "queries": len(trace),
         "queries_per_s": len(trace) / wall if wall > 0 else 0.0,
         "events": events,
@@ -422,33 +450,13 @@ def _scenario_fleet_replay_fastcore(ctx: _Context) -> dict[str, Any]:
     (one repetition more than the ratio scenarios: this gate is the
     tightest in CI).
     """
-    from repro.fleet import FleetSimulator
-
-    try:
-        import numpy  # noqa: F401  (the vectorized core requires it)
-    except ImportError:
-        return {"skipped": "numpy absent (core='vector' unavailable)"}
-
-    make_servers, trace, duration, sla, _ = _fleet_replay_inputs(ctx)
-
-    def replay(core):
-        walls, result = [], None
-        for _ in range(3):
-            try:
-                sim = FleetSimulator(
-                    make_servers(), policy="rr", sla_ms=sla, seed=ctx.seed,
-                    core=core,
-                )
-            except TypeError:  # pre-core checkout (baseline measurements)
-                return None, None
-            wall, result = _timed(lambda: sim.run(trace, warmup_s=duration * 0.1))
-            walls.append(wall)
-        return min(walls), result
-
-    wall_py, result_py = replay("python")
-    if result_py is None:
-        return {"skipped": "core selection absent"}
-    wall_vec, result_vec = replay("vector")
+    fleet, trace = _two_model_fleet(ctx)
+    wall_py, result_py, _ = fleet.replay(
+        3, lambda: trace, policy="rr", core="python"
+    )
+    wall_vec, result_vec, _ = fleet.replay(
+        3, lambda: trace, policy="rr", core="vector"
+    )
     if result_vec.per_model != result_py.per_model:
         raise AssertionError(
             "vectorized core diverged from the python core on per-model stats"
@@ -458,12 +466,12 @@ def _scenario_fleet_replay_fastcore(ctx: _Context) -> dict[str, Any]:
             "vectorized core event count diverged from the python core"
         )
 
-    events = getattr(result_vec, "events", None)
+    events = result_vec.events
     return {
         "wall_s": wall_vec,
         "wall_python_s": wall_py,
         "speedup_vector_vs_python": wall_py / wall_vec if wall_vec > 0 else None,
-        "servers": ctx.cfg["fleet_servers"],
+        "servers": fleet.servers,
         "queries": len(trace),
         "queries_per_s": len(trace) / wall_vec if wall_vec > 0 else 0.0,
         "events": events,
@@ -487,57 +495,19 @@ def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
     boundaries); the scenario bounds the drift in-process: completed
     counts within 1%, average power within 2%, p50 within 2x.
     """
-    from repro.fleet import FleetSimulator, build_fleet, build_fleet_trace
-    from repro.cluster.state import Allocation
-    from repro.models import build_model
-    from repro.sim import QueryWorkload
-
-    try:
-        import numpy  # noqa: F401  (the epoch core requires it)
-    except ImportError:
-        return {"skipped": "numpy absent (core='vector-epoch' unavailable)"}
-
-    table = ctx.classification_table()
-    model = "DLRM-RMC1"
-    models = {model: build_model(model)}
-    workloads = {
-        model: QueryWorkload.for_model(models[model].config.mean_query_size)
-    }
-    total = ctx.cfg["queueaware_servers"]
-    allocation = Allocation()
-    for srv, share in (("T2", 0.60), ("T3", 0.24), ("T7", 0.16)):
-        allocation.add(srv, model, max(1, round(total * share)))
-    capacity = sum(
-        c * table.qps(srv, m) for (srv, m), c in allocation.counts.items()
+    fleet = _Fleet(
+        ctx, _ONE_MODEL_SHARES, ctx.cfg["queueaware_servers"],
+        ctx.cfg["queueaware_queries"],
     )
-    rate = _RHO * capacity
-    queries = ctx.cfg["queueaware_queries"]
-    duration = queries / rate
-    trace = build_fleet_trace(workloads, {model: [(rate, duration)]}, seed=ctx.seed)
-    sla = {model: models[model].sla_ms}
+    trace = list(fleet.stream)
+    wall_py, result_py, _ = fleet.replay(
+        3, lambda: trace, policy="least", core="python"
+    )
+    wall_epoch, result_epoch, _ = fleet.replay(
+        3, lambda: trace, policy="least", core="vector-epoch"
+    )
 
-    def replay(core):
-        walls, result = [], None
-        for _ in range(3):
-            try:
-                sim = FleetSimulator(
-                    build_fleet(allocation, table, models, workloads),
-                    policy="least", sla_ms=sla, seed=ctx.seed, core=core,
-                )
-            except (TypeError, ValueError):
-                # pre-core or pre-epoch checkout (baseline measurements)
-                return None, None
-            wall, result = _timed(lambda: sim.run(trace, warmup_s=duration * 0.1))
-            walls.append(wall)
-        return min(walls), result
-
-    wall_py, result_py = replay("python")
-    if result_py is None:
-        return {"skipped": "core selection absent"}
-    wall_epoch, result_epoch = replay("vector-epoch")
-    if result_epoch is None:
-        return {"skipped": "core='vector-epoch' absent"}
-
+    (model,) = _ONE_MODEL_SHARES
     stats_py = result_py.per_model[model]
     stats_epoch = result_epoch.per_model[model]
     if abs(stats_epoch.completed - stats_py.completed) > 0.01 * stats_py.completed:
@@ -564,7 +534,7 @@ def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
         "speedup_vector_epoch_vs_python": (
             wall_py / wall_epoch if wall_epoch > 0 else None
         ),
-        "servers": sum(allocation.counts.values()),
+        "servers": fleet.servers,
         "queries": len(trace),
         "queries_per_s": len(trace) / wall_epoch if wall_epoch > 0 else 0.0,
         "p50_ms_python": stats_py.p50_ms,
@@ -593,38 +563,17 @@ def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
     on the full configuration, best-of-three walls per side, and the
     two legs must agree float-for-float on every report field.
     """
-    from repro.fleet import FleetSimulator
+    from repro.fleet import FaultSchedule
+    from repro.fleet.faults import crash, slowdown
 
-    try:
-        from repro.fleet import FaultSchedule
-    except ImportError:  # pre-fault checkout (baseline measurements)
-        return {"skipped": "fault layer absent"}
-
-    make_servers, trace, duration, sla, _ = _fleet_replay_inputs(ctx)
-
-    def replay(policy="p2c", reps=2, core=None, **kwargs):
-        # Best of N runs: the ratios feed CI gates, so single-sample
-        # scheduler noise (the quick replay is tens of ms) must not flake it.
-        if core is not None:
-            kwargs["core"] = core
-        walls, result = [], None
-        for _ in range(reps):
-            try:
-                sim = FleetSimulator(
-                    make_servers(), policy=policy, sla_ms=sla, seed=ctx.seed,
-                    **kwargs,
-                )
-            except (TypeError, ValueError):
-                # pre-core checkout, or a checkout whose vector core
-                # still refuses fault schedules (baseline measurements)
-                return None, None
-            wall, result = _timed(lambda: sim.run(trace, warmup_s=duration * 0.1))
-            walls.append(wall)
-        return min(walls), result
-
-    wall_off, result_off = replay()
-    wall_light, result_light = replay(faults=FaultSchedule())
-    wall_tracked, result_tracked = replay(faults=FaultSchedule(), retries=2)
+    fleet, trace = _two_model_fleet(ctx)
+    wall_off, result_off, _ = fleet.replay(2, lambda: trace, policy="p2c")
+    wall_light, result_light, _ = fleet.replay(
+        2, lambda: trace, policy="p2c", faults=FaultSchedule()
+    )
+    wall_tracked, result_tracked, _ = fleet.replay(
+        2, lambda: trace, policy="p2c", faults=FaultSchedule(), retries=2
+    )
     for label, result in (("light", result_light), ("tracked", result_tracked)):
         if result.per_model != result_off.per_model:
             raise AssertionError(
@@ -634,11 +583,10 @@ def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
 
     # Scripted-schedule legs: the vectorized fault path partitions the
     # horizon at fault boundaries and must stay bit-identical.
-    n_srv = len(make_servers())
+    n_srv = fleet.servers
+    duration = fleet.duration
 
     def scripted():
-        from repro.fleet.faults import crash, slowdown
-
         # Targets scale with the fleet so quick mode stays in range.
         return FaultSchedule([
             crash(duration * 0.30, 0, recover_after=duration * 0.15),
@@ -649,34 +597,21 @@ def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
             crash(duration * 0.80, n_srv - 1),
         ])
 
-    speedup_vector_fault = None
-    wall_fault_py = wall_fault_vec = None
-    try:
-        scripted()
-    except ImportError:
-        pass
-    else:
-        wall_fault_py, result_fault_py = replay(
-            policy="rr", reps=3, core="python", faults=scripted()
-        )
-        wall_fault_vec, result_fault_vec = replay(
-            policy="rr", reps=3, core="vector", faults=scripted()
-        )
-        if result_fault_py is not None and result_fault_vec is not None:
-            for field in ("per_model", "fault_events", "availability",
-                          "phases", "events", "avg_power_w"):
-                if getattr(result_fault_vec, field, None) != getattr(
-                    result_fault_py, field, None
-                ):
-                    raise AssertionError(
-                        "vectorized fault path diverged from the python "
-                        f"core on {field}"
-                    )
-            speedup_vector_fault = (
-                wall_fault_py / wall_fault_vec if wall_fault_vec > 0 else None
+    wall_fault_py, result_fault_py, _ = fleet.replay(
+        3, lambda: trace, policy="rr", core="python", faults=scripted()
+    )
+    wall_fault_vec, result_fault_vec, _ = fleet.replay(
+        3, lambda: trace, policy="rr", core="vector", faults=scripted()
+    )
+    for field in ("per_model", "fault_events", "availability",
+                  "phases", "events", "avg_power_w"):
+        if getattr(result_fault_vec, field) != getattr(result_fault_py, field):
+            raise AssertionError(
+                "vectorized fault path diverged from the python "
+                f"core on {field}"
             )
 
-    events = getattr(result_light, "events", None)
+    events = result_light.events
     return {
         "wall_s": wall_light,
         "wall_fault_off_s": wall_off,
@@ -686,7 +621,9 @@ def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
         ),
         "wall_fault_python_s": wall_fault_py,
         "wall_fault_vector_s": wall_fault_vec,
-        "speedup_vector_fault_vs_python": speedup_vector_fault,
+        "speedup_vector_fault_vs_python": (
+            wall_fault_py / wall_fault_vec if wall_fault_vec > 0 else None
+        ),
         "queries": len(trace),
         "queries_per_s": len(trace) / wall_light if wall_light > 0 else 0.0,
         "events": events,
@@ -712,14 +649,10 @@ def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
     smoke check of the dormant guarantee the equivalence-test lane
     pins.
     """
-    from repro.fleet import FleetSimulator
+    from repro.carbon import CarbonTrace, DeferrableJob
 
-    try:
-        from repro.carbon import CarbonTrace, DeferrableJob
-    except ImportError:  # pre-carbon checkout (baseline measurements)
-        return {"skipped": "carbon layer absent"}
-
-    make_servers, trace, duration, sla, _ = _fleet_replay_inputs(ctx)
+    fleet, trace = _two_model_fleet(ctx)
+    duration = fleet.duration
     carbon = CarbonTrace.diurnal(period_s=duration, steps=24)
     jobs = tuple(
         DeferrableJob(
@@ -732,22 +665,13 @@ def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
         for i in range(4)
     )
 
-    def replay(**kwargs):
-        # Best of two runs: the ratio feeds a CI gate, so single-sample
-        # scheduler noise must not flake it.
-        walls, result = [], None
-        for _ in range(2):
-            sim = FleetSimulator(
-                make_servers(), policy="p2c", sla_ms=sla, seed=ctx.seed, **kwargs
-            )
-            wall, result = _timed(lambda: sim.run(trace, warmup_s=duration * 0.1))
-            walls.append(wall)
-        return min(walls), result
-
-    wall_off, result_off = replay()
-    wall_on, result_on = replay(carbon=carbon)
-    wall_jobs, result_jobs = replay(
-        carbon=carbon, deferrable=jobs, deferrable_policy="carbon-waiting"
+    wall_off, result_off, _ = fleet.replay(2, lambda: trace, policy="p2c")
+    wall_on, result_on, _ = fleet.replay(
+        2, lambda: trace, policy="p2c", carbon=carbon
+    )
+    wall_jobs, result_jobs, _ = fleet.replay(
+        2, lambda: trace, policy="p2c", carbon=carbon, deferrable=jobs,
+        deferrable_policy="carbon-waiting",
     )
     for label, result in (("carbon", result_on), ("deferrable", result_jobs)):
         if result.per_model != result_off.per_model:
@@ -762,7 +686,7 @@ def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
     if result_on.carbon is None or result_on.carbon.total_g <= 0.0:
         raise AssertionError("carbon-on replay produced no emissions")
 
-    events = getattr(result_on, "events", None)
+    events = result_on.events
     return {
         "wall_s": wall_on,
         "wall_carbon_off_s": wall_off,
@@ -802,51 +726,32 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
     per side) is gated at < 1.1: a streamed vector replay must cost
     about what the vector core costs on a pre-built list.
     """
-    from repro.fleet import FleetSimulator
-
-    make_servers, trace, duration, sla, stream = _fleet_replay_inputs(ctx)
-    if stream is None:  # pre-traces checkout (baseline measurements)
-        return {"skipped": "traces subsystem absent"}
-
-    def replay(make_source, reps=2, **kwargs):
-        # Best of several runs: the ratios feed CI gates, so
-        # single-sample scheduler noise must not flake them.
-        walls, result = [], None
-        for _ in range(reps):
-            sim = FleetSimulator(
-                make_servers(), sla_ms=sla, seed=ctx.seed, **kwargs
-            )
-            wall, result = _timed(
-                lambda: sim.run(make_source(), warmup_s=duration * 0.1)
-            )
-            walls.append(wall)
-        return min(walls), result
-
-    wall_mat, result_mat = replay(lambda: list(stream), policy="p2c")
-    wall_stream, result_stream = replay(lambda: stream, policy="p2c")
+    fleet, trace = _two_model_fleet(ctx)
+    stream = fleet.stream
+    wall_mat, result_mat, _ = fleet.replay(
+        2, lambda: list(stream), policy="p2c"
+    )
+    wall_stream, result_stream, _ = fleet.replay(
+        2, lambda: stream, policy="p2c"
+    )
     if result_stream.per_model != result_mat.per_model:
         raise AssertionError(
             "streamed arrivals diverged from the materialized trace"
         )
 
-    rows = list(stream)
-    try:
-        wall_vec_list, result_vec_list = replay(
-            lambda: rows, reps=3, policy="rr", core="vector"
+    wall_vec_list, result_vec_list, _ = fleet.replay(
+        3, lambda: trace, policy="rr", core="vector"
+    )
+    wall_vec_stream, result_vec_stream, _ = fleet.replay(
+        3, lambda: stream, policy="rr", core="vector"
+    )
+    if result_vec_stream.per_model != result_vec_list.per_model:
+        raise AssertionError(
+            "streamed arrivals diverged from the pre-built list on "
+            "the vector core"
         )
-    except TypeError:  # pre-core checkout (baseline measurements)
-        wall_vec_list = wall_vec_stream = None
-    else:
-        wall_vec_stream, result_vec_stream = replay(
-            lambda: stream, reps=3, policy="rr", core="vector"
-        )
-        if result_vec_stream.per_model != result_vec_list.per_model:
-            raise AssertionError(
-                "streamed arrivals diverged from the pre-built list on "
-                "the vector core"
-            )
 
-    events = getattr(result_stream, "events", None)
+    events = result_stream.events
     return {
         "wall_s": wall_stream,
         "wall_materialized_s": wall_mat,
@@ -856,7 +761,7 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
         "wall_vector_list_s": wall_vec_list,
         "wall_vector_stream_s": wall_vec_stream,
         "ratio_vector_stream_vs_list": (
-            wall_vec_stream / wall_vec_list if wall_vec_list else None
+            wall_vec_stream / wall_vec_list if wall_vec_list > 0 else None
         ),
         "queries": len(trace),
         "queries_per_s": len(trace) / wall_stream if wall_stream > 0 else 0.0,
@@ -884,8 +789,7 @@ def _scenario_fleet_replay_observed(ctx: _Context) -> dict[str, Any]:
     Two ratios feed CI gates.  ``ratio_off_vs_plain`` (< 1.05) bounds
     the observer-off path against the no-observer construction: the
     dormant hook guards must stay within measurement noise of the
-    plain engine (the true no-hooks comparison is cross-checkout, via
-    the baseline/speedup mechanism on ``wall_s``).
+    plain engine.
     ``ratio_traced_vs_tracked`` (< 1.5) bounds tracing against the
     tracked loop it rides on: span capture reads the loop's own
     per-query records and defers span construction to export, so a
@@ -895,40 +799,26 @@ def _scenario_fleet_replay_observed(ctx: _Context) -> dict[str, Any]:
     that processes events in about that time -- a documented 2-3x,
     tracked for trend.
     """
-    from repro.fleet import FleetSimulator
+    from repro.fleet import FaultSchedule
+    from repro.obs import FleetProbe
 
-    try:
-        from repro.fleet import FaultSchedule
-        from repro.obs import FleetProbe
-    except ImportError:  # pre-observability checkout (baseline measurements)
-        return {"skipped": "observability absent"}
+    fleet, trace = _two_model_fleet(ctx)
+    window_s = max(fleet.duration / 32.0, 1e-3)  # ~32 samples regardless of mode
 
-    make_servers, trace, duration, sla, _ = _fleet_replay_inputs(ctx)
-    window_s = max(duration / 32.0, 1e-3)  # ~32 samples regardless of mode
-
-    def replay(make_probe=None, **kwargs):
-        # Best of two runs: the ratios feed CI gates, so single-sample
-        # scheduler noise (the quick replay is tens of ms) must not flake.
-        walls, result, probe = [], None, None
-        for _ in range(2):
-            if make_probe is not None:
-                probe = make_probe()
-                kwargs["observer"] = probe
-            sim = FleetSimulator(
-                make_servers(), policy="p2c", sla_ms=sla, seed=ctx.seed, **kwargs
-            )
-            wall, result = _timed(lambda: sim.run(trace, warmup_s=duration * 0.1))
-            walls.append(wall)
-        return min(walls), result, probe
-
-    wall_plain, result_plain, _ = replay()
-    wall_off, result_off, _ = replay(lambda: None)
-    wall_metrics, result_metrics, probe_m = replay(
-        lambda: FleetProbe(window_s=window_s, metrics=True)
+    wall_plain, result_plain, _ = fleet.replay(2, lambda: trace, policy="p2c")
+    wall_off, result_off, _ = fleet.replay(
+        2, lambda: trace, policy="p2c", observer=None
     )
-    wall_tracked, result_tracked, _ = replay(faults=FaultSchedule(), retries=2)
-    wall_traced, result_traced, probe_t = replay(
-        lambda: FleetProbe(window_s=window_s, metrics=False, trace=True)
+    wall_metrics, result_metrics, probe_m = fleet.replay(
+        2, lambda: trace, policy="p2c",
+        make_probe=lambda: FleetProbe(window_s=window_s, metrics=True),
+    )
+    wall_tracked, result_tracked, _ = fleet.replay(
+        2, lambda: trace, policy="p2c", faults=FaultSchedule(), retries=2
+    )
+    wall_traced, result_traced, probe_t = fleet.replay(
+        2, lambda: trace, policy="p2c",
+        make_probe=lambda: FleetProbe(window_s=window_s, metrics=False, trace=True),
     )
     for label, result in (
         ("observer-off", result_off),
@@ -942,7 +832,7 @@ def _scenario_fleet_replay_observed(ctx: _Context) -> dict[str, Any]:
                 "diverged from the plain run"
             )
 
-    events = getattr(result_plain, "events", None)
+    events = result_plain.events
     return {
         "wall_s": wall_off,
         "wall_plain_s": wall_plain,
@@ -965,93 +855,6 @@ def _scenario_fleet_replay_observed(ctx: _Context) -> dict[str, Any]:
     }
 
 
-#: Four-model fleet for the scale-out scenarios: the sharded replay
-#: needs at least four models for four real shards (the planner clamps
-#: to one shard per model).  Shares sum to 1.0 of ``fleet_servers``.
-_SCALE_OUT_MODELS = ("DIN", "DLRM-RMC1", "DLRM-RMC2", "DLRM-RMC3")
-_SCALE_OUT_SHARES = {
-    "DIN": {"T2": 0.12, "T7": 0.16},
-    "DLRM-RMC1": {"T2": 0.20, "T3": 0.08},
-    "DLRM-RMC2": {"T2": 0.16, "T3": 0.08},
-    "DLRM-RMC3": {"T3": 0.12, "T7": 0.08},
-}
-
-
-def _scale_out_inputs(ctx: _Context, queries: int):
-    """Fleet + lazily streamed traffic for the scale-out scenarios.
-
-    Mirrors :func:`_fleet_replay_inputs` (rho-loaded availability-shaped
-    allocation, piecewise-Poisson per-model streams) but over four
-    models, and never materializes the trace -- the sketch-memory
-    scenario streams orders of magnitude more queries than a list
-    should hold.  The profiled table is cached on the context.
-    """
-    from repro.cluster.state import Allocation
-    from repro.hardware import SERVER_TYPES
-    from repro.models import build_model
-    from repro.scheduling import OfflineProfiler
-    from repro.sim import QueryWorkload
-    from repro.traces import FleetArrivals, PiecewisePoissonProcess
-
-    table = getattr(ctx, "scale_out_table", None)
-    if table is None:
-        servers = [SERVER_TYPES[s] for s in ("T2", "T3", "T7")]
-        table = _profile(
-            OfflineProfiler(),
-            servers,
-            [build_model(m) for m in _SCALE_OUT_MODELS],
-            ctx.jobs,
-        )
-        ctx.scale_out_table = table
-
-    models = {n: build_model(n) for n in _SCALE_OUT_MODELS}
-    workloads = {
-        n: QueryWorkload.for_model(m.config.mean_query_size)
-        for n, m in models.items()
-    }
-    total = ctx.cfg["fleet_servers"]
-    allocation = Allocation()
-    for name, row in _SCALE_OUT_SHARES.items():
-        for srv, share in row.items():
-            allocation.add(srv, name, max(1, round(total * share)))
-    capacity = {
-        n: sum(
-            c * table.qps(srv, m)
-            for (srv, m), c in allocation.counts.items()
-            if m == n
-        )
-        for n in _SCALE_OUT_MODELS
-    }
-    rate = _RHO * sum(capacity.values())
-    duration = queries / rate
-    # A piecewise process materializes one segment of arrivals at a
-    # time, so a single queries-long segment would hold the whole
-    # stream (~190 B/query -- GiBs at the sketchmem scale).  Chop the
-    # constant rate into <=100k-query segments to keep generation
-    # memory flat; the rate trajectory is unchanged.
-    segments = max(1, -(-queries // 100_000))
-    stream = FleetArrivals(
-        {
-            n: PiecewisePoissonProcess(
-                workloads[n],
-                [(_RHO * capacity[n], duration / segments)] * segments,
-            )
-            for n in _SCALE_OUT_MODELS
-        },
-        seed=ctx.seed,
-    )
-    sla = {n: m.sla_ms for n, m in models.items()}
-    return {
-        "table": table,
-        "models": models,
-        "workloads": workloads,
-        "allocation": allocation,
-        "sla": sla,
-        "duration": duration,
-        "stream": stream,
-    }
-
-
 def _scenario_fleet_replay_sharded(ctx: _Context) -> dict[str, Any]:
     """4-shard multi-process replay vs the single-process engine.
 
@@ -1065,33 +868,29 @@ def _scenario_fleet_replay_sharded(ctx: _Context) -> dict[str, Any]:
     multi-core hosts; the scaling story lives in
     ``benchmarks/bench_scale_out.py``.
     """
-    try:
-        from repro.fleet.sharded import run_fleet_sharded
-    except ImportError:  # pre-sharding checkout (baseline measurements)
-        return {"skipped": "sharded runner absent"}
+    from repro.fleet.sharded import run_fleet_sharded
 
-    inputs = _scale_out_inputs(ctx, ctx.cfg["fleet_queries"])
+    fleet = _scale_out_fleet(ctx, ctx.cfg["fleet_queries"])
 
     def replay(shards):
         return _timed(
             lambda: run_fleet_sharded(
-                inputs["allocation"],
-                inputs["table"],
-                inputs["models"],
-                inputs["workloads"],
-                inputs["stream"],
+                fleet.allocation,
+                fleet.table,
+                fleet.models,
+                fleet.workloads,
+                fleet.stream,
                 shards=shards,
                 # weighted splits load by replica capacity; rr's equal
                 # split saturates the slowest server type at this rho
                 # and the resulting backlog dominates wall and memory
                 policy="weighted",
-                sla_ms=inputs["sla"],
+                sla_ms=fleet.sla,
                 seed=ctx.seed,
-                warmup_s=inputs["duration"] * 0.1,
+                warmup_s=fleet.duration * 0.1,
                 core="python",
             )
         )
-
     wall_single, result_single = replay(1)
     wall_sharded, result_sharded = replay(4)
     if result_sharded.to_dict() != result_single.to_dict():
@@ -1133,30 +932,23 @@ def _scenario_fleet_replay_sketchmem(ctx: _Context) -> dict[str, Any]:
     in-scenario; ``rss_delta_kb`` lands in BENCH_perf.json as the
     recorded evidence).
     """
-    from repro.fleet import FleetSimulator, build_fleet
+    from repro.fleet import FleetSimulator
 
-    inputs = _scale_out_inputs(ctx, ctx.cfg["sketch_queries"])
-    servers = build_fleet(
-        inputs["allocation"], inputs["table"], inputs["models"],
-        inputs["workloads"],
+    fleet = _scale_out_fleet(ctx, ctx.cfg["sketch_queries"])
+    sim = FleetSimulator(
+        fleet.make_servers(),
+        # capacity-proportional routing keeps the in-flight backlog
+        # bounded, so measured RSS growth is report state, not queues
+        policy="weighted",
+        sla_ms=fleet.sla,
+        seed=ctx.seed,
+        core="python",
+        percentile_mode="sketch",
     )
-    try:
-        sim = FleetSimulator(
-            servers,
-            # capacity-proportional routing keeps the in-flight backlog
-            # bounded, so measured RSS growth is report state, not queues
-            policy="weighted",
-            sla_ms=inputs["sla"],
-            seed=ctx.seed,
-            core="python",
-            percentile_mode="sketch",
-        )
-    except TypeError:  # pre-sketch checkout (baseline measurements)
-        return {"skipped": "percentile_mode absent"}
 
     rss_before = _max_rss_kb()
     wall, result = _timed(
-        lambda: sim.run(inputs["stream"], warmup_s=inputs["duration"] * 0.1)
+        lambda: sim.run(fleet.stream, warmup_s=fleet.duration * 0.1)
     )
     rss_after = _max_rss_kb()
     delta = (
@@ -1175,7 +967,7 @@ def _scenario_fleet_replay_sketchmem(ctx: _Context) -> dict[str, Any]:
         )
 
     queries = result.total_completed + result.total_dropped
-    events = getattr(result, "events", None)
+    events = result.events
     return {
         "wall_s": wall,
         "queries": queries,
@@ -1198,19 +990,12 @@ def _scenario_fault_aware_provisioning(ctx: _Context) -> dict[str, Any]:
     candidate rate.  Wall time therefore tracks both the replay cost
     and the number of allocations the bracketing visits.
     """
-    try:
-        from repro.cluster import HerculesClusterScheduler
-        from repro.fleet import (
-            FaultSchedule,
-            build_fleet_trace,
-            provision_fault_aware,
-        )
-    except ImportError:  # pre-provisioning checkout (baseline measurements)
-        return {"skipped": "fault-aware provisioning absent"}
+    from repro.cluster import HerculesClusterScheduler
+    from repro.fleet import FaultSchedule, build_fleet_trace, provision_fault_aware
     from repro.models import build_model
     from repro.sim import QueryWorkload
 
-    table = ctx.classification_table()
+    table = ctx.table()
     model_name = "DLRM-RMC1"
     models = {model_name: build_model(model_name)}
     workloads = {
@@ -1249,7 +1034,7 @@ def _scenario_fault_aware_provisioning(ctx: _Context) -> dict[str, Any]:
     )
     # Rate over *actual* replays: evaluations whose allocation
     # integerized identically share one replay and cost ~nothing.
-    replays = getattr(outcome, "replays", len(outcome.evaluations))
+    replays = outcome.replays
     return {
         "wall_s": wall,
         "queries": len(trace),
@@ -1262,6 +1047,8 @@ def _scenario_fault_aware_provisioning(ctx: _Context) -> dict[str, Any]:
     }
 
 
+#: Scenario registry in execution order (later scenarios reuse earlier
+#: artifacts -- the classification table feeds the DES scenarios).
 _SCENARIO_FNS: dict[str, Callable[[_Context], dict[str, Any]]] = {
     "search": _scenario_search,
     "profile_table": _scenario_profile_table,
@@ -1278,18 +1065,7 @@ _SCENARIO_FNS: dict[str, Callable[[_Context], dict[str, Any]]] = {
     "fleet_replay_sketchmem": _scenario_fleet_replay_sketchmem,
     "fault_aware_provisioning": _scenario_fault_aware_provisioning,
 }
-
-
-def run_scenario(
-    name: str, quick: bool = True, seed: int = 0, jobs: int = 1,
-    core: str = "python",
-) -> dict[str, Any]:
-    """Run one scenario standalone (used by the pytest bench wrapper)."""
-    if name not in _SCENARIO_FNS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    metrics = _SCENARIO_FNS[name](_Context(quick, seed, jobs, core))
-    metrics.setdefault("max_rss_kb", _max_rss_kb())
-    return metrics
+SCENARIOS: tuple[str, ...] = tuple(_SCENARIO_FNS)
 
 
 def run_bench(
@@ -1297,22 +1073,21 @@ def run_bench(
     seed: int = 0,
     jobs: int = 1,
     scenarios: tuple[str, ...] | None = None,
-    core: str = "python",
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
-    """Run the harness and return the BENCH_perf document (no baseline)."""
+    """Run the harness and return the BENCH_perf document."""
     selected = scenarios or SCENARIOS
     unknown = [s for s in selected if s not in _SCENARIO_FNS]
     if unknown:
         raise ValueError(f"unknown scenarios {unknown}; choose from {SCENARIOS}")
-    ctx = _Context(quick, seed, jobs, core)
+    ctx = _Context(quick, seed, jobs)
     results: dict[str, Any] = {}
-    for name in SCENARIOS:  # registry order so artifacts flow downstream
+    for name, fn in _SCENARIO_FNS.items():  # registry order: artifacts flow downstream
         if name not in selected:
             continue
         if progress is not None:
             progress(name)
-        results[name] = _SCENARIO_FNS[name](ctx)
+        results[name] = fn(ctx)
         # Running peak: the scenario whose reading jumps grew it.
         results[name].setdefault("max_rss_kb", _max_rss_kb())
     return {
@@ -1330,42 +1105,19 @@ def run_bench(
     }
 
 
-def attach_baseline(doc: dict[str, Any], baseline: dict[str, Any]) -> dict[str, Any]:
-    """Embed a baseline harness run and per-scenario wall-time speedups."""
-    doc = dict(doc)
-    doc["baseline"] = {
-        "mode": baseline.get("mode"),
-        "seed": baseline.get("seed"),
-        "jobs": baseline.get("jobs"),
-        "label": baseline.get("label", "baseline run"),
-        "scenarios": baseline.get("scenarios", {}),
-    }
-    speedup: dict[str, float] = {}
-    for name, current in doc.get("scenarios", {}).items():
-        base = doc["baseline"]["scenarios"].get(name)
-        if not base:
-            continue
-        if base.get("wall_s") and current.get("wall_s"):
-            speedup[name] = base["wall_s"] / current["wall_s"]
-    doc["speedup"] = speedup
-    return doc
-
-
 def format_bench(doc: dict[str, Any]) -> str:
     """Human-readable summary table of one BENCH_perf document."""
     lines = [
         f"perf-core bench ({doc.get('mode')} mode, seed {doc.get('seed')}, "
         f"jobs {doc.get('jobs')})"
     ]
-    speedups = doc.get("speedup", {})
     for name, metrics in doc.get("scenarios", {}).items():
         wall = metrics.get("wall_s", 0.0)
         rate = metrics.get("queries_per_s") or metrics.get("pairs_per_s") or (
             metrics.get("evaluations_per_s")
         )
         rate_txt = f" | {rate:,.0f}/s" if rate else ""
-        extra = f" | {speedups[name]:.2f}x vs baseline" if name in speedups else ""
-        lines.append(f"  {name:<22} {wall:8.3f} s{rate_txt}{extra}")
+        lines.append(f"  {name:<22} {wall:8.3f} s{rate_txt}")
     return "\n".join(lines)
 
 
@@ -1400,8 +1152,9 @@ def compare_bench(
     machines are noise) followed by one row per :data:`BENCH_GATES`
     entry present in either document, and a flag that is True when any
     gated metric in the *new* document fails its threshold, or when a
-    gated scenario ran in the new document but returned
-    ``{"skipped": ...}``.  ``full_only`` gates are skipped on a document
+    gated scenario ran in the new document but recorded
+    ``{"skipped": ...}`` (documents can come from any checkout).
+    ``full_only`` gates are skipped on a document
     not produced in full mode; metrics absent from the new document
     (scenario not run, or an older schema) are reported but never fail
     the comparison.

@@ -42,10 +42,6 @@ enter per-model statistics in a different order than the global heap
 would pop them, which can move ``mean_ms`` by one ulp.  Continuous-time
 arrival processes make such ties vanishingly rare; percentiles are
 order-insensitive either way (see ``docs/performance.md``).
-
-This module imports numpy at module scope: environments without numpy
-must stay on the python core (``FleetSimulator(core="auto")`` degrades
-automatically; ``core="vector"`` raises an actionable error).
 """
 
 from __future__ import annotations

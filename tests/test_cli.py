@@ -130,7 +130,6 @@ class TestBench:
         assert args.seed == 0
         assert args.jobs == 1
         assert args.output == "BENCH_perf.json"
-        assert args.baseline is None
 
     def test_bench_subset_writes_json(self, capsys, tmp_path):
         out_path = tmp_path / "bench.json"
@@ -157,21 +156,6 @@ class TestBench:
         metrics = doc["scenarios"]["loadgen"]
         assert metrics["wall_s"] > 0
         assert metrics["queries_per_s"] > 0
-
-    def test_bench_baseline_speedups(self, tmp_path):
-        base_path = tmp_path / "base.json"
-        out_path = tmp_path / "out.json"
-        assert main(["bench", "--quick", "--scenarios", "loadgen",
-                     "--output", str(base_path)]) == 0
-        assert main(["bench", "--quick", "--scenarios", "loadgen",
-                     "--baseline", str(base_path),
-                     "--output", str(out_path)]) == 0
-
-        import json
-
-        doc = json.loads(out_path.read_text())
-        assert "baseline" in doc and "speedup" in doc
-        assert doc["speedup"]["loadgen"] > 0
 
     def test_bench_rejects_unknown_scenario(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -115,8 +115,7 @@ def test_every_subcommand_documented():
              "--percentile-mode", "--json"],
         ),
         ("observe", ["--json"]),
-        ("bench", ["--quick", "--scenarios", "--baseline", "--output",
-                   "--core", "--compare"]),
+        ("bench", ["--quick", "--scenarios", "--output", "--compare"]),
     ],
 )
 def test_documented_flags_exist(subcommand, flags):
