@@ -3,8 +3,8 @@
 ``provision_carbon_aware`` answers one point question -- the
 lowest-carbon plan meeting an availability target.  This bench draws
 the frontier behind that answer: one fleet, sized once to the target,
-replayed with a carbon trace attached, then the *same* deferrable work
-placed by every policy at several power caps.  Availability is held
+replayed and priced against a carbon trace, then the *same* deferrable
+work placed by every policy at several power caps.  Availability is held
 equal by construction -- the realtime replay is identical across
 policies (the differential lane pins it float-for-float), only the
 batch-job placement moves -- so the table isolates what each policy's
@@ -38,9 +38,10 @@ from repro.carbon import (
     DEFERRABLE_POLICIES,
     CarbonTrace,
     DeferrableJob,
+    attach_carbon,
+    realtime_power_profile,
     run_deferrable,
 )
-from repro.carbon.accounting import realtime_power_profile
 from repro.cluster import HerculesClusterScheduler
 from repro.fleet import (
     FleetSimulator,
@@ -114,12 +115,11 @@ def _sweep():
     # The frontier proper: same fleet, same profile, every policy at
     # every cap -- only the deferrable placement moves.
     servers = build_fleet(outcome.allocation, table, models, workloads)
-    sim = FleetSimulator(
-        servers, policy="least", sla_ms=sla, seed=SEED, carbon=CARBON
-    )
+    sim = FleetSimulator(servers, policy="least", sla_ms=sla, seed=SEED)
     replay = sim.run(trace, warmup_s=warmup)
-    profile = realtime_power_profile(sim.servers)
-    horizon = replay.duration_s + warmup
+    horizon = sim.last_horizon_s
+    replay = attach_carbon(replay, servers, CARBON, horizon)
+    profile = realtime_power_profile(servers)
     jobs = _jobs(DURATION_S)
 
     frontier = []

@@ -5,9 +5,9 @@ power; this walkthrough spends the other currency -- gCO2:
 
 1. profile a small T2 fleet and attach a diurnal grid carbon-intensity
    trace (one compressed "day" over the replay window);
-2. replay the fleet with carbon accounting on and read the realtime
-   emissions off the report -- the SLA traffic is priced but never
-   moved;
+2. replay the fleet, price the run against the trace, and read the
+   realtime emissions off the report -- the SLA traffic is priced but
+   never moved;
 3. submit four deferrable batch jobs with real slack and place them
    with each scheduling policy, watching the emission ladder
    `no-wait >= lowest-carbon-slot >= carbon-waiting >= suspend-resume`;
@@ -20,8 +20,14 @@ Run:  python examples/carbon_aware_fleet.py
 
 from __future__ import annotations
 
-from repro.carbon import CarbonTrace, DeferrableJob, DEFERRABLE_POLICIES, run_deferrable
-from repro.carbon.accounting import realtime_power_profile
+from repro.carbon import (
+    DEFERRABLE_POLICIES,
+    CarbonTrace,
+    DeferrableJob,
+    attach_carbon,
+    realtime_power_profile,
+    run_deferrable,
+)
 from repro.cluster import HerculesClusterScheduler
 from repro.fleet import (
     FleetSimulator,
@@ -89,10 +95,12 @@ def main() -> None:
         policy="least",
         sla_ms={MODEL: model.sla_ms},
         seed=SEED,
-        carbon=carbon,
     )
     result = sim.run(trace, warmup_s=DURATION_S * 0.05)
-    stats = result.carbon
+    # The exact horizon the replay measured to; the deferrable jobs
+    # below run on the same timeline.
+    horizon = sim.last_horizon_s
+    stats = attach_carbon(result, servers, carbon, horizon).carbon
     print(
         f"realtime serving: {stats.energy_kwh * 1e3:.3f} Wh -> "
         f"{stats.realtime_g:.3f} gCO2 at grid mean "
@@ -100,8 +108,7 @@ def main() -> None:
     )
 
     # -- 3. the policy ladder on the same timeline ---------------------
-    profile = realtime_power_profile(sim.servers)
-    horizon = result.duration_s + DURATION_S * 0.05
+    profile = realtime_power_profile(servers)
     jobs = jobs_for(DURATION_S)
     print(f"\nplacing {len(jobs)} deferrable jobs (900 W, 4x slack):")
     for policy in DEFERRABLE_POLICIES:

@@ -11,6 +11,14 @@ replica's draw is priced only over the intervals it was actually on.
 The same windows double as the real-time power profile the deferrable
 executor's power cap binds against, so "cap minus serving draw" uses
 the identical accounting the emissions do.
+
+Everything here runs after :meth:`~repro.fleet.FleetSimulator.run`,
+on the replicas it settled and at its ``last_horizon_s``::
+
+    result = sim.run(trace, warmup_s=warmup)
+    report = run_deferrable(jobs, carbon, horizon_s=sim.last_horizon_s,
+                            realtime_profile=realtime_power_profile(sim.servers))
+    result = attach_carbon(result, sim.servers, carbon, sim.last_horizon_s, report)
 """
 
 from __future__ import annotations
@@ -32,22 +40,16 @@ __all__ = [
 def realtime_power_profile(servers) -> tuple[tuple[float, float, float], ...]:
     """Per-replica ``(start_s, end_s, power_w)`` activation windows.
 
-    Requires window recording (``FleetServer.active_windows``), enabled
-    by the engine whenever a carbon trace is attached.  Replicas that
-    never served contribute nothing (their power is 0 anyway).
+    Reads each replica's ``active_windows``, which the engine records
+    on every run.  Replicas that never served contribute nothing
+    (their power is 0 anyway).
     """
     profile = []
     for s in servers:
-        windows = getattr(s, "active_windows", None)
-        if windows is None:
-            raise ValueError(
-                "carbon accounting needs per-replica activation windows; "
-                "run the fleet with carbon= set (the engine records them)"
-            )
         power = s.power_w()
         if power <= 0.0:
             continue
-        for start, end in windows:
+        for start, end in s.active_windows:
             if end > start:
                 profile.append((start, end, power))
     return tuple(profile)
@@ -65,16 +67,10 @@ def realtime_emissions_g(
     total_g = 0.0
     total_kwh = 0.0
     for s in servers:
-        windows = getattr(s, "active_windows", None)
-        if windows is None:
-            raise ValueError(
-                "carbon accounting needs per-replica activation windows; "
-                "run the fleet with carbon= set (the engine records them)"
-            )
         power = s.power_w()
         if power <= 0.0:
             continue
-        for start, end in windows:
+        for start, end in s.active_windows:
             if end > start:
                 total_g += power * carbon.integral(start, end) / J_PER_KWH
                 total_kwh += power * (end - start) / J_PER_KWH

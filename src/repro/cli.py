@@ -49,7 +49,14 @@ import sys
 from collections.abc import Sequence
 
 from repro.analysis import format_series, format_table
-from repro.carbon import DEFERRABLE_POLICIES, load_carbon, parse_deferrable
+from repro.carbon import (
+    DEFERRABLE_POLICIES,
+    attach_carbon,
+    load_carbon,
+    parse_deferrable,
+    realtime_power_profile,
+    run_deferrable,
+)
 from repro.cluster import (
     Allocation,
     ClusterManager,
@@ -384,7 +391,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             raise SystemExit("--deferrable needs --carbon (jobs are "
                              "scheduled against the grid's intensity)")
         deferrable_jobs = parse_deferrable(args.deferrable).build(span)
-    if carbon is None and (
+    if not args.deferrable and (
         args.power_cap is not None or args.deferral_horizon is not None
     ):
         raise SystemExit(
@@ -418,7 +425,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if carbon is not None:
             raise SystemExit(
                 "--shards > 1 cannot account carbon (activation windows "
-                "live in the single-process loop); drop --carbon or run "
+                "live in the worker processes); drop --carbon or run "
                 "--shards 1"
             )
         from repro.fleet.sharded import run_fleet_sharded
@@ -460,13 +467,23 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             core=args.core,
             epoch_ms=args.epoch_ms,
             percentile_mode=args.percentile_mode,
-            carbon=carbon,
-            deferrable=deferrable_jobs,
-            deferrable_policy=args.deferrable_policy,
-            power_cap_w=args.power_cap,
-            deferral_horizon_s=args.deferral_horizon,
         )
         result = sim.run(source, warmup_s=span * 0.05)
+        if carbon is not None:
+            report = None
+            if deferrable_jobs:
+                report = run_deferrable(
+                    deferrable_jobs,
+                    carbon,
+                    policy=args.deferrable_policy,
+                    horizon_s=sim.last_horizon_s,
+                    power_cap_w=args.power_cap,
+                    realtime_profile=realtime_power_profile(servers),
+                    deferral_horizon_s=args.deferral_horizon,
+                )
+            result = attach_carbon(
+                result, servers, carbon, sim.last_horizon_s, report
+            )
     if probe is not None:
         if args.metrics_out:
             probe.export_metrics(args.metrics_out)

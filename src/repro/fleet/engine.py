@@ -163,21 +163,21 @@ class FleetServer:
         self.domain = index  # fault domain (singleton unless declared)
         self.active_s = 0.0
         self._active_since = 0.0 if active else None
-        self.active_windows: list[tuple[float, float]] | None = None
+        self.active_windows: list[tuple[float, float]] = []
         self.wrr_current = 0.0
 
     def settle(self, now: float) -> None:
-        """Fold any open activation window into ``active_s``.
+        """Close any open activation window at ``now``.
 
-        When window recording is on (carbon accounting; enabled by the
-        simulator) the closed ``[start, now]`` interval is also kept,
-        so emissions can price each replica's power over the intervals
-        it was actually active.
+        The window's length folds into ``active_s`` and the closed
+        ``(start, now)`` interval is kept in ``active_windows`` -- one
+        tuple per window, never one per query -- so carbon pricing
+        (:mod:`repro.carbon.accounting`) can spread the replica's power
+        over the intervals it was actually active.
         """
         if self._active_since is not None:
             self.active_s += now - self._active_since
-            if self.active_windows is not None:
-                self.active_windows.append((self._active_since, now))
+            self.active_windows.append((self._active_since, now))
             self._active_since = None
 
     def power_w(self) -> float:
@@ -295,6 +295,14 @@ def build_fleet_trace(
 class FleetSimulator:
     """Event-driven execution of a replica fleet over a multi-model trace.
 
+    After :meth:`run`, ``last_event_count``, ``last_tick_count`` and
+    ``last_horizon_s`` (the exact measurement horizon) describe the
+    replay on every core.  Carbon pricing is not a replay feature:
+    every replica records its activation windows, and a caller prices
+    the finished run in gCO2 with :func:`~repro.carbon.attach_carbon`
+    (after :func:`~repro.carbon.run_deferrable` for batch jobs) against
+    ``last_horizon_s``; see ``docs/carbon.md``.
+
     Args:
         servers: Replicas from :func:`build_fleet` (active + standby).
         policy: Routing-policy registry name; one independent policy
@@ -352,22 +360,6 @@ class FleetSimulator:
             of estimated p50/p95/p99 (completed/dropped/qps/
             violation-rate stay exact) and an empty ``phases`` tuple.
             Sketch mode requires the per-event python core.
-        carbon: Optional :class:`~repro.carbon.CarbonTrace`.  ``None``
-            (the default) keeps the engine exactly as before -- no
-            window recording, no carbon field, pinned bit-identical by
-            ``tests/test_perf_equivalence.py``.  A trace prices the
-            run's measured energy in gCO2 (``result.carbon``) and
-            requires the per-event python core.
-        deferrable: Optional :class:`~repro.carbon.DeferrableJob`
-            batch executed on the run's timeline next to the real-time
-            traffic (requires ``carbon``); see ``docs/carbon.md``.
-        deferrable_policy: Scheduling policy for those jobs, one of
-            :data:`~repro.carbon.DEFERRABLE_POLICIES`.
-        power_cap_w: Fleet-wide power cap the deferrable executor
-            honors (real-time + running jobs; real-time traffic is
-            never throttled).  ``None`` = uncapped.
-        deferral_horizon_s: Cap on completion slip past each job's
-            no-wait finish time (``None`` = the job deadline alone).
     """
 
     #: Sharded workers set this so the auto-core fallback is logged
@@ -388,11 +380,6 @@ class FleetSimulator:
         core: str = "auto",
         epoch_ms: float = 5.0,
         percentile_mode: str = "exact",
-        carbon=None,
-        deferrable: Sequence = (),
-        deferrable_policy: str = "no-wait",
-        power_cap_w: float | None = None,
-        deferral_horizon_s: float | None = None,
     ) -> None:
         if not servers:
             raise ValueError("need at least one fleet server")
@@ -411,46 +398,7 @@ class FleetSimulator:
             raise ValueError("epoch_ms must be > 0")
         if hedge_ms is not None and hedge_ms <= 0.0:
             raise ValueError("hedge_ms must be > 0 (or None to disable)")
-        deferrable = tuple(deferrable)
-        if carbon is None:
-            if deferrable:
-                raise ValueError(
-                    "deferrable jobs need a carbon trace (pass carbon=); "
-                    "their policies price run windows against it"
-                )
-            if power_cap_w is not None:
-                raise ValueError(
-                    "power_cap_w binds deferrable jobs; pass carbon= and "
-                    "deferrable= (real-time traffic is never capped)"
-                )
-            if deferral_horizon_s is not None:
-                raise ValueError(
-                    "deferral_horizon_s needs deferrable jobs (and carbon=)"
-                )
-        else:
-            from repro.carbon.deferrable import DEFERRABLE_POLICIES
-
-            if deferrable_policy not in DEFERRABLE_POLICIES:
-                raise ValueError(
-                    f"unknown deferrable policy {deferrable_policy!r}; "
-                    f"one of {', '.join(DEFERRABLE_POLICIES)}"
-                )
-            if power_cap_w is not None and power_cap_w <= 0.0:
-                raise ValueError("power_cap_w must be > 0 (or None)")
-            if deferral_horizon_s is not None and deferral_horizon_s < 0.0:
-                raise ValueError("deferral_horizon_s must be >= 0 (or None)")
-        self.carbon = carbon
-        self.deferrable = deferrable
-        self.deferrable_policy = deferrable_policy
-        self.power_cap_w = power_cap_w
-        self.deferral_horizon_s = deferral_horizon_s
-        self.last_deferrable_report = None
         self.servers = list(servers)
-        if carbon is not None:
-            # Record per-replica activation windows so emissions can
-            # price each replica's power over the time it was on.
-            for s in self.servers:
-                s.active_windows = []
         self.sla_ms = dict(sla_ms or {})
         self.autoscaler = autoscaler
         self._policy_spec = policy
@@ -474,6 +422,7 @@ class FleetSimulator:
         self._policies: dict[str, RoutingPolicy] = {}
         self.last_event_count = 0
         self.last_tick_count = 0
+        self.last_horizon_s = 0.0
         model_names = sorted({s.model_name for s in self.servers})
         for i, model in enumerate(model_names):
             self._routable[model] = [
@@ -608,11 +557,6 @@ class FleetSimulator:
         if self.observer is not None:
             reasons.append(
                 "a live observer requires per-event completion hooks"
-            )
-        if self.carbon is not None:
-            reasons.append(
-                "carbon accounting records per-replica activation "
-                "windows, which only the per-event core maintains"
             )
         if self.percentile_mode != "exact":
             reasons.append(
@@ -817,38 +761,13 @@ class FleetSimulator:
             server.settle(horizon)
         self.last_event_count = fault_info["arrivals"] + heap.seq + ticks
         self.last_tick_count = ticks
+        self.last_horizon_s = horizon
         self.last_query_log = fault_info.pop("log")
 
         result = self._summarize(
             completions, dropped, warmup_s, horizon, tuple(scale_events),
             fault_info,
         )
-        if self.carbon is not None:
-            # Price the measured energy with the grid and execute any
-            # deferrable jobs on the same timeline -- purely additive:
-            # every real-time float above is already final.
-            from repro.carbon.accounting import (
-                attach_carbon,
-                realtime_power_profile,
-            )
-
-            deferrable_report = None
-            if self.deferrable:
-                from repro.carbon.deferrable import run_deferrable
-
-                deferrable_report = run_deferrable(
-                    self.deferrable,
-                    self.carbon,
-                    policy=self.deferrable_policy,
-                    horizon_s=horizon,
-                    power_cap_w=self.power_cap_w,
-                    realtime_profile=realtime_power_profile(self.servers),
-                    deferral_horizon_s=self.deferral_horizon_s,
-                )
-            self.last_deferrable_report = deferrable_report
-            result = attach_carbon(
-                result, self.servers, self.carbon, horizon, deferrable_report
-            )
         if self.observer is not None:
             self.observer.finish(horizon, warmup_s, result, self)
         return result

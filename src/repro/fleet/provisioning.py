@@ -51,7 +51,6 @@ cost is O(jobs x breakpoints) per point.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -678,7 +677,7 @@ def provision_carbon_aware(
         deferral_horizons: Deferral horizons (s) to sweep; None =
             deadline-bound only.
     """
-    from repro.carbon.accounting import realtime_power_profile
+    from repro.carbon.accounting import attach_carbon, realtime_power_profile
     from repro.carbon.deferrable import DEFERRABLE_POLICIES, run_deferrable
 
     if policies is None:
@@ -701,7 +700,7 @@ def provision_carbon_aware(
         trace = list(trace)
 
     cache: dict[float, tuple[ProvisionEval, Allocation, FleetResult]] = {}
-    replay_cache: dict[tuple, tuple[FleetResult, tuple, float]] = {}
+    replay_cache: dict[tuple, tuple[FleetResult, FleetSimulator]] = {}
     order: list[ProvisionEval] = []
 
     def evaluate(r: float) -> ProvisionEval:
@@ -719,11 +718,8 @@ def provision_carbon_aware(
                 seed=seed,
                 core=core,
                 percentile_mode=percentile_mode,
-                carbon=carbon,
             )
-            result = sim.run(trace, warmup_s=warmup_s)
-            horizon = result.duration_s + warmup_s
-            entry = (result, realtime_power_profile(servers), horizon)
+            entry = (sim.run(trace, warmup_s=warmup_s), sim)
             replay_cache[key] = entry
         result = entry[0]
         avail = service_availability(result)
@@ -755,15 +751,16 @@ def provision_carbon_aware(
     if converged:
         chosen_ev, chosen_alloc, chosen_result = cache[hi]
         chosen_power = chosen_ev.provisioned_power_w
-        key = tuple(sorted(chosen_alloc.counts.items()))
-        _, profile, horizon = replay_cache[key]
+        sim = replay_cache[tuple(sorted(chosen_alloc.counts.items()))][1]
+        horizon = sim.last_horizon_s
+        best_report = None
         if jobs:
+            profile = realtime_power_profile(sim.servers)
             baseline = run_deferrable(
                 jobs, carbon, policy="no-wait", horizon_s=horizon,
                 realtime_profile=profile,
             )
             no_wait_g = baseline.total_gco2
-            best_report = None
             for plc in policies:
                 for cap in power_caps:
                     for dh in deferral_horizons:
@@ -789,26 +786,11 @@ def provision_carbon_aware(
                         ):
                             chosen_plan = point
                             best_report = report
-            if best_report is not None:
-                # Re-price the chosen replay with the winning plan so
-                # result.carbon reports the full operating point.
-                carbon_stats = chosen_result.carbon
-                chosen_result = dataclasses.replace(
-                    chosen_result,
-                    carbon=dataclasses.replace(
-                        carbon_stats,
-                        total_g=carbon_stats.realtime_g + best_report.total_gco2,
-                        deferrable_g=best_report.total_gco2,
-                        deferrable_energy_kwh=best_report.energy_kwh,
-                        policy=best_report.policy,
-                        power_cap_w=best_report.power_cap_w,
-                        jobs_submitted=best_report.submitted,
-                        jobs_completed=best_report.completed,
-                        jobs_suspended=best_report.suspended,
-                        jobs_dropped=best_report.dropped,
-                        job_suspensions=best_report.suspension_events,
-                    ),
-                )
+        # Price the chosen replay once, with the winning plan (if any),
+        # so result.carbon reports the full operating point.
+        chosen_result = attach_carbon(
+            chosen_result, sim.servers, carbon, horizon, best_report
+        )
     return CarbonAwareProvisioning(
         target_availability=target_availability,
         converged=converged,

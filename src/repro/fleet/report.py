@@ -420,8 +420,9 @@ class FleetResult:
         fault_events: Atomic fault events actually applied, in order.
         phases: Per-phase latency breakdown between fault events
             (empty for fault-free runs).
-        carbon: gCO2 accounting against the run's carbon trace
-            (None for runs without one -- the dormant default).
+        carbon: gCO2 accounting against a carbon trace, set by
+            :func:`~repro.carbon.attach_carbon` after the run (None
+            for an unpriced run).
     """
 
     policy: str
@@ -475,8 +476,8 @@ class FleetResult:
         ``ScaleEvent.server`` object is flattened to its fleet index.
         Empty models report ``Infinity`` percentiles -- Python's JSON
         dialect, accepted back by ``json.loads``.  The ``carbon`` key
-        appears only when the run carried a carbon trace, so the
-        dormant payload is byte-identical to a pre-carbon run.
+        appears only when the run was priced, so an unpriced payload
+        is byte-identical to a pre-carbon run.
         """
         doc = {
             "policy": self.policy,

@@ -71,10 +71,10 @@ class RoutingPolicy:
         The default loops :meth:`choose`, recovering each pick's
         position by identity -- exact for any policy, but only
         *meaningful* when the policy is outstanding-oblivious (the loop
-        sees a frozen queue-depth snapshot; no completions interleave).
-        Subclasses override it to hoist per-call overhead -- sequence
-        length lookups, RNG method binds, weight reads -- out of the
-        per-query path.
+        sees a frozen queue-depth snapshot; no completions interleave),
+        which is the only way the vectorized core calls it.  The
+        oblivious policies override it: rr as cursor arithmetic,
+        weighted over local credit lists.
         """
         pos = {id(s): i for i, s in enumerate(candidates)}
         choose = self.choose
@@ -161,34 +161,6 @@ class LeastOutstandingPolicy(RoutingPolicy):
                     best = server
                     best_w = w
         return best
-
-    def choose_batch(self, candidates: Sequence["FleetServer"], n: int) -> list[int]:
-        """Batched least-outstanding with the argmin scan kept local.
-
-        Shares :meth:`choose`'s frozen-snapshot caveat; the sequence
-        length and attribute reads of the running minimum are hoisted
-        out of the per-query path.
-        """
-        k = len(candidates)
-        if k == 0:
-            raise RoutingError("no routable replicas (all replicas down?)")
-        out = []
-        append = out.append
-        rng = range(k)
-        for _ in range(n):
-            best_i = 0
-            best = candidates[0]
-            best_out = best.outstanding
-            best_w = best.weight
-            for i in rng:
-                server = candidates[i]
-                o = server.outstanding
-                if o < best_out or (o == best_out and server.weight > best_w):
-                    best_i = i
-                    best_out = o
-                    best_w = server.weight
-            append(best_i)
-        return out
 
     def snapshot_batch(
         self, candidates: Sequence["FleetServer"], outstanding: list[int], n: int
@@ -297,40 +269,6 @@ class PowerOfTwoPolicy(RoutingPolicy):
         if b_out < a_out or (b_out == a_out and b.weight > a.weight):
             return b
         return a
-
-    def choose_batch(self, candidates: Sequence["FleetServer"], n: int) -> list[int]:
-        """Batched p2c with the length lookup and RNG bind hoisted.
-
-        ``len(candidates)`` and the ``Random.random`` method bind happen
-        once per batch instead of once per query.  Queue-aware like
-        :meth:`choose`, so picks reflect a frozen ``outstanding``
-        snapshot -- callers that interleave completions must stay on the
-        scalar path (the fleet engine does; see ``outstanding_oblivious``).
-        """
-        k = len(candidates)
-        if k == 0:
-            raise RoutingError("no routable replicas (all replicas down?)")
-        if k == 1:
-            return [0] * n
-        rand = self._random
-        out = []
-        append = out.append
-        for _ in range(n):
-            i = int(rand() * k)
-            j = int(rand() * k)
-            if i >= k:
-                i = k - 1
-            if j >= k:
-                j = k - 1
-            a = candidates[i]
-            b = candidates[j]
-            b_out = b.outstanding
-            a_out = a.outstanding
-            if b_out < a_out or (b_out == a_out and b.weight > a.weight):
-                append(j)
-            else:
-                append(i)
-        return out
 
     def snapshot_batch(
         self, candidates: Sequence["FleetServer"], outstanding: list[int], n: int

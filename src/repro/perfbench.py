@@ -28,11 +28,10 @@ repo's four hot paths:
   loop, then a scripted schedule on the python core vs the vectorized
   core (CI gates ``speedup_vector_fault_vs_python`` > 2.5 on the full
   configuration).
-- ``fleet_replay_carbonpath`` -- the same replay with a carbon trace
-  attached (activation-window recording plus post-run gCO2 pricing)
-  vs carbon-off, reporting the ratio CI bounds at < 1.1x and
-  asserting the realtime report agrees float-for-float; a third leg
-  adds deferrable jobs for trend inspection.
+- ``fleet_replay_carbonpath`` -- the same replay priced in gCO2
+  after the run vs the bare replay, reporting the ratio CI bounds at
+  < 1.1x and asserting the realtime report agrees float-for-float; a
+  third leg adds deferrable jobs for trend inspection.
 - ``fleet_replay_observed`` -- the same replay with the observability
   probe off vs plain construction (CI bounds the dormant-guard ratio
   at < 1.05x), with per-query tracing vs the tracked loop it rides on
@@ -256,6 +255,7 @@ class _Fleet:
         reps: int,
         source: Callable[[], Any],
         make_probe: Callable[[], Any] | None = None,
+        price: Callable[[Any, Any], Any] | None = None,
         **kwargs: Any,
     ) -> tuple[float, Any, Any]:
         """Best wall of ``reps`` timed ``sim.run(source())`` calls.
@@ -263,9 +263,11 @@ class _Fleet:
         Each run gets a fresh simulator over fresh replicas, built with
         ``kwargs`` (plus ``observer=make_probe()`` when given).
         ``source()`` runs inside the timer, so a leg that materializes
-        its traffic pays for it.  The ratio legs feed CI gates, so they
-        take several runs to keep single-sample scheduler noise out.
-        Returns the best wall and the last run's result and probe.
+        its traffic pays for it; so does ``price(sim, result)``, whose
+        return value replaces the run's result.  The ratio legs feed CI
+        gates, so they take several runs to keep single-sample
+        scheduler noise out.  Returns the best wall and the last run's
+        result and probe.
         """
         from repro.fleet import FleetSimulator
 
@@ -276,9 +278,12 @@ class _Fleet:
             sim = FleetSimulator(
                 self.make_servers(), sla_ms=self.sla, seed=self.seed, **kwargs
             )
-            wall, result = _timed(
-                lambda: sim.run(source(), warmup_s=self.duration * 0.1)
-            )
+
+            def run():
+                result = sim.run(source(), warmup_s=self.duration * 0.1)
+                return result if price is None else price(sim, result)
+
+            wall, result = _timed(run)
             best = wall if best is None else min(best, wall)
         return best, result, probe
 
@@ -633,23 +638,28 @@ def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
 
 
 def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
-    """Carbon accounting attached vs the untouched engine.
+    """gCO2 pricing after the replay vs the bare replay.
 
-    Replays the identical fleet/trace three ways: carbon off (the
-    engine exactly as every pre-carbon caller runs it); carbon on
-    (activation-window recording in ``settle`` plus one post-run
-    pricing pass -- what a replay pays for a gCO2 report); and carbon
-    on with a batch of deferrable jobs (window recording plus the
-    deferrable planner/executor).
+    Every replay records per-replica activation windows; pricing them
+    is a pass over the finished run.  Replays the identical fleet/trace
+    three ways: bare (carbon off); priced (the replay plus one
+    ``attach_carbon`` pass -- what a replay pays for a gCO2 report);
+    and priced with a batch of deferrable jobs (the replay plus the
+    deferrable planner/executor plus pricing).
 
-    ``ratio_vs_carbon_off`` (carbon-on/off, no jobs) is the number
-    CI's perf-smoke job bounds at < 1.1; the jobs ratio is recorded
-    for trend inspection.  The realtime report must agree
-    float-for-float across all three legs -- a built-in differential
-    smoke check of the dormant guarantee the equivalence-test lane
-    pins.
+    ``ratio_vs_carbon_off`` (priced/bare, no jobs) is the number CI's
+    perf-smoke job bounds at < 1.1; the jobs ratio is recorded for
+    trend inspection.  The realtime report must agree float-for-float
+    across all three legs -- a built-in differential smoke check that
+    pricing only adds the ``carbon`` block.
     """
-    from repro.carbon import CarbonTrace, DeferrableJob
+    from repro.carbon import (
+        CarbonTrace,
+        DeferrableJob,
+        attach_carbon,
+        realtime_power_profile,
+        run_deferrable,
+    )
 
     fleet, trace = _two_model_fleet(ctx)
     duration = fleet.duration
@@ -665,13 +675,23 @@ def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
         for i in range(4)
     )
 
+    def price(sim, result, jobs=()):
+        horizon = sim.last_horizon_s
+        report = None
+        if jobs:
+            report = run_deferrable(
+                jobs, carbon, policy="carbon-waiting", horizon_s=horizon,
+                realtime_profile=realtime_power_profile(sim.servers),
+            )
+        return attach_carbon(result, sim.servers, carbon, horizon, report)
+
     wall_off, result_off, _ = fleet.replay(2, lambda: trace, policy="p2c")
     wall_on, result_on, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", carbon=carbon
+        2, lambda: trace, price=price, policy="p2c"
     )
     wall_jobs, result_jobs, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", carbon=carbon, deferrable=jobs,
-        deferrable_policy="carbon-waiting",
+        2, lambda: trace, price=lambda sim, r: price(sim, r, jobs),
+        policy="p2c",
     )
     for label, result in (("carbon", result_on), ("deferrable", result_jobs)):
         if result.per_model != result_off.per_model:

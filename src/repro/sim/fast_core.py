@@ -612,7 +612,8 @@ def _report(
     their replica, ``finish`` their completion time).  Sets every
     replica's counters and settles it at ``horizon`` as the python
     loops leave them, hands ``_summarize`` finish-sorted ``(finish,
-    latency)`` arrays per model, and records the event and tick counts.
+    latency)`` arrays per model, and records the event and tick counts
+    and the horizon.
     """
     arr_t, arr_size, _, arr_m, _, codes = ingested
     servers = sim.servers
@@ -652,6 +653,7 @@ def _report(
 
     sim.last_event_count = events
     sim.last_tick_count = fault_info["ticks"]
+    sim.last_horizon_s = horizon
     sim.last_query_log = ()
     return sim._summarize(
         completions, dropped, warmup_s, horizon, tuple(scale_events),

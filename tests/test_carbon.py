@@ -10,9 +10,9 @@ Three lanes:
   files round-trip bit-exactly through CSV and JSONL.
 - **Error lane**: malformed trace rows fail with ``"{path}:{line}:"``
   prefixes, spec mini-language mistakes name the offending section.
-- **Fleet lane**: a carbon-attached replay populates ``result.carbon``
-  deterministically and rejects inconsistent knob combinations.  (The
-  carbon-off == carbon-on differential pin lives in
+- **Fleet lane**: pricing a finished replay populates ``result.carbon``
+  deterministically, on the python and the vector core alike.  (The
+  priced == unpriced differential pin lives in
   ``tests/test_perf_equivalence.py``.)
 """
 
@@ -31,9 +31,11 @@ from repro.carbon import (
     DEFERRABLE_POLICIES,
     CarbonTrace,
     DeferrableJob,
+    attach_carbon,
     parse_carbon,
     parse_deferrable,
     read_carbon_trace,
+    realtime_power_profile,
     run_deferrable,
     save_carbon_trace,
 )
@@ -184,6 +186,20 @@ class TestDeferrableProperties:
             power_cap_w=2000.0, realtime_profile=profile,
         )
         assert report.completed == 1
+
+    def test_executor_validates_knobs(self):
+        """The executor owns its knobs' validation: policy name, power
+        cap and deferral horizon are checked where they are used."""
+        trace = CarbonTrace.constant(100.0)
+        jobs = [DeferrableJob("a", 0.0, 1.0, 10.0, 5.0)]
+        with pytest.raises(ValueError, match="policy"):
+            run_deferrable(jobs, trace, policy="greedy", horizon_s=_HORIZON)
+        with pytest.raises(ValueError, match="power_cap_w"):
+            run_deferrable(jobs, trace, horizon_s=_HORIZON, power_cap_w=0.0)
+        with pytest.raises(ValueError, match="deferral_horizon_s"):
+            run_deferrable(
+                jobs, trace, horizon_s=_HORIZON, deferral_horizon_s=-1.0
+            )
 
     def test_deferral_horizon_tightens_deadline(self):
         """deferral_horizon_s caps slip past the natural finish."""
@@ -470,15 +486,28 @@ class TestFleetIntegration:
             workloads, {"DLRM-RMC1": [(0.5 * qps, 2.0)]}, seed=11
         )
 
-        def run(**kwargs):
+        def run(core="auto"):
             servers = build_fleet(allocation, small_table, models, workloads)
             sim = FleetSimulator(
                 servers, policy="rr", sla_ms={"DLRM-RMC1": 20.0}, seed=5,
-                **kwargs,
+                core=core,
             )
             return sim, sim.run(trace, warmup_s=0.2)
 
         return run
+
+    @staticmethod
+    def _price(sim, result, carbon, jobs=(), **knobs):
+        """Price a finished replay the way the ``fleet`` command does."""
+        report = None
+        if jobs:
+            report = run_deferrable(
+                jobs, carbon, horizon_s=sim.last_horizon_s,
+                realtime_profile=realtime_power_profile(sim.servers), **knobs,
+            )
+        return attach_carbon(
+            result, sim.servers, carbon, sim.last_horizon_s, report
+        )
 
     def test_carbon_block_populates_and_is_deterministic(self, fleet_run):
         carbon = CarbonTrace.diurnal(period_s=2.0, steps=8)
@@ -486,14 +515,13 @@ class TestFleetIntegration:
             DeferrableJob("a", 0.1, 0.3, 500.0, 1.9),
             DeferrableJob("b", 0.5, 0.2, 300.0, 1.8),
         )
-        runs = [
-            fleet_run(
-                carbon=carbon, deferrable=jobs,
-                deferrable_policy="carbon-waiting", power_cap_w=4000.0,
+        first, second = (
+            self._price(
+                *fleet_run(), carbon, jobs,
+                policy="carbon-waiting", power_cap_w=4000.0,
             )
             for _ in range(2)
-        ]
-        (sim, first), (_, second) = runs
+        )
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
         stats = first.carbon
         assert stats is not None
@@ -501,29 +529,22 @@ class TestFleetIntegration:
         assert stats.total_g == stats.realtime_g + stats.deferrable_g
         assert stats.jobs_submitted == 2
         assert stats.policy == "carbon-waiting"
-        assert sim.last_deferrable_report.submitted == 2
         # The formatted report carries the carbon lines.
         assert "gCO2" in first.format()
         assert "carbon-waiting" in first.format()
-        # And the dormant run has no carbon key at all.
+        # And the unpriced run has no carbon key at all.
         _, dark = fleet_run()
         assert dark.carbon is None
         assert "carbon" not in dark.to_dict()
 
-    def test_carbon_knobs_validated(self, fleet_run):
-        with pytest.raises(ValueError, match="carbon"):
-            fleet_run(deferrable=(DeferrableJob("a", 0.0, 1.0, 10.0, 5.0),))
-        with pytest.raises(ValueError, match="carbon"):
-            fleet_run(power_cap_w=100.0)
-        with pytest.raises(ValueError, match="policy"):
-            fleet_run(
-                carbon=CarbonTrace.constant(100.0),
-                deferrable=(DeferrableJob("a", 0.0, 1.0, 10.0, 5.0),),
-                deferrable_policy="greedy",
-            )
-
-    def test_vector_core_refuses_carbon(self, fleet_run):
-        """Window recording needs the per-event core; core='vector'
-        must fail actionably rather than silently skip accounting."""
-        with pytest.raises(ValueError, match="carbon"):
-            fleet_run(carbon=CarbonTrace.constant(100.0), core="vector")
+    def test_vector_core_prices_carbon(self, fleet_run):
+        """The vector core records the python core's activation
+        windows, so a carbon run prices identically on it."""
+        carbon = CarbonTrace.constant(100.0)
+        (py_sim, py), (vec_sim, vec) = fleet_run("python"), fleet_run("vector")
+        assert [s.active_windows for s in vec_sim.servers] == [
+            s.active_windows for s in py_sim.servers
+        ]
+        priced = self._price(vec_sim, vec, carbon)
+        assert priced.carbon.realtime_g > 0.0
+        assert priced.to_dict() == self._price(py_sim, py, carbon).to_dict()

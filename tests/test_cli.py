@@ -333,8 +333,13 @@ class TestCarbonCLI:
             main([*self.FLEET, *self.JOBS])
 
     def test_fleet_cap_requires_carbon_and_jobs(self):
-        with pytest.raises(SystemExit, match="--carbon"):
-            main([*self.FLEET, "--power-cap", "5000"])
+        for knobs in (
+            ["--power-cap", "5000"],
+            ["--deferral-horizon", "1.0"],
+            [*self.CARBON, "--power-cap", "5000"],
+        ):
+            with pytest.raises(SystemExit, match="--carbon and --deferrable"):
+                main([*self.FLEET, *knobs])
 
     def test_fleet_shards_refuse_carbon(self):
         with pytest.raises(SystemExit, match="shards"):

@@ -212,6 +212,39 @@ class TestEngineBehaviour:
         assert result.per_model["DLRM-RMC2"].violation_rate == 1.0
         assert result.total_dropped > 0
 
+    @pytest.mark.parametrize("core", ["python", "vector"])
+    def test_last_horizon_s_is_exact(
+        self, small_table, rmc1_models, rmc1_only_workloads, core
+    ):
+        """``last_horizon_s`` is the replay's own horizon -- the last
+        arrival, or a forced ``horizon_s`` (which only the python core
+        accepts) -- not ``duration_s + warmup_s``, which misses both by
+        one ulp here and would move every post-run carbon price."""
+        from repro.sim.queries import Query
+
+        last, warmup, forced = 25.05098666653591, 1.2525493333267956, 27.3
+        trace = [
+            ("DLRM-RMC1", Query(i, t, 64))
+            for i, t in enumerate((0.5, 3.0, 12.0, last))
+        ]
+
+        def run(**kwargs):
+            servers = _uniform_fleet(
+                small_table, rmc1_models, rmc1_only_workloads, 2
+            )
+            sim = FleetSimulator(
+                servers, policy="rr", sla_ms={"DLRM-RMC1": 20.0}, core=core
+            )
+            return sim, sim.run(trace, warmup_s=warmup, **kwargs)
+
+        sim, result = run()
+        assert result.duration_s + warmup != last
+        assert sim.last_horizon_s == last
+        if core == "python":
+            sim, result = run(horizon_s=forced)
+            assert result.duration_s + warmup != forced
+            assert sim.last_horizon_s == forced
+
     def test_report_format_mentions_all_models(
         self, small_table, rmc1_models, rmc1_only_workloads
     ):

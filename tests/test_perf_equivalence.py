@@ -368,10 +368,12 @@ def _mixed_fleet_and_trace(small_table, models, workloads, seed):
     return allocation, trace
 
 
-def _run_fleet(small_table, models, workloads, allocation, trace, **kwargs):
+def _run_fleet(
+    small_table, models, workloads, allocation, trace, policy="p2c", **kwargs
+):
     servers = build_fleet(allocation, small_table, models, workloads)
     sim = FleetSimulator(
-        servers, policy="p2c", sla_ms={"DLRM-RMC1": 20.0}, seed=7, **kwargs
+        servers, policy=policy, sla_ms={"DLRM-RMC1": 20.0}, seed=7, **kwargs
     )
     result = sim.run(trace, warmup_s=0.3)
     return sim, result
@@ -842,7 +844,7 @@ def test_tracing_probe_does_not_perturb(
 
 
 # ----------------------------------------------------------------------
-# Carbon accounting attached or absent == the dark engine, float for float
+# Carbon pricing after the run: every core records the same windows
 # ----------------------------------------------------------------------
 
 
@@ -861,27 +863,58 @@ def _deferrable_jobs():
     )
 
 
+def _priced(sim, result, jobs=()):
+    """``result`` priced the way the ``fleet`` command prices a run:
+    deferrable jobs (carbon-waiting under a cap) on the replay's exact
+    horizon, then the gCO2 block."""
+    from repro.carbon import attach_carbon, realtime_power_profile, run_deferrable
+
+    carbon = _carbon_trace()
+    report = None
+    if jobs:
+        report = run_deferrable(
+            jobs,
+            carbon,
+            policy="carbon-waiting",
+            horizon_s=sim.last_horizon_s,
+            power_cap_w=8000.0,
+            realtime_profile=realtime_power_profile(sim.servers),
+        )
+    return attach_carbon(result, sim.servers, carbon, sim.last_horizon_s, report)
+
+
+def _windows(sim):
+    return [s.active_windows for s in sim.servers]
+
+
 @pytest.mark.parametrize("seed", [13, 41])
 @pytest.mark.parametrize(
-    "kwargs",
+    "core, kwargs",
     [
-        {},
-        {"faults": "empty"},
-        {"faults": "empty", "retries": 2},
-        {"deferrable": True},
+        ("python", {}),
+        ("python", {"faults": "empty"}),
+        ("python", {"faults": "empty", "retries": 2}),
+        ("python", {"deferrable": True}),
+        ("vector", {}),
+        ("vector", {"faults": "empty"}),
+        ("vector", {"deferrable": True}),
     ],
-    ids=["fault-free", "light", "tracked", "with-jobs"],
+    ids=[
+        "fault-free", "light", "tracked", "with-jobs",
+        "vector-fault-free", "vector-light", "vector-with-jobs",
+    ],
 )
 def test_carbon_attached_bit_identical(
-    small_table, rmc1_small_fleet_inputs, seed, kwargs
+    small_table, rmc1_small_fleet_inputs, seed, core, kwargs
 ):
-    """Attaching a carbon trace (and even deferrable jobs under a cap)
-    must not perturb the replay: carbon accounting prices recorded
-    activation windows *after* ``_summarize``, and jobs run beside the
-    fleet, not on it.  Every realtime figure -- percentiles, counters,
-    power, the event count, the JSON document minus its ``carbon``
-    block -- compares ``==`` against the carbon-off run, across the
-    fault-free, light, and tracked loops.
+    """Pricing a replay in gCO2 never perturbs it, and every core
+    prices it alike.  Carbon accounting prices recorded activation
+    windows *after* ``run()``, and deferrable jobs (under a cap) run
+    beside the fleet, not on it.  The rr run on ``core`` records the
+    python core's windows; its priced document, ``carbon`` block
+    included, equals the python run's, and minus that block it is the
+    unpriced document -- across the python fault-free, light, and
+    tracked loops and the vector core's segmented loop.
     """
     from repro.fleet import FaultSchedule
 
@@ -889,27 +922,22 @@ def test_carbon_attached_bit_identical(
     allocation, trace = _mixed_fleet_and_trace(small_table, models, workloads, seed)
 
     kwargs = dict(kwargs)
-    carbon_kwargs = {"carbon": _carbon_trace()}
-    if kwargs.pop("deferrable", False):
-        carbon_kwargs.update(
-            deferrable=_deferrable_jobs(),
-            deferrable_policy="carbon-waiting",
-            power_cap_w=8000.0,
-        )
+    jobs = _deferrable_jobs() if kwargs.pop("deferrable", False) else ()
     if kwargs.get("faults") == "empty":
         kwargs["faults"] = FaultSchedule()
 
-    _, base = _run_fleet(small_table, models, workloads, allocation, trace, **kwargs)
-    _, priced = _run_fleet(
-        small_table, models, workloads, allocation, trace, **kwargs, **carbon_kwargs
-    )
-    assert priced.per_model == base.per_model
-    assert priced.avg_power_w == base.avg_power_w
-    assert priced.events == base.events
-    assert [
-        (s.completed, s.qps, s.power_w, s.active_s) for s in priced.servers
-    ] == [(s.completed, s.qps, s.power_w, s.active_s) for s in base.servers]
-    # JSON-level pin: the carbon-on document is the carbon-off document
+    def run(core):
+        return _run_fleet(
+            small_table, models, workloads, allocation, trace,
+            policy="rr", core=core, **kwargs,
+        )
+
+    ref_sim, base = run("python")
+    sim, result = run(core)
+    assert _windows(sim) == _windows(ref_sim)
+    priced = _priced(sim, result, jobs)
+    assert priced.to_dict() == _priced(ref_sim, base, jobs).to_dict()
+    # JSON-level pin: the priced document is the unpriced document
     # plus one extra block.
     doc = priced.to_dict()
     assert doc.pop("carbon")["realtime_g"] > 0.0
@@ -917,12 +945,14 @@ def test_carbon_attached_bit_identical(
     assert base.carbon is None
 
 
+@pytest.mark.parametrize("core", ["python", "vector"])
 def test_carbon_attached_bit_identical_with_autoscaler(
-    small_table, rmc1_small_fleet_inputs
+    small_table, rmc1_small_fleet_inputs, core
 ):
-    """Scale events land on the same ticks with carbon attached: the
-    activation-window append rides ``settle()``, which the autoscaler
-    path already calls at every transition."""
+    """Scale events open and close activation windows through
+    ``settle()``, which every core calls at each transition: the rr run
+    on ``core`` scales on the python core's ticks, records its windows,
+    and prices identically with and without deferrable jobs."""
     from repro.cluster.state import Allocation as _Alloc
     from repro.fleet import ReactiveAutoscaler
 
@@ -936,29 +966,31 @@ def test_carbon_attached_bit_identical_with_autoscaler(
         workloads, {"DLRM-RMC1": [(2.0 * tup.qps, 3.0)]}, seed=23
     )
 
-    def run(**kwargs):
+    def run(core):
         servers = build_fleet(
             allocation, small_table, models, workloads, standby=standby
         )
         scaler = ReactiveAutoscaler({"DLRM-RMC1": 20.0}, window_s=0.25, cooldown_s=0.5)
         sim = FleetSimulator(
             servers,
-            policy="least",
+            policy="rr",
             sla_ms={"DLRM-RMC1": 20.0},
             autoscaler=scaler,
-            **kwargs,
+            core=core,
         )
-        return sim.run(trace, warmup_s=0.3)
+        return sim, sim.run(trace, warmup_s=0.3)
 
-    base = run()
-    priced = run(carbon=_carbon_trace())
-    assert priced.per_model == base.per_model
-    assert priced.avg_power_w == base.avg_power_w
-    assert priced.events == base.events
-    assert [(e.time_s, e.model, e.action) for e in priced.scale_events] == [
+    ref_sim, base = run("python")
+    sim, result = run(core)
+    assert base.scale_events
+    assert [(e.time_s, e.model, e.action) for e in result.scale_events] == [
         (e.time_s, e.model, e.action) for e in base.scale_events
     ]
-    assert priced.carbon is not None and priced.carbon.realtime_g > 0.0
+    assert _windows(sim) == _windows(ref_sim)
+    for jobs in ((), _deferrable_jobs()):
+        priced = _priced(sim, result, jobs)
+        assert priced.carbon.realtime_g > 0.0
+        assert priced.to_dict() == _priced(ref_sim, base, jobs).to_dict()
 
 
 def test_carbon_attached_matches_sharded_realtime(small_table):
@@ -990,13 +1022,13 @@ def test_carbon_attached_matches_sharded_realtime(small_table):
             seed=17,
         )
 
-    def run_single(**kwargs):
+    def run_single():
         servers = build_fleet(allocation, small_table, models, workloads)
-        sim = FleetSimulator(servers, policy="rr", sla_ms=sla, seed=0, **kwargs)
-        return sim.run(source(), warmup_s=0.1)
+        sim = FleetSimulator(servers, policy="rr", sla_ms=sla, seed=0)
+        return sim, sim.run(source(), warmup_s=0.1)
 
-    base = run_single()
-    priced = run_single(carbon=_carbon_trace())
+    _, base = run_single()
+    priced = _priced(*run_single())
     sharded = run_fleet_sharded(
         allocation, small_table, models, workloads, source(),
         shards=2, policy="rr", sla_ms=sla, seed=0, warmup_s=0.1,
