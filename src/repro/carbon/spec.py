@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.carbon.deferrable import DeferrableJob
 from repro.carbon.trace import CarbonTrace, read_carbon_trace
+from repro.spec import floats, parse_kv
 
 __all__ = [
     "CarbonSpec",
@@ -47,33 +48,6 @@ _CONSTANT_KEYS = {"intensity"}
 _DIURNAL_KEYS = {"base", "swing", "period", "trough_at", "steps", "days"}
 _STEP_KEYS = {"levels", "at"}
 _JOBS_KEYS = {"count", "duration", "power", "slack", "start", "every"}
-
-
-def _parse_kv(flag: str, section: str, body: str, allowed: set[str]) -> dict:
-    out: dict[str, str] = {}
-    if not body:
-        return out
-    for pair in body.split(","):
-        key, sep, value = pair.strip().partition("=")
-        if not sep or key not in allowed:
-            raise ValueError(
-                f"bad {flag} parameter {pair!r} in section {section!r}; "
-                f"known keys: {', '.join(sorted(allowed))}"
-            )
-        if key in out:
-            raise ValueError(
-                f"duplicate {flag} parameter {key!r} in section "
-                f"{section!r}; each key may appear once"
-            )
-        out[key] = value
-    return out
-
-
-def _floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split("/"))
-    except ValueError:
-        raise ValueError(f"bad {what} list {text!r}; use slash-separated numbers")
 
 
 @dataclass(frozen=True)
@@ -95,8 +69,8 @@ class _CarbonSection:
                 days=int(p.get("days", 1)),
             )
         # step
-        levels = _floats(self.params["levels"], "levels")
-        at = _floats(self.params["at"], "at")
+        levels = floats(self.params["levels"], "levels")
+        at = floats(self.params["at"], "at")
         if len(levels) != len(at):
             raise ValueError(
                 f"step needs matching levels/at lists "
@@ -144,11 +118,11 @@ def parse_carbon(spec: str) -> CarbonSpec:
         shape, _, body = raw.partition(":")
         shape = shape.strip()
         if shape == "constant":
-            params = _parse_kv("--carbon", raw, body, _CONSTANT_KEYS)
+            params = parse_kv("--carbon", raw, body, _CONSTANT_KEYS)
         elif shape == "diurnal":
-            params = _parse_kv("--carbon", raw, body, _DIURNAL_KEYS)
+            params = parse_kv("--carbon", raw, body, _DIURNAL_KEYS)
         elif shape == "step":
-            params = _parse_kv("--carbon", raw, body, _STEP_KEYS)
+            params = parse_kv("--carbon", raw, body, _STEP_KEYS)
             if "levels" not in params or "at" not in params:
                 raise ValueError(f"{raw!r}: step needs levels= and at=")
         else:
@@ -241,7 +215,7 @@ def parse_deferrable(spec: str) -> DeferrableSpec:
                 f"unknown deferrable shape {shape.strip()!r} in {raw!r}; "
                 "only 'jobs' is defined"
             )
-        params = _parse_kv("--deferrable", raw, body, _JOBS_KEYS)
+        params = parse_kv("--deferrable", raw, body, _JOBS_KEYS)
         if "duration" not in params or "power" not in params:
             raise ValueError(f"{raw!r}: jobs needs duration= and power=")
         sections.append(_JobsSection(params))

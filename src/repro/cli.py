@@ -444,11 +444,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             percentile_mode=args.percentile_mode,
             warmup_s=span * 0.05,
             standby=standby,
-            core=(
-                "python"
-                if args.core in ("vector", "vector-epoch")
-                else args.core
-            ),
+            core=args.core,
         )
     else:
         servers = build_fleet(

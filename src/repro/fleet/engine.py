@@ -67,6 +67,13 @@ _LOG = logging.getLogger(__name__)
 #: Valid ``FleetSimulator(core=...)`` selections.
 FLEET_CORES = ("auto", "python", "vector", "vector-epoch")
 
+#: Why ``core="vector-epoch"`` refuses a forced horizon (a shard).
+_EPOCH_HORIZON_REASON = (
+    "vector-epoch cuts its routing epochs across every model's "
+    "arrivals, so a shard's epochs would differ from the single-process "
+    "run's"
+)
+
 __all__ = [
     "FleetServer",
     "FleetSimulator",
@@ -620,7 +627,10 @@ class FleetSimulator:
                 measures the identical window (qps denominators, tick
                 counts, and active-time accounting all match the
                 single-process run bit-for-bit).  Must be >= the
-                stream's own last arrival; fault-free runs only.
+                stream's own last arrival; fault-free runs only; not on
+                ``core="vector-epoch"``.  An empty stream is an error
+                unless it is given: replicas then idle up to it, and
+                autoscaler ticks still fire.
         """
         if horizon_s is not None:
             if self._fault_mode:
@@ -633,18 +643,17 @@ class FleetSimulator:
         if self.core != "python":
             epoch = self.core == "vector-epoch"
             reasons = self._vector_fallback_reasons(epoch=epoch)
-            if horizon_s is not None:
-                reasons.append(
-                    "a forced measurement horizon requires the "
-                    "per-event core"
-                )
+            if epoch and horizon_s is not None:
+                reasons.append(_EPOCH_HORIZON_REASON)
             if not reasons:
                 from repro.sim import fast_core
 
                 with _gc_paused():
                     if epoch:
                         return fast_core.run_epoch(self, trace, warmup_s)
-                    return fast_core.run_vectorized(self, trace, warmup_s)
+                    return fast_core.run_vectorized(
+                        self, trace, warmup_s, horizon_s
+                    )
             reason = "; ".join(reasons)
             if self.core != "auto":
                 raise ValueError(
@@ -657,9 +666,7 @@ class FleetSimulator:
                     reason,
                 )
         heap = EventHeap()
-        if isinstance(trace, (list, tuple)):
-            if not trace:
-                raise ValueError("empty fleet trace")
+        if isinstance(trace, (list, tuple)) and trace:
             import numpy as np
 
             trace = list(trace)
@@ -682,10 +689,11 @@ class FleetSimulator:
             end_hint = float(arr.max())
             arrivals = iter(trace)
         else:
-            # A streamed source; trust its sort order (verified as the
-            # stream is consumed).  Its nominal end is needed only to
-            # bound stochastic fault draws -- fetched lazily because
-            # e.g. RecordedTrace.end_s costs a full file scan.
+            # A streamed source (or an empty list); trust its sort
+            # order (verified as the stream is consumed).  Its nominal
+            # end is needed only to bound stochastic fault draws --
+            # fetched lazily because e.g. RecordedTrace.end_s costs a
+            # full file scan.
             end_hint = None
             if (
                 self.faults is not None
@@ -694,7 +702,7 @@ class FleetSimulator:
                 end_hint = getattr(trace, "end_s", None)
             arrivals = iter(trace)
         first = next(arrivals, None)
-        if first is None:
+        if first is None and horizon_s is None:
             raise ValueError("empty fleet trace")
 
         # Windowed completion/arrival/drop feeds for the autoscaler.

@@ -102,6 +102,7 @@ from typing import Iterable, Sequence
 
 from repro.fleet.routing import prefer_other_domains
 from repro.sim.event_core import QueryState
+from repro.spec import parse_kv
 
 __all__ = [
     "DomainFaultEvent",
@@ -493,15 +494,19 @@ class FaultSchedule:
             if section.startswith("random:"):
                 if stochastic_kwargs is not None:
                     raise ValueError("at most one random: section per spec")
+                params = parse_kv(
+                    "stochastic fault", section, section[len("random:"):],
+                    _STOCHASTIC_KEYS,
+                )
                 stochastic_kwargs = {}
-                for pair in section[len("random:"):].split(","):
-                    key, sep, value = pair.strip().partition("=")
-                    if not sep or key not in _STOCHASTIC_KEYS:
+                for key, value in params.items():
+                    try:
+                        stochastic_kwargs[_STOCHASTIC_KEYS[key]] = float(value)
+                    except ValueError:
                         raise ValueError(
-                            f"bad stochastic fault parameter {pair!r}; known "
-                            f"keys: {', '.join(sorted(_STOCHASTIC_KEYS))}"
-                        )
-                    stochastic_kwargs[_STOCHASTIC_KEYS[key]] = float(value)
+                            f"bad stochastic fault value {key}={value!r} in "
+                            f"section {section!r}; use a number"
+                        ) from None
                 continue
             for entry in section.split(","):
                 entry = entry.strip()
@@ -1319,6 +1324,8 @@ def _run_light_loop(
     because every pre-exhaustion event is earlier than the stream's
     last arrival <= ``horizon_s``, while autoscaler ticks keep firing up
     to the forced horizon exactly as they would in the fleet-wide run.
+    Under a forced horizon ``first`` may be ``None`` (an empty stream):
+    the replicas idle and only the ticks fire.
     """
     events = heap.items
     dead = heap.dead
@@ -1378,7 +1385,7 @@ def _run_light_loop(
 
     # -- the loop ------------------------------------------------------
     nxt = first
-    nxt_t = first[1][1]  # arrival_s via the namedtuple fast path
+    nxt_t = 0.0 if first is None else first[1][1]  # namedtuple arrival_s
     while True:
         # -- next event: arrival stream vs heap, arrivals win ties --
         if nxt is not None:

@@ -336,10 +336,12 @@ def provision_fault_aware(
         baseline_r: The fault-blind rate to compare against (the ``R``
             you would have shipped without measuring).
         policy / retries / hedge_ms / seed / core: Fleet-replay knobs,
-            as on :class:`~repro.fleet.engine.FleetSimulator`.  Note
-            that fault-injected replays always need the per-event
-            python core: ``core="auto"`` (the default) logs the
-            fallback, ``core="vector"`` raises.
+            as on :class:`~repro.fleet.engine.FleetSimulator`.  A plain
+            schedule with ``retries=0``, no hedging and rr / weighted
+            routing replays on the vector core's segmented fault path;
+            the defaults (p2c, ``retries=2``) need the per-event python
+            core, so ``core="auto"`` logs the fallback and
+            ``core="vector"`` raises.
         percentile_mode: Report percentile machinery for every replay
             (``"exact"`` or ``"sketch"``).  The availability the search
             thresholds on is *exact* in both modes -- it is built from

@@ -25,7 +25,9 @@ invariants:
   last arrival.  Each shard's own stream ends earlier, so workers run
   with ``FleetSimulator.run(horizon_s=...)`` forcing the global
   horizon: qps denominators, active-time/power accounting, and
-  autoscaler tick chains all cover the identical window.
+  autoscaler tick chains all cover the identical window.  That is the
+  engine's own call, on whichever core ``core`` selects, also for a
+  shard whose models drew no arrivals.
 - **Ordered reduction.**  Per-model stats pass through untouched
   (each model lives wholly in one shard).  Replica rows are re-indexed
   to their fleet-wide build order and fleet energy re-accumulated in
@@ -37,6 +39,9 @@ Limitations (all raise actionable errors): fault injection, retries,
 hedging, and observers couple shards (cross-model dead domains,
 shared query logs) and are not supported — run those single-process,
 optionally with ``percentile_mode="sketch"`` for the memory ceiling.
+``core="vector-epoch"`` cannot shard: it cuts its routing epochs
+across every model's arrivals, so a shard's epochs differ from the
+single-process run's.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ import os
 from dataclasses import dataclass
 
 from repro.cluster.state import Allocation
-from repro.fleet.engine import FleetSimulator, build_fleet
+from repro.fleet.engine import (
+    _EPOCH_HORIZON_REASON,
+    FleetSimulator,
+    build_fleet,
+)
 from repro.fleet.report import FleetResult, fleet_power_summary
 from repro.fleet.routing import RoutingPolicy, make_policy
 from repro.traces.arrivals import MODEL_SEED_STRIDE, FleetArrivals
@@ -189,10 +198,9 @@ def _scan_shard_task(source) -> float | None:
 def _run_shard_task(task: tuple):
     """Phase B pool task: simulate one shard against the global horizon.
 
-    Returns ``(FleetResult, ticks)`` with replica rows and scale-event
-    targets already translated to fleet-global indices.  A shard whose
-    sub-stream drew no arrivals still accounts its idle replicas over
-    the full window, exactly as the single-process run would.
+    Returns ``(FleetResult, ticks, reasons)`` with replica rows and
+    scale-event targets already translated to fleet-global indices;
+    ``reasons`` says why ``core="auto"`` fell back to the python core.
     """
     (
         allocation,
@@ -222,39 +230,14 @@ def _run_shard_task(task: tuple):
         core=core,
         percentile_mode=percentile_mode,
     )
-    # The parent already logged the auto-core fallback once for the
-    # whole run; don't repeat it from every worker.
+    # The parent logs the auto-core fallback once for the whole run.
     sim._quiet_core_fallback = True
     # Reseed each model's policy to its fleet-wide sorted index: the
     # engine numbered them within the shard.
     for model in sim._policies:
         sim._policies[model] = make_policy(policy, seed=policy_seeds[model])
-    try:
-        result = sim.run(source, warmup_s=warmup_s, horizon_s=horizon)
-        ticks = sim.last_tick_count
-    except ValueError as exc:
-        if "empty fleet trace" not in str(exc):
-            raise
-        # No arrivals for this shard's models: replicas idle through
-        # the whole window (active_s = horizon, zero completions).
-        for s in sim.servers:
-            s.settle(horizon)
-        completions: dict = {m: [] for m in sim._routable}
-        result = sim._summarize(
-            completions,
-            {m: 0 for m in completions},
-            warmup_s,
-            horizon,
-            (),
-            {
-                "failed": {},
-                "retried": {},
-                "hedged": {},
-                "events": (),
-                "downtime_s": 0.0,
-            },
-        )
-        ticks = 0
+    result = sim.run(source, warmup_s=warmup_s, horizon_s=horizon)
+    reasons = sim._vector_fallback_reasons() if core == "auto" else []
     gmap = dict(enumerate(global_indices))
     rows = tuple(
         dataclasses.replace(row, index=gmap[row.index], domain=gmap[row.index])
@@ -267,7 +250,8 @@ def _run_shard_task(task: tuple):
         )
         for ev in result.scale_events
     )
-    return dataclasses.replace(result, servers=rows, scale_events=events), ticks
+    result = dataclasses.replace(result, servers=rows, scale_events=events)
+    return result, sim.last_tick_count, reasons
 
 
 def merge_shard_results(
@@ -358,6 +342,9 @@ def run_fleet_sharded(
             per-model, so the union matches the fleet-wide run).
         percentile_mode: ``"exact"`` (bit-identical merge) or
             ``"sketch"`` (O(models) report memory; see the engine).
+        core: Each worker's ``FleetSimulator(core=...)``; the
+            ``"auto"`` fallback is logged once, here.  ``"vector-epoch"``
+            cannot shard (see the module docstring).
         max_workers: Pool size cap (defaults to ``min(shards, cpus)``).
     """
     if shards < 1:
@@ -367,12 +354,6 @@ def run_fleet_sharded(
             "sharded replay needs a policy name, not an instance: "
             "policies hold per-stream state that cannot be split "
             "across worker processes"
-        )
-    if core in ("vector", "vector-epoch"):
-        raise ValueError(
-            "sharded workers run against a forced fleet-wide horizon, "
-            "which requires the per-event core; use core='auto' or "
-            "core='python'"
         )
     sla_ms = dict(sla_ms or {})
 
@@ -389,12 +370,10 @@ def run_fleet_sharded(
         )
         return sim.run(source, warmup_s=warmup_s)
 
-    if core != "python":
-        # Logged once here for the whole run; workers are quieted.
-        _LOG.info(
-            "core='auto': sharded workers fall back to the python event "
-            "core (a forced fleet-wide measurement horizon requires "
-            "per-event accounting)"
+    if core == "vector-epoch":
+        raise ValueError(
+            f"core='vector-epoch' cannot shard: {_EPOCH_HORIZON_REASON}; "
+            "use core='auto', core='vector' or core='python'"
         )
 
     rows = _global_rows(allocation, standby)
@@ -461,7 +440,14 @@ def run_fleet_sharded(
             horizon = max(known)
         for t in tasks:
             t[14] = horizon
-        payloads = list(pool.map(_run_shard_task, [tuple(t) for t in tasks]))
+        outs = list(pool.map(_run_shard_task, [tuple(t) for t in tasks]))
 
+    reasons = list(dict.fromkeys(r for _, _, rs in outs for r in rs))
+    if reasons:
+        _LOG.info(
+            "core='auto': falling back to the python event core (%s)",
+            "; ".join(reasons),
+        )
+    payloads = [(result, ticks) for result, ticks, _ in outs]
     model_order = list(autoscaler.sla_ms) if autoscaler is not None else []
     return merge_shard_results(payloads, horizon, model_order)

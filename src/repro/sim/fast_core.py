@@ -472,14 +472,15 @@ def _ingest_blocks(models, blocks, codes):
 
     ``models[model_index]`` names each arrival; models with no replica
     are added to ``codes`` in first-arrival order, as the pair path
-    does.  Returns ``None`` for an empty source.
+    does.  An empty source yields empty columns.
     """
     cols = ([], [], [], [])
     for block in blocks:
         for col, arr in zip(cols, block):
             col.append(arr)
     if not cols[0]:
-        return None
+        floats, ints = np.empty(0), np.empty(0, np.int64)
+        return floats, ints, floats, ints
     arr_t, arr_size, arr_pool, src = (np.concatenate(col) for col in cols)
     lut = np.full(len(models), -1, dtype=np.int64)
     firsts = []
@@ -506,7 +507,9 @@ def _ingest(sim, trace):
     error text as the engine's lazy check).  Returns ``(arr_t,
     arr_size, arr_pool, arr_m, model_names, codes)`` where ``codes``
     maps model name -> row code (routable models first, in sorted
-    order, then unknown models in first-arrival order).
+    order, then unknown models in first-arrival order).  An empty
+    source gives empty arrays; the callers decide whether that is an
+    error.
     """
     is_list = isinstance(trace, (list, tuple))
     codes = {m: i for i, m in enumerate(sorted(sim._routable))}
@@ -514,15 +517,12 @@ def _ingest(sim, trace):
     take = getattr(rows, "take_blocks", None)
     blocks = take() if take is not None else None
     if blocks is not None:
-        arrays = _ingest_blocks(rows.models, blocks, codes)
-        if arrays is None:
-            raise ValueError("empty fleet trace")
-        arr_t, arr_size, arr_pool, arr_m = arrays
+        arr_t, arr_size, arr_pool, arr_m = _ingest_blocks(
+            rows.models, blocks, codes
+        )
         n = len(arr_t)
     else:
         pairs = list(rows)
-        if not pairs:
-            raise ValueError("empty fleet trace")
         n = len(pairs)
         arr_t = np.fromiter((q[1] for _, q in pairs), np.float64, count=n)
         arr_size = np.fromiter((q[2] for _, q in pairs), np.int64, count=n)
@@ -661,7 +661,9 @@ def _report(
     )
 
 
-def run_vectorized(sim, trace, warmup_s: float = 0.0):
+def run_vectorized(
+    sim, trace, warmup_s: float = 0.0, horizon_s: float | None = None
+):
     """Play ``trace`` through ``sim``'s fleet on the vectorized core.
 
     Faults only perturb the simulation at their event timestamps, so
@@ -677,6 +679,9 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
     cross-replica tie caveat in the module docstring); the caller has
     verified eligibility: outstanding-oblivious routing, no retries,
     hedging, or observer.
+
+    A forced ``horizon_s`` acts as in the light loop: ticks fire while
+    before it, the report settles at it, and an empty stream is allowed.
     """
     from repro.fleet.faults import (
         _FaultState,
@@ -698,9 +703,19 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
     ingested = _ingest(sim, trace)
     arr_t, arr_size, arr_pool, arr_m, model_names, codes = ingested
     n = len(arr_t)
-    last_t = float(arr_t[-1])
+    if horizon_s is None:
+        if not n:
+            raise ValueError("empty fleet trace")
+        horizon = float(arr_t[-1])
+    else:
+        horizon = horizon_s
+        if n and arr_t[-1] > horizon:
+            raise ValueError(
+                f"horizon_s={horizon_s!r} precedes the "
+                f"stream's last arrival (t={float(arr_t[-1])!r})"
+            )
     if isinstance(trace, (list, tuple)):
-        end_hint = last_t
+        end_hint = horizon
     fault_evs = tuple(_materialized_faults(sim, n_servers, end_hint))
     scaling = sim.autoscaler is not None
     window_s = sim.autoscaler.window_s if scaling else 0.0
@@ -736,10 +751,10 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
     def deliver(lo: int, hi: int, limit: float) -> None:
         """Route and deliver arrivals [lo, hi) -- the fault-free
         segment body.  Direct replicas run the exact DirectStage
-        recurrence in batches (per query while a slow fault holds, as
-        the python loop does) and keep their delivered indices for the
-        crash-victim lookback; FUSE-bearing replicas pump their local
-        loops to ``limit`` (the next boundary)."""
+        recurrence in batches (chunk services scaled while a slow fault
+        holds) and keep their delivered indices for the crash-victim
+        lookback; FUSE-bearing replicas pump their local loops to
+        ``limit`` (the next boundary)."""
         nonlocal direct_pushes
         if lo >= hi:
             return
@@ -778,59 +793,47 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
             if scaling:
                 outstanding_vec[srv_i] += len(gidx)
             if s.direct is not None:
-                factor = s.slow_factor
-                if factor != 1.0:
-                    # Slowed episode: the python loop calls the exact
-                    # scalar recurrence per query; replicate it.
-                    ct = s.direct.completion_time_slowed
-                    fin = np.fromiter(
-                        (
-                            ct(t, sz, p, factor)
-                            for t, sz, p in zip(
-                                ts.tolist(), szs.tolist(), pls.tolist()
-                            )
-                        ),
-                        np.float64,
-                        count=len(gidx),
+                st = s.direct.stage
+                c = st.chunk_items
+                ps = st.pooling_sensitivity
+                maxsz = int(szs.max())
+                base_tab = _service_table(st, maxsz if maxsz > c else c)
+                full, rem = np.divmod(szs, c)
+                has_rem = rem > 0
+                nch = full + has_rem
+                csf = float(c)
+                if ps > 0.0:
+                    svc_full = base_tab[c] * (
+                        1.0 - ps + ps * ((pls * csf) / csf)
+                    )
+                    remf = rem.astype(np.float64)
+                    svc_rem = base_tab[rem] * (
+                        1.0 - ps
+                        + ps * ((pls * remf) / np.where(has_rem, remf, 1.0))
                     )
                 else:
-                    st = s.direct.stage
-                    c = st.chunk_items
-                    ps = st.pooling_sensitivity
-                    maxsz = int(szs.max())
-                    base_tab = _service_table(st, maxsz if maxsz > c else c)
-                    full, rem = np.divmod(szs, c)
-                    has_rem = rem > 0
-                    nch = full + has_rem
-                    csf = float(c)
-                    if ps > 0.0:
-                        svc_full = base_tab[c] * (
-                            1.0 - ps + ps * ((pls * csf) / csf)
-                        )
-                        remf = rem.astype(np.float64)
-                        svc_rem = base_tab[rem] * (
-                            1.0 - ps
-                            + ps * ((pls * remf) / np.where(has_rem, remf, 1.0))
-                        )
-                    else:
-                        svc_full = np.full(len(ts), base_tab[c])
-                        svc_rem = base_tab[rem]
-                    ends = np.cumsum(nch)
-                    rep_t = np.repeat(ts, nch)
-                    rep_svc = np.repeat(svc_full, nch)
-                    rep_svc[ends[has_rem] - 1] = svc_rem[has_rem]
-                    starts_q = np.concatenate(([0], ends[:-1]))
-                    # The exact DirectStage recurrence against the
-                    # replica's persistent unit-availability heap.
-                    avail = s.direct.avail
-                    done = []
-                    ap = done.append
-                    for now, sv in zip(rep_t.tolist(), rep_svc.tolist()):
-                        tf = avail[0]
-                        d = (tf if tf > now else now) + sv
-                        heapreplace(avail, d)
-                        ap(d)
-                    fin = np.maximum.reduceat(np.asarray(done), starts_q)
+                    svc_full = np.full(len(ts), base_tab[c])
+                    svc_rem = base_tab[rem]
+                ends = np.cumsum(nch)
+                rep_t = np.repeat(ts, nch)
+                rep_svc = np.repeat(svc_full, nch)
+                rep_svc[ends[has_rem] - 1] = svc_rem[has_rem]
+                if s.slow_factor != 1.0:
+                    # A straggler: the per-chunk multiply of
+                    # DirectStage.completion_time_slowed.
+                    rep_svc *= s.slow_factor
+                starts_q = np.concatenate(([0], ends[:-1]))
+                # The exact DirectStage recurrence against the
+                # replica's persistent unit-availability heap.
+                avail = s.direct.avail
+                done = []
+                ap = done.append
+                for now, sv in zip(rep_t.tolist(), rep_svc.tolist()):
+                    tf = avail[0]
+                    d = (tf if tf > now else now) + sv
+                    heapreplace(avail, d)
+                    ap(d)
+                fin = np.maximum.reduceat(np.asarray(done), starts_q)
                 finish[gidx] = fin
                 direct_pushes += len(gidx)
                 chunks = delivered.get(srv_i)
@@ -943,7 +946,7 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
             # failed counts use the completions measurement window
             # (arrival after warmup, crash at or before the horizon);
             # the autoscaler's failure feed stays unfiltered.
-            in_horizon = now <= last_t
+            in_horizon = now <= horizon
             for code, at in zip(arr_m[vict].tolist(), arr_t[vict].tolist()):
                 model = model_names[code]
                 if in_horizon and at >= warmup_s:
@@ -985,7 +988,7 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
 
     # -- boundary loop -------------------------------------------------
     pos = 0
-    for kind, item in iter_boundaries(fault_evs, window_s, last_t):
+    for kind, item in iter_boundaries(fault_evs, window_s, horizon):
         bt = item if kind == "tick" else item.time_s
         hi = int(np.searchsorted(arr_t, bt, side="right"))
         deliver(pos, hi, bt)
@@ -1026,7 +1029,7 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
                         # runs out of work.
                         draining_fuse.add(drained)
         else:
-            hz = float("inf") if bt < last_t else last_t
+            hz = float("inf") if bt < horizon else horizon
             fstate.apply(item, bt, hz, kill_in_flight)
 
     # -- final fault-free stretch --------------------------------------
@@ -1043,12 +1046,12 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
         "retried": {},
         "hedged": {},
         "events": tuple(fstate.applied),
-        "downtime_s": fstate.close(last_t),
+        "downtime_s": fstate.close(horizon),
         "ticks": ticks,
     }
     local_pushes = sum(r.seq for r in runners.values())
     return _report(
-        sim, ingested, warmup_s, last_t, server_of, (server_of >= 0) & ~killed,
+        sim, ingested, warmup_s, horizon, server_of, (server_of >= 0) & ~killed,
         finish, dropped, drop_order, scale_events, fault_info,
         n + len(fault_evs) + direct_pushes + local_pushes + ticks,
     )
@@ -1079,6 +1082,8 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
     ingested = _ingest(sim, trace)
     arr_t, arr_size, arr_pool, arr_m, model_names, codes = ingested
     n = len(arr_t)
+    if not n:
+        raise ValueError("empty fleet trace")
     horizon = float(arr_t[-1])
     eps = sim.epoch_ms * 1e-3
     scaling = sim.autoscaler is not None

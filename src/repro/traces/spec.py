@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from repro.sim.queries import QueryWorkload
+from repro.spec import floats, parse_kv
 from repro.traces.arrivals import (
     ArrivalProcess,
     DiurnalProcess,
@@ -60,33 +61,6 @@ _DIURNAL_KEYS = {
 }
 
 
-def _parse_kv(section: str, body: str, allowed: set[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    if not body:
-        return out
-    for pair in body.split(","):
-        key, sep, value = pair.strip().partition("=")
-        if not sep or key not in allowed:
-            raise ValueError(
-                f"bad arrivals parameter {pair!r} in section {section!r}; "
-                f"known keys: {', '.join(sorted(allowed))}"
-            )
-        if key in out:
-            raise ValueError(
-                f"duplicate arrivals parameter {key!r} in section "
-                f"{section!r}; each key may appear once"
-            )
-        out[key] = value
-    return out
-
-
-def _floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split("/"))
-    except ValueError:
-        raise ValueError(f"bad {what} list {text!r}; use slash-separated numbers")
-
-
 @dataclass(frozen=True)
 class _Section:
     shape: str
@@ -108,16 +82,16 @@ class _Section:
             return PoissonProcess(workload, qps, duration_s)
         if self.shape == "mmpp":
             if "qps" in p:
-                rates = _floats(p["qps"], "qps")
+                rates = floats(p["qps"], "qps")
             elif "levels" in p:
                 rates = tuple(
-                    peak_qps * lv for lv in _floats(p["levels"], "levels")
+                    peak_qps * lv for lv in floats(p["levels"], "levels")
                 )
             else:
                 raise ValueError("mmpp needs levels= (or qps=)")
             if "dwell" not in p:
                 raise ValueError("mmpp needs dwell=")
-            dwell = _floats(p["dwell"], "dwell")
+            dwell = floats(p["dwell"], "dwell")
             return MMPPProcess(
                 workload,
                 rates,
@@ -192,15 +166,15 @@ def parse_arrivals(spec: str) -> ArrivalSpec:
         shape, _, body = raw.partition(":")
         shape = shape.strip()
         if shape == "poisson":
-            params = _parse_kv(raw, body, _POISSON_KEYS)
+            params = parse_kv("arrivals", raw, body, _POISSON_KEYS)
         elif shape == "mmpp":
-            params = _parse_kv(raw, body, _MMPP_KEYS)
+            params = parse_kv("arrivals", raw, body, _MMPP_KEYS)
             if "levels" not in params and "qps" not in params:
                 raise ValueError(f"{raw!r}: mmpp needs levels= (or qps=)")
             if "dwell" not in params:
                 raise ValueError(f"{raw!r}: mmpp needs dwell=")
         elif shape == "diurnal":
-            params = _parse_kv(raw, body, _DIURNAL_KEYS)
+            params = parse_kv("arrivals", raw, body, _DIURNAL_KEYS)
         else:
             raise ValueError(
                 f"unknown arrival shape {shape!r} in {raw!r}; one of "

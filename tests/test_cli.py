@@ -122,6 +122,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fleet power" in out
 
+    def test_fleet_shards_honour_the_vector_core(self):
+        # Sharded workers run the core asked for: p2c routing is
+        # queue-aware, so a forced vector core fails with the engine's
+        # reason instead of quietly running python.
+        with pytest.raises(ValueError, match="queue-aware"):
+            main(
+                [
+                    "fleet",
+                    "--servers", "4",
+                    "--server-types", "T2",
+                    "--models", "DLRM-RMC1",
+                    "--policy", "p2c",
+                    "--duration", "2",
+                    "--segments", "8",
+                    "--shards", "2",
+                    "--core", "vector",
+                ]
+            )
+
 
 class TestBench:
     def test_bench_defaults(self):

@@ -17,6 +17,8 @@ idle == the fault-free engine, float for float) lives in
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,10 +103,19 @@ class TestFaultSchedule:
 
     @pytest.mark.parametrize(
         "bad",
-        ["crash@2", "melt@1:0", "slow@1:0", "crash@1:0*2", "random:mtbf=x"],
+        [
+            "crash@2",
+            "melt@1:0",
+            "slow@1:0",
+            "crash@1:0*2",
+            "random:mtbf=x",
+            "random:crash_mtbf=20,crash_mtbf=5",
+            "random:crash_mtbf=abc",
+        ],
     )
     def test_parse_rejects_bad_entries(self, bad):
-        with pytest.raises(ValueError):
+        # The error names the offending entry or section.
+        with pytest.raises(ValueError, match=re.escape(bad)):
             FaultSchedule.parse(bad)
 
     def test_parse_stochastic(self):

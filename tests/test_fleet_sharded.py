@@ -11,12 +11,16 @@ at benchmark scale).  Sketch mode keeps the counting stats float-exact
 and is held to the calibrated P² rank-band criterion from
 ``tests/test_obs.py`` on percentiles.
 
-Unit tests cover the shard planner, the actionable refusals (policy
-instances, the vector core, bare iterators), orphan models, arrival
-seed lanes, and the engine's forced-horizon guard rails.
+Every merge test runs its workers on the python core and on the core
+``auto`` picks (the vector core for rr / weighted routing).  Unit tests
+cover the shard planner, the actionable refusals (policy instances,
+the vector-epoch core, bare iterators), orphan models, arrival seed
+lanes, and the engine's forced horizon on both exact cores.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pytest
@@ -38,6 +42,12 @@ from repro.traces import FleetArrivals, MMPPProcess, PoissonProcess, save_trace
 
 MODELS = ("DLRM-RMC1", "DLRM-RMC2")
 SLA = {"DLRM-RMC1": 20.0, "DLRM-RMC2": 50.0}
+#: Worker cores the merge is pinned on: the per-event core, and the one
+#: ``auto`` picks (the vector core wherever routing allows it).
+CORES = ("python", "auto")
+#: The cores that honour a forced horizon.
+EXACT_CORES = ("python", "vector")
+FALLBACK_LOG = "core='auto': falling back to the python event core ("
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +85,7 @@ def _run(
     percentile_mode="exact",
     autoscale=False,
     standby=None,
+    core="python",
 ):
     table, models, workloads, allocation = inputs
     autoscaler = (
@@ -96,7 +107,7 @@ def _run(
         percentile_mode=percentile_mode,
         warmup_s=0.1,
         standby=standby,
-        core="python",
+        core=core,
         max_workers=2,
     )
 
@@ -112,32 +123,39 @@ class TestShardedMergeBitIdentity:
         self, fleet_inputs, policy, shards, seed
     ):
         """float-`==` across the whole report: per-model stats, replica
-        rows, energy, events — for every policy, shard count, seed."""
+        rows, energy, events — for every policy, shard count, seed and
+        worker core."""
         source = _source(fleet_inputs[2], seed=seed)
         ref = _run(fleet_inputs, source, shards=1, policy=policy, seed=seed)
-        out = _run(fleet_inputs, source, shards=shards, policy=policy, seed=seed)
-        assert out.to_dict() == ref.to_dict()
-        for m, stats in ref.per_model.items():
-            got = out.per_model[m]
-            assert (got.p50_ms, got.p95_ms, got.p99_ms) == (
-                stats.p50_ms,
-                stats.p95_ms,
-                stats.p99_ms,
+        for core in CORES:
+            out = _run(
+                fleet_inputs, source, shards=shards, policy=policy,
+                seed=seed, core=core,
             )
-            assert (got.qps, got.mean_ms, got.violation_rate) == (
-                stats.qps,
-                stats.mean_ms,
-                stats.violation_rate,
-            )
-        assert out.avg_power_w == ref.avg_power_w
-        assert out.events == ref.events
+            assert out.to_dict() == ref.to_dict()
+            for m, stats in ref.per_model.items():
+                got = out.per_model[m]
+                assert (got.p50_ms, got.p95_ms, got.p99_ms) == (
+                    stats.p50_ms,
+                    stats.p95_ms,
+                    stats.p99_ms,
+                )
+                assert (got.qps, got.mean_ms, got.violation_rate) == (
+                    stats.qps,
+                    stats.mean_ms,
+                    stats.violation_rate,
+                )
+            assert out.avg_power_w == ref.avg_power_w
+            assert out.events == ref.events
 
-    @pytest.mark.parametrize("policy", ["p2c", "least"])
+    @pytest.mark.parametrize("policy", ["p2c", "least", "rr", "weighted"])
     def test_autoscaled_timeline_interleaves_identically(
-        self, fleet_inputs, policy
+        self, fleet_inputs, policy, caplog
     ):
         """With a reactive autoscaler and a standby pool, the merged
-        scale-event timeline is the single-process timeline."""
+        scale-event timeline is the single-process timeline.  The parent
+        logs the engine's fallback once for queue-aware routing, and
+        nothing when every worker runs the vector core."""
         standby = Allocation()
         standby.add("T2", "DLRM-RMC1", 2)
         standby.add("T3", "DLRM-RMC2", 1)
@@ -146,24 +164,36 @@ class TestShardedMergeBitIdentity:
             fleet_inputs, source, shards=1, policy=policy, seed=7,
             autoscale=True, standby=standby,
         )
-        out = _run(
-            fleet_inputs, source, shards=2, policy=policy, seed=7,
-            autoscale=True, standby=standby,
-        )
-        assert out.to_dict() == ref.to_dict()
-        assert len(out.scale_events) == len(ref.scale_events)
-        for a, b in zip(out.scale_events, ref.scale_events):
-            assert (a.time_s, a.model, a.action, a.server.index, a.reason) == (
-                b.time_s, b.model, b.action, b.server.index, b.reason
-            )
+        for core in CORES:
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="repro.fleet"):
+                out = _run(
+                    fleet_inputs, source, shards=2, policy=policy, seed=7,
+                    autoscale=True, standby=standby, core=core,
+                )
+            assert out.to_dict() == ref.to_dict()
+            assert len(out.scale_events) == len(ref.scale_events)
+            for a, b in zip(out.scale_events, ref.scale_events):
+                assert (
+                    a.time_s, a.model, a.action, a.server.index, a.reason
+                ) == (b.time_s, b.model, b.action, b.server.index, b.reason)
+            logged = [
+                r.getMessage() for r in caplog.records
+                if r.getMessage().startswith(FALLBACK_LOG)
+            ]
+            queue_aware = core == "auto" and policy in ("p2c", "least")
+            assert len(logged) == queue_aware
+            if queue_aware:
+                assert "is queue-aware" in logged[0]
 
     def test_materialized_list_source(self, fleet_inputs):
         """A pre-drawn list shards without a phase-A scan (its horizon
         is knowable) and still merges bit-identically."""
         trace = list(_source(fleet_inputs[2], seed=11))
         ref = _run(fleet_inputs, trace, shards=1)
-        out = _run(fleet_inputs, trace, shards=2)
-        assert out.to_dict() == ref.to_dict()
+        for core in CORES:
+            out = _run(fleet_inputs, trace, shards=2, core=core)
+            assert out.to_dict() == ref.to_dict()
 
     def test_recorded_trace_source(self, fleet_inputs, tmp_path):
         """A recorded trace file replays sharded through the filtered
@@ -173,8 +203,9 @@ class TestShardedMergeBitIdentity:
         path = str(tmp_path / "trace.jsonl")
         save_trace(path, list(_source(fleet_inputs[2], seed=5)))
         ref = _run(fleet_inputs, RecordedTrace(path), shards=1)
-        out = _run(fleet_inputs, RecordedTrace(path), shards=2)
-        assert out.to_dict() == ref.to_dict()
+        for core in CORES:
+            out = _run(fleet_inputs, RecordedTrace(path), shards=2, core=core)
+            assert out.to_dict() == ref.to_dict()
 
     def test_orphan_model_arrivals_count_as_drops(self, fleet_inputs):
         """Arrivals for a model with no replicas anywhere must be folded
@@ -190,23 +221,33 @@ class TestShardedMergeBitIdentity:
             seed=3,
         )
         ref = _run(fleet_inputs, source, shards=1)
-        out = _run(fleet_inputs, source, shards=2)
-        assert out.to_dict() == ref.to_dict()
-        assert out.per_model["ZZ-unserved"].dropped > 0
+        for core in CORES:
+            out = _run(fleet_inputs, source, shards=2, core=core)
+            assert out.to_dict() == ref.to_dict()
+            assert out.per_model["ZZ-unserved"].dropped > 0
 
     def test_shard_with_no_arrivals_idles_over_full_window(self, fleet_inputs):
         """A shard whose models drew zero arrivals still accounts its
-        idle replicas across the shared horizon."""
+        idle replicas across the shared horizon -- and, autoscaled,
+        ticks over it, draining the idle replicas exactly as the
+        single-process run does."""
         table, models, workloads, allocation = fleet_inputs
         source = FleetArrivals(
             {"DLRM-RMC1": PoissonProcess(workloads["DLRM-RMC1"], 400.0, 1.0)},
             seed=9,
         )
-        ref = _run(fleet_inputs, source, shards=1)
-        out = _run(fleet_inputs, source, shards=2)
-        assert out.to_dict() == ref.to_dict()
-        assert out.per_model["DLRM-RMC2"].completed == 0
-        assert out.avg_power_w == ref.avg_power_w
+        for autoscale in (False, True):
+            ref = _run(fleet_inputs, source, shards=1, autoscale=autoscale)
+            if autoscale:
+                assert any(ev.model == "DLRM-RMC2" for ev in ref.scale_events)
+            for core in CORES:
+                out = _run(
+                    fleet_inputs, source, shards=2, autoscale=autoscale,
+                    core=core,
+                )
+                assert out.to_dict() == ref.to_dict()
+                assert out.per_model["DLRM-RMC2"].completed == 0
+                assert out.avg_power_w == ref.avg_power_w
 
 
 class TestSketchMode:
@@ -297,11 +338,17 @@ class TestPlanAndRefusals:
             _run(fleet_inputs, source, shards=2, policy=make_policy("p2c"))
 
     def test_vector_core_refused(self, fleet_inputs):
+        """Only the epoch core is refused: its epochs are cut across
+        every model's arrivals.  The vector core shards exactly."""
         table, models, workloads, allocation = fleet_inputs
-        with pytest.raises(ValueError, match="per-event core"):
+        source = _source(workloads)
+        ref = _run(fleet_inputs, source, shards=1)
+        out = _run(fleet_inputs, source, shards=2, core="vector")
+        assert out.to_dict() == ref.to_dict()
+        with pytest.raises(ValueError, match="across every model's arrivals"):
             run_fleet_sharded(
                 allocation, table, models, workloads,
-                _source(workloads), shards=2, sla_ms=SLA, core="vector",
+                source, shards=2, sla_ms=SLA, core="vector-epoch",
             )
 
     def test_bare_iterator_refused(self, fleet_inputs):
@@ -350,36 +397,78 @@ class TestSeedLanes:
 
 
 class TestForcedHorizon:
-    def _sim(self, fleet_inputs, **kwargs):
+    """``run(horizon_s=)`` on both exact cores."""
+
+    def _sim(self, fleet_inputs, core, **kwargs):
         table, models, workloads, allocation = fleet_inputs
         servers = build_fleet(allocation, table, models, workloads)
         return FleetSimulator(
-            servers, policy="rr", sla_ms=SLA, core="python", **kwargs
+            servers, policy="rr", sla_ms=SLA, core=core, **kwargs
         )
 
     def test_forcing_the_natural_horizon_changes_nothing(self, fleet_inputs):
         source = _source(fleet_inputs[2], seed=6, duration=0.8)
         end = max(q.arrival_s for _, q in source)
-        ref = self._sim(fleet_inputs).run(source, warmup_s=0.05)
-        out = self._sim(fleet_inputs).run(
-            source, warmup_s=0.05, horizon_s=end
-        )
-        assert out.to_dict() == ref.to_dict()
+        for core in EXACT_CORES:
+            ref = self._sim(fleet_inputs, core).run(source, warmup_s=0.05)
+            out = self._sim(fleet_inputs, core).run(
+                source, warmup_s=0.05, horizon_s=end
+            )
+            assert out.to_dict() == ref.to_dict()
 
     def test_horizon_before_last_arrival_raises(self, fleet_inputs):
         source = _source(fleet_inputs[2], seed=6, duration=0.8)
-        with pytest.raises(ValueError, match="last arrival"):
-            self._sim(fleet_inputs).run(source, warmup_s=0.05, horizon_s=0.06)
+        for core in EXACT_CORES:
+            with pytest.raises(ValueError, match="last arrival"):
+                self._sim(fleet_inputs, core).run(
+                    source, warmup_s=0.05, horizon_s=0.06
+                )
 
     def test_horizon_inside_warmup_raises(self, fleet_inputs):
         source = _source(fleet_inputs[2], seed=6, duration=0.8)
-        with pytest.raises(ValueError, match="warmup"):
-            self._sim(fleet_inputs).run(source, warmup_s=0.5, horizon_s=0.4)
+        for core in EXACT_CORES:
+            with pytest.raises(ValueError, match="warmup"):
+                self._sim(fleet_inputs, core).run(
+                    source, warmup_s=0.5, horizon_s=0.4
+                )
 
     def test_fault_mode_refuses_forced_horizon(self, fleet_inputs):
         source = _source(fleet_inputs[2], seed=6, duration=0.8)
-        sim = self._sim(
-            fleet_inputs, faults=FaultSchedule.parse("crash@0.3:0+0.2")
-        )
-        with pytest.raises(ValueError, match="fault-free"):
-            sim.run(source, warmup_s=0.05, horizon_s=2.0)
+        for core in EXACT_CORES:
+            sim = self._sim(
+                fleet_inputs, core,
+                faults=FaultSchedule.parse("crash@0.3:0+0.2"),
+            )
+            with pytest.raises(ValueError, match="fault-free"):
+                sim.run(source, warmup_s=0.05, horizon_s=2.0)
+
+    def test_empty_stream_idles_up_to_the_horizon(self, fleet_inputs):
+        """Under a forced horizon an empty stream replays: replicas idle
+        over the window and autoscaler ticks fire up to it.  Without a
+        horizon it is still an error."""
+        standby = Allocation()
+        standby.add("T2", "DLRM-RMC1", 1)
+        table, models, workloads, allocation = fleet_inputs
+        # An empty list, and a stream whose one process draws nothing.
+        silent = PoissonProcess(workloads["DLRM-RMC1"], 1e-9, 0.5)
+        sources = ([], FleetArrivals({"DLRM-RMC1": silent}))
+        results = []
+        for core in EXACT_CORES:
+            for source in sources:
+                servers = build_fleet(
+                    allocation, table, models, workloads, standby=standby
+                )
+                sim = FleetSimulator(
+                    servers, policy="rr", sla_ms=SLA, core=core,
+                    autoscaler=ReactiveAutoscaler(SLA, window_s=0.2),
+                )
+                with pytest.raises(ValueError, match="empty fleet trace"):
+                    sim.run(source, warmup_s=0.05)
+                out = sim.run(source, warmup_s=0.05, horizon_s=1.0)
+                assert sim.last_tick_count == 4  # 0.2 .. 0.8, before 1.0
+                assert out.total_completed == 0
+                assert out.scale_events  # the idle active replicas drain
+                active = [s for s in out.servers if s.ever_active]
+                assert active and all(0 < s.active_s <= 1.0 for s in active)
+                results.append(out.to_dict())
+        assert all(r == results[0] for r in results)
