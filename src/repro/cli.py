@@ -897,9 +897,11 @@ def _add_fleet_shared_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("auto", "python", "vector", "vector-epoch"),
         default="auto",
         help=(
-            "event-core selection: 'auto' uses the vectorized batch core "
-            "when eligible (rr/weighted routing, plain fault schedules) "
-            "and falls back to the exact per-event core otherwise; "
+            "event-core selection: 'auto' uses the vectorized core "
+            "when eligible (rr/weighted/p2c routing -- p2c through an "
+            "exact per-arrival router -- and plain fault schedules) and "
+            "falls back to the exact per-event core otherwise (least "
+            "routing, retries, hedging, tracing, live telemetry); "
             "'python' forces the per-event core; 'vector' demands the "
             "vectorized core and errors with every blocking reason when "
             "ineligible; 'vector-epoch' batches queue-aware routing "

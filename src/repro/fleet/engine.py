@@ -51,7 +51,7 @@ from repro.fleet.report import (
     ServerStats,
     fleet_power_summary,
 )
-from repro.fleet.routing import RoutingPolicy, make_policy
+from repro.fleet.routing import PowerOfTwoPolicy, RoutingPolicy, make_policy
 from repro.hardware.power import ComponentUtilization
 from repro.hardware.server import ServerType, get_server_type
 from repro.models.zoo import RecommendationModel
@@ -333,10 +333,12 @@ class FleetSimulator:
             ``trace=True`` forces the tracked fault loop so per-query
             spans can be materialized from ``last_query_log``.
         core: Event-core selection.  ``"auto"`` (the default) uses the
-            vectorized batch core (:mod:`repro.sim.fast_core`) when the
-            run is eligible -- outstanding-oblivious routing (rr /
-            weighted), no retries/hedging/tracing (plain fault
-            schedules are fine: they run the segmented vectorized
+            vectorized core (:mod:`repro.sim.fast_core`) when the run
+            is eligible -- outstanding-oblivious routing (rr /
+            weighted) or p2c (an exact per-arrival router; eligibility
+            is decided on the exact :class:`PowerOfTwoPolicy` class, so
+            a subclass falls back), no retries/hedging/tracing (plain
+            fault schedules are fine: they run the segmented vectorized
             fault path, bit-identical to the python light loop), no
             observer -- and otherwise falls back to
             the exact per-event python core, logging every applicable
@@ -535,13 +537,16 @@ class FleetSimulator:
     def _vector_fallback_reasons(self, epoch: bool = False) -> list[str]:
         """Every reason this run cannot use the vectorized core.
 
-        The vectorized core pre-routes whole arrival segments and
-        delivers completions in per-replica batches, which is exact
-        only when nothing observes or perturbs the per-event
-        interleaving: retries/hedging/tracing, live observers, and
-        queue-aware routing all force the per-event python core.
-        Plain fault schedules (``retries == 0``, no hedging/tracing)
-        are eligible -- they run the segmented vectorized fault path.
+        The vectorized core pre-routes oblivious arrival segments,
+        routes p2c per arrival against the two drawn replicas only, and
+        delivers completions per replica, which is exact only when
+        nothing observes or perturbs the per-event interleaving:
+        retries/hedging/tracing, live observers, and any other
+        queue-aware policy (``least``, or a :class:`PowerOfTwoPolicy`
+        subclass that may override ``choose``) force the per-event
+        python core.  Plain fault schedules (``retries == 0``, no
+        hedging/tracing) are eligible -- they run the segmented
+        vectorized fault path.
         With ``epoch=True`` (``core="vector-epoch"``), queue-aware
         routing is also admitted, but fault schedules are not
         (mid-epoch kills would invalidate the queue snapshots).
@@ -572,7 +577,10 @@ class FleetSimulator:
             )
         if not epoch:
             for model, policy in self._policies.items():
-                if not policy.outstanding_oblivious:
+                if not (
+                    policy.outstanding_oblivious
+                    or type(policy) is PowerOfTwoPolicy
+                ):
                     reasons.append(
                         f"policy {policy.name!r} (model {model!r}) is "
                         "queue-aware: it reads live outstanding counts "

@@ -57,8 +57,10 @@ class RoutingPolicy:
     #: Whether ``choose`` ignores live queue depth (``outstanding``).
     #: Oblivious policies (rr, weighted) route a whole arrival segment
     #: identically whether or not completions interleave, which is what
-    #: lets the vectorized fast core pre-route batches; queue-aware
-    #: policies (least, p2c) force the exact per-event engine.
+    #: lets the vectorized fast core pre-route batches.  Queue-aware
+    #: policies force the exact per-event engine, except
+    #: :class:`PowerOfTwoPolicy` itself, which the vectorized core
+    #: routes per arrival against its two drawn replicas.
     outstanding_oblivious = False
 
     def choose(self, candidates: Sequence["FleetServer"]) -> "FleetServer":
@@ -232,7 +234,9 @@ class PowerOfTwoPolicy(RoutingPolicy):
     """Sample two replicas, send to the less-loaded one.
 
     The classic O(1) approximation of least-outstanding: most of the
-    tail benefit at a fraction of the bookkeeping.
+    tail benefit at a fraction of the bookkeeping.  The vectorized
+    core's p2c router (``route_p2c`` in :mod:`repro.sim.fast_core`)
+    replays :meth:`choose` draw for draw, so the two change together.
     """
 
     name = "p2c"

@@ -20,7 +20,7 @@ repo's four hot paths:
 - ``fleet_replay_streaming`` -- the same replay fed by a lazily
   streamed arrival process instead of the materialized list, reporting
   the wall-time ratio against the list path (CI bounds it at < 1.1)
-  and asserting both agree exactly, once on the default p2c python
+  and asserting both agree exactly, once under p2c on the python
   core and once under rr on the vector core (streamed source vs its
   pre-built list, also bounded at < 1.1);
 - ``fleet_replay_faultpath`` -- the same replay with an empty fault
@@ -32,11 +32,11 @@ repo's four hot paths:
   after the run vs the bare replay, reporting the ratio CI bounds at
   < 1.1x and asserting the realtime report agrees float-for-float; a
   third leg adds deferrable jobs for trend inspection.
-- ``fleet_replay_observed`` -- the same replay with the observability
-  probe off vs plain construction (CI bounds the dormant-guard ratio
-  at < 1.05x), with per-query tracing vs the tracked loop it rides on
-  (< 1.5x), and with streaming metrics (ratio recorded for trend),
-  asserting every leg agrees float-for-float.
+- ``fleet_replay_observed`` -- the same replay on the python core
+  with the observability probe off vs plain construction (CI bounds
+  the dormant-guard ratio at < 1.05x), with per-query tracing vs the
+  tracked loop it rides on (< 1.5x), and with streaming metrics vs
+  the dark loop (< 1.6x), asserting every leg agrees float-for-float.
 - ``fault_aware_provisioning`` -- the availability -> ``R`` fixpoint
   search under a scripted rack-outage schedule (several fault-injected
   replays per run); wall time tracks the cost of closing the loop.
@@ -425,8 +425,8 @@ def _scenario_single_node_des(ctx: _Context) -> dict[str, Any]:
 def _scenario_fleet_replay(ctx: _Context) -> dict[str, Any]:
     fleet, trace = _two_model_fleet(ctx)
     # Pinned to the python core so this scenario's trajectory keeps
-    # measuring the per-event loop (p2c is queue-aware, so "auto" would
-    # fall back to it anyway).
+    # measuring the per-event loop ("auto" would route p2c on the
+    # vector core).
     wall, result, _ = fleet.replay(
         1, lambda: trace, policy="p2c", core="python"
     )
@@ -499,6 +499,12 @@ def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
     equivalent, not bit-identical (queue depths refresh at epoch
     boundaries); the scenario bounds the drift in-process: completed
     counts within 1%, average power within 2%, p50 within 2x.
+
+    Two more legs replay the same fleet and trace under p2c on the
+    python core and under ``core='auto'``, which routes p2c exactly per
+    arrival on the vector core; their reports must be ``==``.
+    ``speedup_vector_p2c_vs_python`` (best of three walls per side) is
+    recorded ungated.
     """
     fleet = _Fleet(
         ctx, _ONE_MODEL_SHARES, ctx.cfg["queueaware_servers"],
@@ -511,6 +517,17 @@ def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
     wall_epoch, result_epoch, _ = fleet.replay(
         3, lambda: trace, policy="least", core="vector-epoch"
     )
+    wall_p2c_py, result_p2c_py, _ = fleet.replay(
+        3, lambda: trace, policy="p2c", core="python"
+    )
+    wall_p2c_vec, result_p2c_vec, _ = fleet.replay(
+        3, lambda: trace, policy="p2c", core="auto"
+    )
+    if result_p2c_vec.to_dict() != result_p2c_py.to_dict():
+        raise AssertionError(
+            "exact p2c routing on the vector core diverged from the "
+            "python core"
+        )
 
     (model,) = _ONE_MODEL_SHARES
     stats_py = result_py.per_model[model]
@@ -547,6 +564,11 @@ def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
         "p99_ms_python": stats_py.p99_ms,
         "p99_ms_epoch": stats_epoch.p99_ms,
         "completed": stats_epoch.completed,
+        "wall_p2c_python_s": wall_p2c_py,
+        "wall_p2c_vector_s": wall_p2c_vec,
+        "speedup_vector_p2c_vs_python": (
+            wall_p2c_py / wall_p2c_vec if wall_p2c_vec > 0 else None
+        ),
     }
 
 
@@ -572,12 +594,17 @@ def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
     from repro.fleet.faults import crash, slowdown
 
     fleet, trace = _two_model_fleet(ctx)
-    wall_off, result_off, _ = fleet.replay(2, lambda: trace, policy="p2c")
+    # The p2c legs are pinned to the python core: the tracked leg must
+    # run there, so its ratio compares one core with itself.
+    wall_off, result_off, _ = fleet.replay(
+        2, lambda: trace, policy="p2c", core="python"
+    )
     wall_light, result_light, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", faults=FaultSchedule()
+        2, lambda: trace, policy="p2c", core="python", faults=FaultSchedule()
     )
     wall_tracked, result_tracked, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", faults=FaultSchedule(), retries=2
+        2, lambda: trace, policy="p2c", core="python",
+        faults=FaultSchedule(), retries=2,
     )
     for label, result in (("light", result_light), ("tracked", result_tracked)):
         if result.per_model != result_off.per_model:
@@ -731,10 +758,10 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
     lazily from an :class:`~repro.traces.FleetArrivals` source (O(one
     segment) memory) instead of a fully-materialized sorted list.
     This scenario runs the identical fleet/traffic both ways end to
-    end -- traffic synthesis *included* on both sides, since either
-    path must draw the arrivals: the materialized leg builds the full
-    list first and replays it, the streamed leg replays the source
-    directly.  ``ratio_vs_materialized`` (streamed wall over
+    end on the python core -- traffic synthesis *included* on both
+    sides, since either path must draw the arrivals: the materialized
+    leg builds the full list first and replays it, the streamed leg
+    replays the source directly.  ``ratio_vs_materialized`` (streamed wall over
     materialized wall) is the number CI's perf-smoke job bounds at
     < 1.1, and the two replays must agree float-for-float -- a
     built-in differential smoke check of the lazy pull.
@@ -749,10 +776,10 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
     fleet, trace = _two_model_fleet(ctx)
     stream = fleet.stream
     wall_mat, result_mat, _ = fleet.replay(
-        2, lambda: list(stream), policy="p2c"
+        2, lambda: list(stream), policy="p2c", core="python"
     )
     wall_stream, result_stream, _ = fleet.replay(
-        2, lambda: stream, policy="p2c"
+        2, lambda: stream, policy="p2c", core="python"
     )
     if result_stream.per_model != result_mat.per_model:
         raise AssertionError(
@@ -796,28 +823,27 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
 def _scenario_fleet_replay_observed(ctx: _Context) -> dict[str, Any]:
     """Observer cost: dark engine vs metrics probe vs tracing probe.
 
-    Replays the identical fleet/trace five ways: the plain engine
-    exactly as every pre-observability caller constructs it (no
-    ``observer`` argument); explicitly observer-off (the dormant-guard
-    path); with a streaming-metrics :class:`~repro.obs.FleetProbe`;
-    through the tracked fault loop without an observer (empty schedule
-    plus a retry budget -- the loop tracing rides on); and with a
-    trace-only probe.  All five must agree float-for-float on
-    per-model stats -- the bit-identical observer-off contract,
-    checked differentially on every bench run.
+    Replays the identical fleet/trace five ways, all on the python
+    core (the only core that takes probes, tracing and retries): the
+    plain engine exactly as every pre-observability caller constructs
+    it (no ``observer`` argument); explicitly observer-off (the
+    dormant-guard path); with a streaming-metrics
+    :class:`~repro.obs.FleetProbe`; through the tracked fault loop
+    without an observer (empty schedule plus a retry budget -- the
+    loop tracing rides on); and with a trace-only probe.  All five
+    must agree float-for-float on per-model stats -- the bit-identical
+    observer-off contract, checked differentially on every bench run.
 
-    Two ratios feed CI gates.  ``ratio_off_vs_plain`` (< 1.05) bounds
-    the observer-off path against the no-observer construction: the
-    dormant hook guards must stay within measurement noise of the
-    plain engine.
+    Three ratios feed CI gates.  ``ratio_off_vs_plain`` (< 1.05)
+    bounds the observer-off path against the no-observer
+    construction: the dormant hook guards must stay within
+    measurement noise of the plain engine.
     ``ratio_traced_vs_tracked`` (< 1.5) bounds tracing against the
     tracked loop it rides on: span capture reads the loop's own
     per-query records and defers span construction to export, so a
     traced run must stay close to the tracked loop's cost.
-    ``ratio_metrics_vs_off`` is recorded ungated: live windowed
-    metrics pay ~1-2 microseconds of Python hook per event on a loop
-    that processes events in about that time -- a documented 2-3x,
-    tracked for trend.
+    ``ratio_metrics_vs_off`` (< 1.60) bounds live windowed metrics,
+    which pay a Python hook per event, against the dark loop.
     """
     from repro.fleet import FaultSchedule
     from repro.obs import FleetProbe
@@ -825,20 +851,25 @@ def _scenario_fleet_replay_observed(ctx: _Context) -> dict[str, Any]:
     fleet, trace = _two_model_fleet(ctx)
     window_s = max(fleet.duration / 32.0, 1e-3)  # ~32 samples regardless of mode
 
-    wall_plain, result_plain, _ = fleet.replay(2, lambda: trace, policy="p2c")
+    # Every leg runs the python core: probes, tracing and retries need
+    # it, so the dark legs are pinned there too.
+    legs = {"policy": "p2c", "core": "python"}
+    wall_plain, result_plain, _ = fleet.replay(2, lambda: trace, **legs)
     wall_off, result_off, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", observer=None
+        2, lambda: trace, observer=None, **legs
     )
     wall_metrics, result_metrics, probe_m = fleet.replay(
-        2, lambda: trace, policy="p2c",
+        2, lambda: trace,
         make_probe=lambda: FleetProbe(window_s=window_s, metrics=True),
+        **legs,
     )
     wall_tracked, result_tracked, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", faults=FaultSchedule(), retries=2
+        2, lambda: trace, faults=FaultSchedule(), retries=2, **legs
     )
     wall_traced, result_traced, probe_t = fleet.replay(
-        2, lambda: trace, policy="p2c",
+        2, lambda: trace,
         make_probe=lambda: FleetProbe(window_s=window_s, metrics=False, trace=True),
+        **legs,
     )
     for label, result in (
         ("observer-off", result_off),

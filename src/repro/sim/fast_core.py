@@ -1,21 +1,27 @@
 """Vectorized fleet-replay core: batched routing and completion delivery.
 
 The pure-Python fleet engine (:mod:`repro.fleet.engine`) processes one
-event at a time through a global heap.  For the common measurement
-configuration -- outstanding-oblivious routing (rr / weighted), no
-retries or hedging, no live observer -- per-event interleaving is
-unnecessary: routing decisions depend only on arrival order within a
-model stream, and replicas never interact except through the router.
-This module exploits that in two loops, :func:`run_vectorized` (exact)
-and :func:`run_epoch` (queue-aware routing by arrival micro-epochs,
+event at a time through a global heap.  Without retries, hedging or a
+live observer, per-event interleaving across replicas is unnecessary:
+replicas never interact except through the router, and a replica's
+queue at time t depends only on its own admissions.  This module
+exploits that in two loops, :func:`run_vectorized` (exact) and
+:func:`run_epoch` (queue-aware routing by arrival micro-epochs,
 statistically equivalent):
 
 - Arrivals are ingested into flat numpy arrays -- a
   :class:`~repro.traces.FleetArrivals` source hands over its merged
   blocks, so synthetic traffic never becomes a Python object per
-  arrival -- and **pre-routed in batches** per model via
-  :meth:`RoutingPolicy.choose_batch` (round-robin collapses to modular
-  index arithmetic, smooth-WRR to a tight local credit loop).
+  arrival.  Outstanding-oblivious policies (rr / weighted) route on
+  arrival order alone, so they are **pre-routed in batches** per model
+  via :meth:`RoutingPolicy.choose_batch` (round-robin collapses to
+  modular index arithmetic, smooth-WRR to a tight local credit loop).
+- p2c reads the outstanding counts of its two draws only, so it is
+  routed **per arrival** inside the same segment body: the two drawn
+  replicas are brought up to the arrival time (a DirectStage replica
+  retires its known finishes, a FUSE replica pumps its local loop) and
+  the pick is admitted at once.  ``least`` reads every candidate and
+  stays on the per-event core.
 - Queries routed to a :class:`~repro.sim.event_core.DirectStage`
   replica (every CPU placement) are delivered as **per-replica batches**:
   chunk service times are expanded vectorized, then a compact
@@ -36,7 +42,8 @@ statistically equivalent):
 Exactness: per-replica completion floats are bit-identical to the
 python core (the recurrences perform the same operations in the same
 order; ``tests/test_fast_core.py`` pins representative configurations
-and fuzzes the rest).  The one caveat is *cross-replica ties*: two
+and fuzzes the rest; equal finishes on one replica keep its completion
+order).  The one caveat is *cross-replica ties*: two
 completions with byte-equal finish timestamps on different replicas may
 enter per-model statistics in a different order than the global heap
 would pop them, which can move ``mean_ms`` by one ulp.  Continuous-time
@@ -65,6 +72,11 @@ _SERVICE_LISTS: dict[int, tuple[object, int, list]] = {}
 #: FUSE stages with fusion limits above this keep the dict-memo lookup
 #: (a dense table would mostly hold service times no batch ever forms).
 _FUSE_TABLE_CAP = 4096
+
+#: Arrivals the p2c router turns into Python scalars at a time.  Whole-
+#: trace lists would hold a float or int object plus a list slot per
+#: column, 108-136 B per arrival on top of the numpy columns.
+_P2C_BLOCK = 8192
 
 
 def _service_table(stage, maxsz: int) -> np.ndarray:
@@ -124,14 +136,19 @@ class _LocalReplicaSim:
     runs local events with ``time < limit``; events at or past the
     limit stay queued so the replica can resume after an autoscaler
     tick.  ``seq`` counts batch events exactly as the global heap's
-    sequence would for this replica.
+    sequence would for this replica; ``inflight`` counts the admitted
+    queries that have not finished (the replica's outstanding count).
+    Each finished query gets its finish time in ``finish`` and its
+    replica-local completion number (``done`` so far) in ``rank``:
+    queries one batch completes share a finish time, and the python
+    core records them in batch order, which need not be arrival order.
     """
 
     __slots__ = (
         "pipeline", "queues", "free", "last", "fuse_only",
         "stages", "forms", "chunk_memos", "is_fuse",
         "fuse_of", "tab_of", "memo_of", "fn_of", "ps_of",
-        "events", "seq", "completions",
+        "events", "seq", "completions", "inflight", "done",
     )
 
     def __init__(self, pipeline) -> None:
@@ -161,6 +178,8 @@ class _LocalReplicaSim:
         self.events: list[tuple] = []
         self.seq = 0
         self.completions: list[tuple[float, int]] = []
+        self.inflight = 0
+        self.done = 0
 
     def kill(self) -> set:
         """Cancel all in-flight work after a crash.
@@ -190,17 +209,18 @@ class _LocalReplicaSim:
                     add(unit[0].idx)
         self.events = []
         self.completions = []
+        self.inflight = 0
         self.pipeline.reset()
         self.free = self.pipeline.free
         return vict
 
-    def pump(self, tl, sl, pl, il, limit, finish, track: bool) -> None:
+    def pump(self, tl, sl, pl, il, limit, finish, rank, track: bool) -> None:
         if self.fuse_only:
-            self._pump_fuse(tl, sl, pl, il, limit, finish, track)
+            self._pump_fuse(tl, sl, pl, il, limit, finish, rank, track)
         else:
-            self._pump_generic(tl, sl, pl, il, limit, finish, track)
+            self._pump_generic(tl, sl, pl, il, limit, finish, rank, track)
 
-    def _pump_fuse(self, tl, sl, pl, il, limit, finish, track) -> None:
+    def _pump_fuse(self, tl, sl, pl, il, limit, finish, rank, track) -> None:
         """All-FUSE pipelines: query state is a plain (pooling, size,
         global-arrival-index) tuple and every dispatch is inlined.
 
@@ -225,6 +245,7 @@ class _LocalReplicaSim:
         scale = self.pipeline.service_scale
         comp = self.completions.append
         nn = len(tl)
+        done = self.done
         i = 0
         while True:
             if i < nn:
@@ -326,6 +347,8 @@ class _LocalReplicaSim:
             else:
                 for tup in entry[3]:
                     finish[tup[2]] = now
+                    rank[tup[2]] = done
+                    done += 1
                     if track:
                         comp((now, tup[2]))
             # refill the stage that just freed a unit
@@ -369,8 +392,12 @@ class _LocalReplicaSim:
                     nfree -= 1
                 free[idx] = nfree
         self.seq = seq
+        self.inflight += nn - (done - self.done)
+        self.done = done
 
-    def _pump_generic(self, tl, sl, pl, il, limit, finish, track) -> None:
+    def _pump_generic(
+        self, tl, sl, pl, il, limit, finish, rank, track
+    ) -> None:
         """Mixed SPLIT/FUSE pipelines: slotted query states with
         ``pending_units`` accounting, exactly like ``Pipeline``."""
         stages = self.stages
@@ -385,6 +412,7 @@ class _LocalReplicaSim:
         scale = self.pipeline.service_scale
         comp = self.completions.append
         nn = len(tl)
+        done = self.done
         i = 0
         while True:
             if i < nn:
@@ -450,6 +478,8 @@ class _LocalReplicaSim:
                         free[nxt] = nfree
                     else:
                         finish[st.idx] = now
+                        rank[st.idx] = done
+                        done += 1
                         if track:
                             comp((now, st.idx))
             nfree = free[idx]
@@ -465,6 +495,8 @@ class _LocalReplicaSim:
                     nfree -= 1
                 free[idx] = nfree
         self.seq = seq
+        self.inflight += nn - (done - self.done)
+        self.done = done
 
 
 def _ingest_blocks(models, blocks, codes):
@@ -603,7 +635,7 @@ def _apply_settles(pending: dict, before: float = float("inf")) -> None:
 
 
 def _report(
-    sim, ingested, warmup_s, horizon, server_of, routed, finish,
+    sim, ingested, warmup_s, horizon, server_of, routed, finish, rank,
     dropped, drop_order, scale_events, fault_info, events,
 ):
     """Fold a batch replay's per-arrival arrays into the fleet report.
@@ -611,9 +643,11 @@ def _report(
     ``routed`` marks the arrivals that completed (``server_of`` names
     their replica, ``finish`` their completion time).  Sets every
     replica's counters and settles it at ``horizon`` as the python
-    loops leave them, hands ``_summarize`` finish-sorted ``(finish,
-    latency)`` arrays per model, and records the event and tick counts
-    and the horizon.
+    loops leave them, hands ``_summarize`` ``(finish, latency)`` arrays
+    per model sorted by finish, then ``rank`` (a FUSE replica's local
+    completion order; zero on DirectStage replicas, whose equal
+    finishes complete in arrival order), and records the event and
+    tick counts and the horizon.
     """
     arr_t, arr_size, _, arr_m, _, codes = ingested
     servers = sim.servers
@@ -648,7 +682,7 @@ def _report(
             continue
         fin_m = finish[sel]
         lat_m = lat_all[sel]
-        o = np.argsort(fin_m, kind="stable")
+        o = np.lexsort((rank[sel], fin_m))
         completions[model] = (fin_m[o], lat_m[o])
 
     sim.last_event_count = events
@@ -659,6 +693,51 @@ def _report(
         completions, dropped, warmup_s, horizon, tuple(scale_events),
         fault_info,
     )
+
+
+def _direct_batch(server, ts, szs, pls) -> np.ndarray:
+    """Finish times of arrivals ``ts`` queued on a DirectStage replica.
+
+    Chunk service times are expanded vectorized (scaled while a slow
+    fault holds), then the exact DirectStage recurrence runs against
+    the replica's persistent unit-availability heap.
+    """
+    st = server.direct.stage
+    c = st.chunk_items
+    ps = st.pooling_sensitivity
+    maxsz = int(szs.max())
+    base_tab = _service_table(st, maxsz if maxsz > c else c)
+    full, rem = np.divmod(szs, c)
+    has_rem = rem > 0
+    nch = full + has_rem
+    csf = float(c)
+    if ps > 0.0:
+        svc_full = base_tab[c] * (1.0 - ps + ps * ((pls * csf) / csf))
+        remf = rem.astype(np.float64)
+        svc_rem = base_tab[rem] * (
+            1.0 - ps + ps * ((pls * remf) / np.where(has_rem, remf, 1.0))
+        )
+    else:
+        svc_full = np.full(len(ts), base_tab[c])
+        svc_rem = base_tab[rem]
+    ends = np.cumsum(nch)
+    rep_t = np.repeat(ts, nch)
+    rep_svc = np.repeat(svc_full, nch)
+    rep_svc[ends[has_rem] - 1] = svc_rem[has_rem]
+    if server.slow_factor != 1.0:
+        # A straggler: the per-chunk multiply of
+        # DirectStage.completion_time_slowed.
+        rep_svc *= server.slow_factor
+    starts_q = np.concatenate(([0], ends[:-1]))
+    avail = server.direct.avail
+    done = []
+    ap = done.append
+    for now, sv in zip(rep_t.tolist(), rep_svc.tolist()):
+        tf = avail[0]
+        d = (tf if tf > now else now) + sv
+        heapreplace(avail, d)
+        ap(d)
+    return np.maximum.reduceat(np.asarray(done), starts_q)
 
 
 def run_vectorized(
@@ -677,7 +756,8 @@ def run_vectorized(
     rescaling).  ``sim.faults=None`` is zero fault boundaries.  Results
     are bit-identical to the python light loop (modulo the
     cross-replica tie caveat in the module docstring); the caller has
-    verified eligibility: outstanding-oblivious routing, no retries,
+    verified eligibility: outstanding-oblivious or exact
+    :class:`~repro.fleet.routing.PowerOfTwoPolicy` routing, no retries,
     hedging, or observer.
 
     A forced ``horizon_s`` acts as in the light loop: ticks fire while
@@ -688,6 +768,7 @@ def run_vectorized(
         _materialized_faults,
         iter_boundaries,
     )
+    from repro.fleet.routing import PowerOfTwoPolicy
 
     servers = sim.servers
     n_servers = len(servers)
@@ -721,7 +802,8 @@ def run_vectorized(
     window_s = sim.autoscaler.window_s if scaling else 0.0
 
     finish = np.empty(n, dtype=np.float64)
-    server_of = np.full(n, -1, dtype=np.int64)
+    rank = np.zeros(n, dtype=np.int32)
+    server_of = np.full(n, -1, dtype=np.int32)
     killed = np.zeros(n, dtype=bool)
     routable = sim._routable
     policies = sim._policies
@@ -747,14 +829,127 @@ def run_vectorized(
     direct_pushes = 0
     ticks = 0
     fstate = _FaultState(servers, routable)
+    # Replicas of p2c-routed models are admitted by ``route_p2c``; each
+    # DirectStage replica keeps a min-heap of its known finishes there.
+    p2c_routed = [
+        type(policies[s.model_name]) is PowerOfTwoPolicy for s in servers
+    ]
+    known = [[] if s.direct is not None else None for s in servers]
+
+    def runner_of(server) -> _LocalReplicaSim:
+        runner = runners.get(server.index)
+        if runner is None:
+            runner = runners[server.index] = _LocalReplicaSim(server.pipeline)
+        return runner
+
+    def route_p2c(sel, candidates, policy) -> None:
+        """Route and admit arrivals ``sel`` one at a time, exactly as
+        :meth:`PowerOfTwoPolicy.choose` would against live queues.
+
+        The policy's own ``Random`` draws the two candidates (same
+        clamp, ``i == j`` and one-candidate rules), and only those two
+        replicas are brought up to the arrival time t: a DirectStage
+        replica retires its known finishes strictly before t (the light
+        loop pops an arrival before a completion at the same time), a
+        FUSE replica's local loop is pumped to t.  The pick is admitted
+        at once.  Arrivals become Python scalars one bounded block at a
+        time, and each block's servers and direct finishes are written
+        back to ``server_of`` / ``finish``.
+        """
+        k = len(candidates)
+        srv_of = [s.index for s in candidates]
+        weights = [s.weight for s in candidates]
+        heaps = [known[i] for i in srv_of]
+        directs = [s.direct for s in candidates]
+        slows = [s.slow_factor for s in candidates]
+        runs = [
+            None if s.direct is not None else runner_of(s)
+            for s in candidates
+        ]
+        rand = policy._random
+        pop = heappop
+        push = heappush
+        for b in range(0, len(sel), _P2C_BLOCK):
+            g = sel[b:b + _P2C_BLOCK]
+            picks = []
+            d_idx = []
+            d_fin = []
+            pick = picks.append
+            d_idx_add = d_idx.append
+            d_fin_add = d_fin.append
+            for t, sz, pl, gi in zip(
+                arr_t[g].tolist(), arr_size[g].tolist(),
+                arr_pool[g].tolist(), g.tolist(),
+            ):
+                i = 0
+                if k > 1:
+                    i = int(rand() * k)
+                    j = int(rand() * k)
+                    if i >= k:
+                        i = k - 1
+                    if j >= k:
+                        j = k - 1
+                    if i != j:
+                        h = heaps[i]
+                        if h is None:
+                            runner = runs[i]
+                            ev = runner.events
+                            if ev and ev[0][0] < t:
+                                runner.pump(
+                                    (), (), (), (), t, finish, rank, scaling
+                                )
+                            out_i = runner.inflight
+                        else:
+                            while h and h[0] < t:
+                                pop(h)
+                            out_i = len(h)
+                        h = heaps[j]
+                        if h is None:
+                            runner = runs[j]
+                            ev = runner.events
+                            if ev and ev[0][0] < t:
+                                runner.pump(
+                                    (), (), (), (), t, finish, rank, scaling
+                                )
+                            out_j = runner.inflight
+                        else:
+                            while h and h[0] < t:
+                                pop(h)
+                            out_j = len(h)
+                        if out_j < out_i or (
+                            out_j == out_i and weights[j] > weights[i]
+                        ):
+                            i = j
+                h = heaps[i]
+                if h is None:
+                    runs[i].pump(
+                        [t], [sz], [pl], [gi], t, finish, rank, scaling
+                    )
+                else:
+                    while h and h[0] < t:
+                        pop(h)
+                    f = slows[i]
+                    if f == 1.0:
+                        d = directs[i].completion_time(t, sz, pl)
+                    else:
+                        d = directs[i].completion_time_slowed(t, sz, pl, f)
+                    push(h, d)
+                    d_idx_add(gi)
+                    d_fin_add(d)
+                pick(srv_of[i])
+            server_of[g] = picks
+            if d_idx:
+                finish[d_idx] = d_fin
 
     def deliver(lo: int, hi: int, limit: float) -> None:
         """Route and deliver arrivals [lo, hi) -- the fault-free
-        segment body.  Direct replicas run the exact DirectStage
+        segment body.  Oblivious policies pre-route the segment in one
+        batch and p2c routes and admits per arrival (``route_p2c``).
+        Batch-routed direct replicas then run the exact DirectStage
         recurrence in batches (chunk services scaled while a slow fault
-        holds) and keep their delivered indices for the crash-victim
-        lookback; FUSE-bearing replicas pump their local loops to
-        ``limit`` (the next boundary)."""
+        holds), and every direct replica keeps its delivered indices for
+        the crash-victim lookback; batch-routed FUSE-bearing replicas
+        pump their local loops to ``limit`` (the next boundary)."""
         nonlocal direct_pushes
         if lo >= hi:
             return
@@ -770,11 +965,16 @@ def run_vectorized(
                     dropped, drop_order, window_drops,
                 )
                 continue
-            picks = policies[model].choose_batch(candidates, len(sel))
-            cand_idx = np.fromiter(
-                (s.index for s in candidates), np.int64, count=len(candidates)
-            )
-            server_of[lo + sel] = cand_idx[np.asarray(picks)]
+            policy = policies[model]
+            if type(policy) is PowerOfTwoPolicy:
+                route_p2c(lo + sel, candidates, policy)
+            else:
+                picks = policy.choose_batch(candidates, len(sel))
+                cand_idx = np.fromiter(
+                    (s.index for s in candidates), np.int64,
+                    count=len(candidates),
+                )
+                server_of[lo + sel] = cand_idx[np.asarray(picks)]
             if scaling:
                 window_arrivals[model] += len(sel)
         seg_srv = server_of[lo:hi]
@@ -788,53 +988,14 @@ def run_vectorized(
             gidx = lo + order[bounds[j]:bounds[j + 1]]
             s = servers[srv_i]
             ts = arr_t[gidx]
-            szs = arr_size[gidx]
-            pls = arr_pool[gidx]
             if scaling:
                 outstanding_vec[srv_i] += len(gidx)
             if s.direct is not None:
-                st = s.direct.stage
-                c = st.chunk_items
-                ps = st.pooling_sensitivity
-                maxsz = int(szs.max())
-                base_tab = _service_table(st, maxsz if maxsz > c else c)
-                full, rem = np.divmod(szs, c)
-                has_rem = rem > 0
-                nch = full + has_rem
-                csf = float(c)
-                if ps > 0.0:
-                    svc_full = base_tab[c] * (
-                        1.0 - ps + ps * ((pls * csf) / csf)
-                    )
-                    remf = rem.astype(np.float64)
-                    svc_rem = base_tab[rem] * (
-                        1.0 - ps
-                        + ps * ((pls * remf) / np.where(has_rem, remf, 1.0))
-                    )
+                if p2c_routed[srv_i]:
+                    fin = finish[gidx]
                 else:
-                    svc_full = np.full(len(ts), base_tab[c])
-                    svc_rem = base_tab[rem]
-                ends = np.cumsum(nch)
-                rep_t = np.repeat(ts, nch)
-                rep_svc = np.repeat(svc_full, nch)
-                rep_svc[ends[has_rem] - 1] = svc_rem[has_rem]
-                if s.slow_factor != 1.0:
-                    # A straggler: the per-chunk multiply of
-                    # DirectStage.completion_time_slowed.
-                    rep_svc *= s.slow_factor
-                starts_q = np.concatenate(([0], ends[:-1]))
-                # The exact DirectStage recurrence against the
-                # replica's persistent unit-availability heap.
-                avail = s.direct.avail
-                done = []
-                ap = done.append
-                for now, sv in zip(rep_t.tolist(), rep_svc.tolist()):
-                    tf = avail[0]
-                    d = (tf if tf > now else now) + sv
-                    heapreplace(avail, d)
-                    ap(d)
-                fin = np.maximum.reduceat(np.asarray(done), starts_q)
-                finish[gidx] = fin
+                    fin = _direct_batch(s, ts, arr_size[gidx], arr_pool[gidx])
+                    finish[gidx] = fin
                 direct_pushes += len(gidx)
                 chunks = delivered.get(srv_i)
                 if chunks is None:
@@ -846,20 +1007,18 @@ def run_vectorized(
                     if fmax > last_finish[srv_i]:
                         last_finish[srv_i] = fmax
                     pool.append((fin, fin - ts, codes[s.model_name], srv_i))
-            else:
-                runner = runners.get(srv_i)
-                if runner is None:
-                    runner = runners[srv_i] = _LocalReplicaSim(s.pipeline)
-                runner.pump(
-                    ts.tolist(), szs.tolist(), pls.tolist(), gidx.tolist(),
-                    limit, finish, scaling,
+            elif not p2c_routed[srv_i]:
+                runner_of(s).pump(
+                    ts.tolist(), arr_size[gidx].tolist(),
+                    arr_pool[gidx].tolist(), gidx.tolist(),
+                    limit, finish, rank, scaling,
                 )
 
     def collect(limit: float) -> None:
         """Run every local loop up to ``limit`` and bank completions."""
         for srv_i, runner in runners.items():
             if runner.events:
-                runner.pump((), (), (), (), limit, finish, scaling)
+                runner.pump((), (), (), (), limit, finish, rank, scaling)
             if scaling:
                 comps = runner.completions
                 if comps:
@@ -931,6 +1090,7 @@ def run_vectorized(
                 vict = gidx[finish[gidx] >= now]
                 delivered[srv_i] = []
             server.direct.reset()
+            known[srv_i].clear()
         else:
             runner = runners.get(srv_i)
             if runner is not None:
@@ -1052,7 +1212,7 @@ def run_vectorized(
     local_pushes = sum(r.seq for r in runners.values())
     return _report(
         sim, ingested, warmup_s, horizon, server_of, (server_of >= 0) & ~killed,
-        finish, dropped, drop_order, scale_events, fault_info,
+        finish, rank, dropped, drop_order, scale_events, fault_info,
         n + len(fault_evs) + direct_pushes + local_pushes + ticks,
     )
 
@@ -1101,6 +1261,7 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
     pll = arr_pool.tolist()
     ml = arr_m.tolist()
     fin_l = [0.0] * n
+    rank = np.zeros(n, dtype=np.int32)
     server_of = np.full(n, -1, dtype=np.int64)
     max_sz = int(arr_size.max())
 
@@ -1161,7 +1322,7 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
         nonlocal ticks
         for srv_i, runner in runners.items():
             if runner.events:
-                runner.pump((), (), (), (), T, fin_l, True)
+                runner.pump((), (), (), (), T, fin_l, rank, True)
             bank(srv_i, runner)
         for srv_i in range(n_servers):
             if pend[srv_i]:
@@ -1195,7 +1356,9 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
                 srv_i = drained.index
                 runner = runners.get(srv_i)
                 if runner is not None and runner.events:
-                    runner.pump((), (), (), (), float("inf"), fin_l, True)
+                    runner.pump(
+                        (), (), (), (), float("inf"), fin_l, rank, True
+                    )
                     bank(srv_i, runner)
                 pending_settles[drained] = last_finish[srv_i]
 
@@ -1249,7 +1412,7 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
                 runner = runners.get(ci)
                 if runner is not None:
                     if runner.events:
-                        runner.pump((), (), (), (), t0, fin_l, True)
+                        runner.pump((), (), (), (), t0, fin_l, rank, True)
                     bank(ci, runner)
                 if pend[ci]:
                     prune(ci, t0)
@@ -1346,7 +1509,7 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
                     [tl[i] for i in idxs],
                     [szl[i] for i in idxs],
                     [pll[i] for i in idxs],
-                    idxs, t1, fin_l, True,
+                    idxs, t1, fin_l, rank, True,
                 )
                 bank(si, runner)
         pos = hi
@@ -1359,7 +1522,7 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
     # -- drain ---------------------------------------------------------
     for srv_i, runner in runners.items():
         if runner.events:
-            runner.pump((), (), (), (), float("inf"), fin_l, True)
+            runner.pump((), (), (), (), float("inf"), fin_l, rank, True)
         bank(srv_i, runner)
     _apply_settles(pending_settles)
 
@@ -1374,6 +1537,6 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
     local_pushes = sum(r.seq for r in runners.values())
     return _report(
         sim, ingested, warmup_s, horizon, server_of, server_of >= 0,
-        np.asarray(fin_l), dropped, drop_order, scale_events, no_faults,
+        np.asarray(fin_l), rank, dropped, drop_order, scale_events, no_faults,
         n + direct_pushes + local_pushes + ticks,
     )

@@ -123,7 +123,7 @@ class TestCommands:
         assert "fleet power" in out
 
     def test_fleet_shards_honour_the_vector_core(self):
-        # Sharded workers run the core asked for: p2c routing is
+        # Sharded workers run the core asked for: least routing is
         # queue-aware, so a forced vector core fails with the engine's
         # reason instead of quietly running python.
         with pytest.raises(ValueError, match="queue-aware"):
@@ -133,7 +133,7 @@ class TestCommands:
                     "--servers", "4",
                     "--server-types", "T2",
                     "--models", "DLRM-RMC1",
-                    "--policy", "p2c",
+                    "--policy", "least",
                     "--duration", "2",
                     "--segments", "8",
                     "--shards", "2",

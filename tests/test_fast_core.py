@@ -1,21 +1,22 @@
 """Differential lane: the vectorized event core vs the python core.
 
 ``core="vector"`` promises *bit-identical* results to ``core="python"``
-for every run it accepts (outstanding-oblivious routing, no faults, no
-live observer): the per-replica float recurrences are evaluated in the
-same order, so summaries are compared with ``==`` -- no tolerances.
+for every run it accepts (outstanding-oblivious or p2c routing, plain
+fault schedules, no live observer): the per-replica float recurrences
+are evaluated in the same order, so summaries are compared with ``==``
+-- no tolerances.
 The only reordering the design permits is cross-replica finish-time
 ties inside one model's completion stream (documented in
 ``docs/performance.md``); none of the traffic here produces one, so the
 pins below are exact.
 
 The lane sweeps the eligibility surface -- routing policies (rr,
-weighted), arrival shapes (piecewise Poisson, MMPP bursts, diurnal
-ramps, recorded replay), and autoscaler modes (none, reactive,
-predictive) -- and then asserts the *other* half of the contract: every
-ineligible configuration falls back (``auto`` logs why, ``vector``
-raises), so queue-aware policies, fault loops, tracking, and live
-observers always get the exact per-event core.
+weighted, and p2c through the per-arrival router), arrival shapes
+(piecewise Poisson, MMPP bursts, diurnal ramps, recorded replay), and
+autoscaler modes (none, reactive, predictive) -- and then asserts the
+*other* half of the contract: every ineligible configuration falls back
+(``auto`` logs why, ``vector`` raises), so ``least``, custom policies,
+tracking, and live observers always get the exact per-event core.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ np = pytest.importorskip("numpy")
 
 from repro.cluster.state import Allocation
 from repro.fleet import FleetSimulator, build_fleet, build_fleet_trace
+from repro.fleet.routing import PowerOfTwoPolicy
 from repro.sim import QueryWorkload
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -111,12 +113,13 @@ def _assert_identical(vec, base):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("policy", ["rr", "weighted"])
+@pytest.mark.parametrize("policy", ["rr", "weighted", "p2c"])
 @pytest.mark.parametrize("seed", [13, 41])
 def test_vector_bit_identical_mixed_fleet(
     small_table, two_model_inputs, policy, seed
 ):
-    """Direct + FUSE replicas, both oblivious policies, ``==`` floats."""
+    """Direct + FUSE replicas, both oblivious policies and p2c, ``==``
+    floats."""
     allocation = _mixed_allocation()
     trace = _rmc1_trace(small_table, two_model_inputs[1], 0.65, seed)
     _, base = _replay(
@@ -243,13 +246,14 @@ def test_vector_bit_identical_arrival_shapes(
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    policy=st.sampled_from(["rr", "weighted"]),
+    policy=st.sampled_from(["rr", "weighted", "p2c"]),
     load=st.floats(0.3, 0.95),
 )
 def test_vector_matches_python_property(
     small_table, two_model_inputs, seed, policy, load
 ):
-    """Property sweep: any oblivious replay is exact, load and seed free."""
+    """Property sweep: any oblivious or p2c replay is exact, load and
+    seed free."""
     allocation = _mixed_allocation()
     trace = _rmc1_trace(small_table, two_model_inputs[1], load, seed, duration=1.5)
     _, base = _replay(
@@ -264,17 +268,26 @@ def test_vector_matches_python_property(
 def test_auto_selects_vector_without_logging(
     small_table, two_model_inputs, caplog
 ):
-    """``core="auto"`` on an eligible run takes the fast path silently
-    and still matches the python core exactly."""
+    """``core="auto"`` on an eligible run -- oblivious rr or exact p2c
+    -- takes the fast path silently and still matches the python core
+    exactly."""
     allocation = _mixed_allocation()
     trace = _rmc1_trace(small_table, two_model_inputs[1], 0.6, seed=3)
-    _, base = _replay(small_table, two_model_inputs, allocation, trace, "python")
-    with caplog.at_level(logging.INFO, logger=_ENGINE_LOGGER):
-        _, auto = _replay(small_table, two_model_inputs, allocation, trace, "auto")
-    assert not [
-        r for r in caplog.records if "falling back" in r.getMessage()
-    ]
-    _assert_identical(auto, base)
+    for policy in ("rr", "p2c"):
+        _, base = _replay(
+            small_table, two_model_inputs, allocation, trace, "python",
+            policy=policy,
+        )
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger=_ENGINE_LOGGER):
+            _, auto = _replay(
+                small_table, two_model_inputs, allocation, trace, "auto",
+                policy=policy,
+            )
+        assert not [
+            r for r in caplog.records if "falling back" in r.getMessage()
+        ]
+        _assert_identical(auto, base)
 
 
 def test_auto_takes_vector_fault_path_silently(
@@ -360,7 +373,7 @@ class TestVectorFaultDifferential:
         assert vec.availability == base.availability
         assert vec.phases == base.phases
 
-    @pytest.mark.parametrize("policy", ["rr", "weighted"])
+    @pytest.mark.parametrize("policy", ["rr", "weighted", "p2c"])
     @pytest.mark.parametrize("kind", ["crash", "blip", "slow", "storm"])
     def test_fault_legs_bit_identical(
         self, small_table, two_model_inputs, kind, policy
@@ -395,12 +408,15 @@ class TestVectorFaultDifferential:
         self._assert_fault_identical(vec, base)
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 10**6), policy=st.sampled_from(["rr", "weighted"]))
+    @given(
+        seed=st.integers(0, 10**6),
+        policy=st.sampled_from(["rr", "weighted", "p2c"]),
+    )
     def test_fault_property_sweep(
         self, small_table, two_model_inputs, seed, policy
     ):
-        """Any seed, either oblivious policy: the storm schedule replays
-        exactly."""
+        """Any seed, either oblivious policy or p2c: the storm schedule
+        replays exactly."""
         allocation = _mixed_allocation()
         trace = _rmc1_trace(
             small_table, two_model_inputs[1], 0.6, seed, duration=1.5
@@ -414,6 +430,230 @@ class TestVectorFaultDifferential:
 
         base, vec = run("python"), run("vector")
         self._assert_fault_identical(vec, base)
+
+
+# ----------------------------------------------------------------------
+# Exact p2c: the vector core's per-arrival router
+# ----------------------------------------------------------------------
+
+
+def _p2c_scaler(mode):
+    """A fresh autoscaler for the p2c rows (``None`` for ``"none"``)."""
+    from repro.fleet import PredictiveAutoscaler, ReactiveAutoscaler
+
+    if mode == "none":
+        return None
+    if mode == "reactive":
+        return ReactiveAutoscaler(
+            {"DLRM-RMC1": 20.0}, window_s=0.25, cooldown_s=0.5
+        )
+    return PredictiveAutoscaler({"DLRM-RMC1": 20.0}, window_s=0.25)
+
+
+def _p2c_storm():
+    """A crash, two blips and a slowdown on the mixed fleet.  The blips
+    recover while their victims' finish times still lie ahead, so a
+    replica must come back with no outstanding queries -- on the
+    slowed DirectStage replica and on the FUSE replica alike."""
+    from repro.fleet import FaultSchedule
+    from repro.fleet.faults import crash, slowdown
+
+    return FaultSchedule(
+        [
+            slowdown(0.2, 0, 3.0, duration=0.6),
+            crash(0.5, 0, recover_after=0.002),
+            crash(0.9, 3, recover_after=0.002),
+            crash(1.4, 1),
+        ]
+    )
+
+
+def _both_cores(small_table, inputs, allocation, trace, make_kwargs):
+    """Replay on both cores, calling ``make_kwargs()`` per run (scalers,
+    schedules and policy instances hold state); returns ``{core:
+    (to_dict, event count, tick count)}``."""
+    out = {}
+    for core in ("python", "vector"):
+        sim, result = _replay(
+            small_table, inputs, allocation, trace, core, **make_kwargs()
+        )
+        out[core] = (
+            result.to_dict(), sim.last_event_count, sim.last_tick_count
+        )
+    return out
+
+
+class TestExactP2C:
+    """p2c on the vector core routes each arrival against live queues:
+    it draws with the policy's own ``Random`` and brings only the two
+    drawn replicas up to the arrival time, so the whole report, the
+    event count and the tick count are ``==`` to the python core's, on a
+    fleet of DirectStage (T2) and FUSE (T7) replicas."""
+
+    @pytest.mark.parametrize(
+        "faults", [False, True], ids=["no-faults", "storm"]
+    )
+    @pytest.mark.parametrize("scaler", ["none", "reactive", "predictive"])
+    @pytest.mark.parametrize("seed", [5, 19])
+    def test_p2c_bit_identical(
+        self, small_table, two_model_inputs, seed, scaler, faults
+    ):
+        """Seeds x {no autoscaler, reactive, predictive} x {no faults, a
+        crash/blip/slowdown storm}."""
+        standby = Allocation()
+        standby.add("T2", "DLRM-RMC1", 2)
+        trace = _rmc1_trace(small_table, two_model_inputs[1], 1.0, seed)
+
+        def kwargs():
+            return {
+                "policy": "p2c",
+                "seed": seed,
+                "standby": standby,
+                "autoscaler": _p2c_scaler(scaler),
+                "faults": _p2c_storm() if faults else None,
+            }
+
+        runs = _both_cores(
+            small_table, two_model_inputs, _mixed_allocation(), trace, kwargs
+        )
+        assert runs["vector"] == runs["python"]
+        doc = runs["python"][0]
+        assert bool(doc["fault_events"]) == faults
+        assert bool(doc["scale_events"]) == (scaler != "none")
+
+    def test_one_replica_model_draws_nothing(
+        self, small_table, two_model_inputs
+    ):
+        """A one-replica model routes without a draw (the one-candidate
+        rule) while a second model's stream draws two per arrival: its
+        policy's ``Random`` is still in its seeded state afterwards."""
+        import random
+
+        models, workloads = two_model_inputs
+        allocation = _mixed_allocation()
+        allocation.add("T3", "DLRM-RMC2", 1)
+        rmc1 = 3 * small_table.qps("T2", "DLRM-RMC1") + small_table.qps(
+            "T7", "DLRM-RMC1"
+        )
+        trace = build_fleet_trace(
+            workloads,
+            {
+                "DLRM-RMC1": [(0.8 * rmc1, 2.0)],
+                "DLRM-RMC2": [(0.7 * small_table.qps("T3", "DLRM-RMC2"), 2.0)],
+            },
+            seed=17,
+        )
+        runs = {}
+        for core in ("python", "vector"):
+            sim, result = _replay(
+                small_table, two_model_inputs, allocation, trace, core,
+                policy="p2c", seed=7,
+            )
+            runs[core] = (
+                result.to_dict(), sim.last_event_count,
+                sim._policies["DLRM-RMC2"]._rng.getstate(),
+            )
+        assert runs["vector"] == runs["python"]
+        assert runs["python"][0]["per_model"]["DLRM-RMC2"]["completed"] > 0
+        # Models are seeded in sorted order: DLRM-RMC2's policy got 7 + 1.
+        assert runs["python"][2] == random.Random(8).getstate()
+
+    def test_policy_instance(self, small_table, two_model_inputs):
+        """A ``PowerOfTwoPolicy`` instance takes the router too, and
+        both cores leave its ``Random`` in the same state."""
+        trace = _rmc1_trace(small_table, two_model_inputs[1], 0.8, seed=31)
+        policies = []
+
+        def kwargs():
+            policies.append(PowerOfTwoPolicy(seed=11))
+            return {"policy": policies[-1]}
+
+        runs = _both_cores(
+            small_table, two_model_inputs, _mixed_allocation(), trace, kwargs
+        )
+        assert runs["vector"] == runs["python"]
+        py_policy, vec_policy = policies
+        assert vec_policy._rng.getstate() == py_policy._rng.getstate()
+
+    def test_one_batch_completes_in_batch_order(
+        self, small_table, two_model_inputs
+    ):
+        """Queries one FUSE batch completes share a finish time, and the
+        python core records them in batch order.  A SPLIT stage can
+        finish a later arrival first, so that order is not arrival
+        order; on this fleet it changes DLRM-RMC2's ``mean_ms`` in the
+        last place unless the vector core sorts ties by each replica's
+        completion order."""
+        models, workloads = two_model_inputs
+        allocation = Allocation()
+        allocation.add("T2", "DLRM-RMC1", 2)
+        allocation.add("T7", "DLRM-RMC1", 1)
+        allocation.add("T3", "DLRM-RMC2", 1)
+        allocation.add("T7", "DLRM-RMC2", 1)
+        segments = {
+            model: [
+                (
+                    0.835 * sum(
+                        c * small_table.qps(srv, m)
+                        for (srv, m), c in allocation.counts.items()
+                        if m == model
+                    ),
+                    1.5,
+                )
+            ]
+            for model in ("DLRM-RMC1", "DLRM-RMC2")
+        }
+        trace = build_fleet_trace(workloads, segments, seed=4)
+
+        def run(core):
+            servers = build_fleet(allocation, small_table, models, workloads)
+            sim = FleetSimulator(
+                servers, policy="p2c", sla_ms={m: 20.0 for m in models},
+                seed=4, core=core,
+            )
+            result = sim.run(trace, warmup_s=0.2)
+            return result.to_dict(), sim.last_event_count
+
+        assert run("vector") == run("python")
+
+    def test_arrival_on_a_pending_finish_counts_it(
+        self, small_table, two_model_inputs
+    ):
+        """An arrival at exactly a pending DirectStage finish still sees
+        that query outstanding (the python core pops the arrival before
+        the completion), and here that decides the pick: arriving at the
+        finish, the second query goes to the idle replica; one ulp later
+        it joins the first."""
+        from repro.sim.event_core import DirectStage
+        from repro.sim.queries import Query
+
+        models, workloads = two_model_inputs
+        allocation = Allocation()
+        allocation.add("T2", "DLRM-RMC1", 2)
+
+        def run(core, t1):
+            servers = build_fleet(allocation, small_table, models, workloads)
+            sim = FleetSimulator(
+                servers, policy="p2c", sla_ms={"DLRM-RMC1": 20.0},
+                seed=3, core=core,
+            )
+            result = sim.run([
+                ("DLRM-RMC1", Query(0, 0.0, 40, 1.0)),
+                ("DLRM-RMC1", Query(1, t1, 40, 1.0)),
+            ])
+            return result.to_dict(), sorted(s.completed for s in result.servers)
+
+        stage = build_fleet(
+            allocation, small_table, models, workloads
+        )[0].direct.stage
+        finish = DirectStage(stage).completion_time(0.0, 40, 1.0)
+        after = float(np.nextafter(finish, np.inf))
+        at_tie = run("python", finish)
+        later = run("python", after)
+        assert at_tie[1] == [1, 1]
+        assert later[1] == [0, 2]
+        assert run("vector", finish) == at_tie
+        assert run("vector", after) == later
 
 
 # ----------------------------------------------------------------------
@@ -523,14 +763,23 @@ class TestEpochStatisticalLane:
 # ----------------------------------------------------------------------
 
 
+class _CustomP2C(PowerOfTwoPolicy):
+    """A p2c subclass that overrides ``choose``: the vector core cannot
+    know what the override reads, so eligibility is decided on the
+    exact class and this policy falls back."""
+
+    def choose(self, candidates):
+        return super().choose(candidates)
+
+
 def _ineligible_kwargs(kind):
     from repro.fleet import FaultSchedule
     from repro.obs import FleetProbe
 
     if kind == "least":
         return {"policy": "least"}, "queue-aware"
-    if kind == "p2c":
-        return {"policy": "p2c"}, "queue-aware"
+    if kind == "p2c-subclass":
+        return {"policy": _CustomP2C(seed=7)}, "queue-aware"
     if kind == "tracked":
         return {"faults": FaultSchedule(), "retries": 2}, "per-event core"
     assert kind == "observer"
@@ -538,7 +787,7 @@ def _ineligible_kwargs(kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["least", "p2c", "tracked", "observer"]
+    "kind", ["least", "p2c-subclass", "tracked", "observer"]
 )
 def test_auto_falls_back_and_logs(small_table, two_model_inputs, caplog, kind):
     """Every ineligible configuration degrades to the python core under
@@ -564,7 +813,7 @@ def test_auto_falls_back_and_logs(small_table, two_model_inputs, caplog, kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["least", "p2c", "tracked", "observer"]
+    "kind", ["least", "p2c-subclass", "tracked", "observer"]
 )
 def test_vector_raises_when_ineligible(small_table, two_model_inputs, kind):
     """Forcing ``core="vector"`` on an ineligible run is an actionable

@@ -154,8 +154,8 @@ class TestShardedMergeBitIdentity:
     ):
         """With a reactive autoscaler and a standby pool, the merged
         scale-event timeline is the single-process timeline.  The parent
-        logs the engine's fallback once for queue-aware routing, and
-        nothing when every worker runs the vector core."""
+        logs the engine's fallback once for ``least`` routing, and
+        nothing when every worker runs the vector core (p2c included)."""
         standby = Allocation()
         standby.add("T2", "DLRM-RMC1", 2)
         standby.add("T3", "DLRM-RMC2", 1)
@@ -181,7 +181,7 @@ class TestShardedMergeBitIdentity:
                 r.getMessage() for r in caplog.records
                 if r.getMessage().startswith(FALLBACK_LOG)
             ]
-            queue_aware = core == "auto" and policy in ("p2c", "least")
+            queue_aware = core == "auto" and policy == "least"
             assert len(logged) == queue_aware
             if queue_aware:
                 assert "is queue-aware" in logged[0]
