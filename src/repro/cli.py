@@ -78,6 +78,7 @@ from repro.fleet import (
     provision_carbon_aware,
     provision_fault_aware,
 )
+from repro.fleet.engine import FLEET_CORES
 from repro.hardware import SERVER_AVAILABILITY, SERVER_TYPES
 from repro.models import MODEL_NAMES, build_model
 from repro.scheduling import (
@@ -461,7 +462,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             hedge_ms=args.hedge_ms,
             observer=probe,
             core=args.core,
-            epoch_ms=args.epoch_ms,
             percentile_mode=args.percentile_mode,
         )
         result = sim.run(source, warmup_s=span * 0.05)
@@ -894,29 +894,17 @@ def _add_fleet_shared_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--core",
-        choices=("auto", "python", "vector", "vector-epoch"),
+        choices=FLEET_CORES,
         default="auto",
         help=(
             "event-core selection: 'auto' uses the vectorized core "
-            "when eligible (rr/weighted/p2c routing -- p2c through an "
-            "exact per-arrival router -- and plain fault schedules) and "
-            "falls back to the exact per-event core otherwise (least "
-            "routing, retries, hedging, tracing, live telemetry); "
-            "'python' forces the per-event core; 'vector' demands the "
-            "vectorized core and errors with every blocking reason when "
-            "ineligible; 'vector-epoch' batches queue-aware routing "
-            "(least/p2c) into arrival micro-epochs -- statistically "
-            "equivalent, never picked by 'auto' (see docs/performance.md)"
-        ),
-    )
-    parser.add_argument(
-        "--epoch-ms",
-        type=_positive_float,
-        default=5.0,
-        help=(
-            "micro-epoch length for --core vector-epoch: arrivals within "
-            "this window route against one queue snapshot (larger = faster "
-            "but more drift; ignored by the other cores; default 5.0)"
+            "when eligible (every built-in routing policy -- p2c and "
+            "least through exact per-arrival routers -- and plain fault "
+            "schedules) and falls back to the exact per-event core "
+            "otherwise (retries, hedging, tracing, live telemetry, "
+            "sketch percentiles); 'python' forces the per-event core; "
+            "'vector' demands the vectorized core and errors with every "
+            "blocking reason when ineligible (see docs/performance.md)"
         ),
     )
     parser.add_argument(

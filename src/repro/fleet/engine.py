@@ -51,7 +51,12 @@ from repro.fleet.report import (
     ServerStats,
     fleet_power_summary,
 )
-from repro.fleet.routing import PowerOfTwoPolicy, RoutingPolicy, make_policy
+from repro.fleet.routing import (
+    LeastOutstandingPolicy,
+    PowerOfTwoPolicy,
+    RoutingPolicy,
+    make_policy,
+)
 from repro.hardware.power import ComponentUtilization
 from repro.hardware.server import ServerType, get_server_type
 from repro.models.zoo import RecommendationModel
@@ -65,14 +70,7 @@ from repro.traces.arrivals import FleetArrivals, PiecewisePoissonProcess
 _LOG = logging.getLogger(__name__)
 
 #: Valid ``FleetSimulator(core=...)`` selections.
-FLEET_CORES = ("auto", "python", "vector", "vector-epoch")
-
-#: Why ``core="vector-epoch"`` refuses a forced horizon (a shard).
-_EPOCH_HORIZON_REASON = (
-    "vector-epoch cuts its routing epochs across every model's "
-    "arrivals, so a shard's epochs would differ from the single-process "
-    "run's"
-)
+FLEET_CORES = ("auto", "python", "vector")
 
 __all__ = [
     "FleetServer",
@@ -335,30 +333,19 @@ class FleetSimulator:
         core: Event-core selection.  ``"auto"`` (the default) uses the
             vectorized core (:mod:`repro.sim.fast_core`) when the run
             is eligible -- outstanding-oblivious routing (rr /
-            weighted) or p2c (an exact per-arrival router; eligibility
-            is decided on the exact :class:`PowerOfTwoPolicy` class, so
-            a subclass falls back), no retries/hedging/tracing (plain
-            fault schedules are fine: they run the segmented vectorized
-            fault path, bit-identical to the python light loop), no
-            observer -- and otherwise falls back to
-            the exact per-event python core, logging every applicable
-            reason once.  ``"python"`` forces the per-event core;
-            ``"vector"`` demands the vectorized core and raises
-            ``ValueError`` listing *all* ineligibility reasons instead
-            of silently degrading.  ``"vector-epoch"`` additionally
-            admits queue-aware routing (least / p2c) by routing
-            arrival micro-epochs against per-replica queue snapshots
-            (see ``epoch_ms``); its reports are *statistically* --
-            not bit-for-bit -- equivalent to the python core, so
-            ``"auto"`` never selects it.  See ``docs/performance.md``
-            for the selection matrix and the float-reordering caveat.
-        epoch_ms: Micro-epoch width for ``core="vector-epoch"``, in
-            milliseconds (default 5.0).  Arrivals within one epoch of
-            the epoch's first unrouted arrival are routed together
-            against a queue snapshot refreshed at the epoch start;
-            epochs never span an autoscaler tick.  Smaller epochs
-            track the python core more closely at lower speedup.
-            Ignored by every other core.
+            weighted), or p2c or least through their exact per-arrival
+            routers (eligibility is decided on the exact
+            :class:`PowerOfTwoPolicy` / :class:`LeastOutstandingPolicy`
+            class, so a subclass falls back), no retries/hedging/tracing
+            (plain fault schedules are fine: they run the segmented
+            vectorized fault path, bit-identical to the python light
+            loop), no observer -- and otherwise falls back to the exact
+            per-event python core, logging every applicable reason
+            once.  ``"python"`` forces the per-event core; ``"vector"``
+            demands the vectorized core and raises ``ValueError``
+            listing *all* ineligibility reasons instead of silently
+            degrading.  See ``docs/performance.md`` for the selection
+            matrix and the float-reordering caveat.
         percentile_mode: How the report's latency percentiles are
             computed.  ``"exact"`` (the default) stores every measured
             latency and runs ``numpy.percentile`` -- bit-identical to
@@ -387,7 +374,6 @@ class FleetSimulator:
         hedge_ms: float | None = None,
         observer=None,
         core: str = "auto",
-        epoch_ms: float = 5.0,
         percentile_mode: str = "exact",
     ) -> None:
         if not servers:
@@ -403,8 +389,6 @@ class FleetSimulator:
             )
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if not epoch_ms > 0.0:
-            raise ValueError("epoch_ms must be > 0")
         if hedge_ms is not None and hedge_ms <= 0.0:
             raise ValueError("hedge_ms must be > 0 (or None to disable)")
         self.servers = list(servers)
@@ -417,7 +401,6 @@ class FleetSimulator:
         self.hedge_ms = hedge_ms
         self.observer = observer
         self.core = core
-        self.epoch_ms = float(epoch_ms)
         self.percentile_mode = percentile_mode
         self._sketch_stats: dict | None = None
         self.last_query_log: tuple = ()
@@ -534,22 +517,19 @@ class FleetSimulator:
         schedule (even an empty one) or a tracked run."""
         return self.faults is not None or self._tracked
 
-    def _vector_fallback_reasons(self, epoch: bool = False) -> list[str]:
+    def _vector_fallback_reasons(self) -> list[str]:
         """Every reason this run cannot use the vectorized core.
 
         The vectorized core pre-routes oblivious arrival segments,
-        routes p2c per arrival against the two drawn replicas only, and
-        delivers completions per replica, which is exact only when
-        nothing observes or perturbs the per-event interleaving:
-        retries/hedging/tracing, live observers, and any other
-        queue-aware policy (``least``, or a :class:`PowerOfTwoPolicy`
-        subclass that may override ``choose``) force the per-event
-        python core.  Plain fault schedules (``retries == 0``, no
-        hedging/tracing) are eligible -- they run the segmented
-        vectorized fault path.
-        With ``epoch=True`` (``core="vector-epoch"``), queue-aware
-        routing is also admitted, but fault schedules are not
-        (mid-epoch kills would invalidate the queue snapshots).
+        routes p2c and least per arrival against live per-replica
+        queues, and delivers completions per replica, which is exact
+        only when nothing observes or perturbs the per-event
+        interleaving: retries/hedging/tracing, live observers, and any
+        other queue-aware policy (a :class:`PowerOfTwoPolicy` or
+        :class:`LeastOutstandingPolicy` subclass may override
+        ``choose``) force the per-event python core.  Plain fault
+        schedules (``retries == 0``, no hedging/tracing) are eligible
+        -- they run the segmented vectorized fault path.
 
         Returns the empty list when the run is eligible; otherwise
         *all* applicable reasons, so a forced ``core="vector"`` error
@@ -561,11 +541,6 @@ class FleetSimulator:
             reasons.append(
                 "retries, hedging, or tracing requires the per-event core"
             )
-        elif self.faults is not None and epoch:
-            reasons.append(
-                "fault injection under epoch routing would kill queries "
-                "mid-epoch; use core='auto' for the segmented fault path"
-            )
         if self.observer is not None:
             reasons.append(
                 "a live observer requires per-event completion hooks"
@@ -575,17 +550,15 @@ class FleetSimulator:
                 "sketch-mode reports fold completions one event at a "
                 "time; the batch core would have to materialize them"
             )
-        if not epoch:
-            for model, policy in self._policies.items():
-                if not (
-                    policy.outstanding_oblivious
-                    or type(policy) is PowerOfTwoPolicy
-                ):
-                    reasons.append(
-                        f"policy {policy.name!r} (model {model!r}) is "
-                        "queue-aware: it reads live outstanding counts "
-                        "(core='vector-epoch' batches them statistically)"
-                    )
+        for model, policy in self._policies.items():
+            if not (
+                policy.outstanding_oblivious
+                or type(policy) in (PowerOfTwoPolicy, LeastOutstandingPolicy)
+            ):
+                reasons.append(
+                    f"policy {policy.name!r} (model {model!r}) is "
+                    "queue-aware: it reads live outstanding counts"
+                )
         return reasons
 
     def _seal_sketches(self, horizon: float) -> None:
@@ -635,10 +608,9 @@ class FleetSimulator:
                 measures the identical window (qps denominators, tick
                 counts, and active-time accounting all match the
                 single-process run bit-for-bit).  Must be >= the
-                stream's own last arrival; fault-free runs only; not on
-                ``core="vector-epoch"``.  An empty stream is an error
-                unless it is given: replicas then idle up to it, and
-                autoscaler ticks still fire.
+                stream's own last arrival; fault-free runs only.  An
+                empty stream is an error unless it is given: replicas
+                then idle up to it, and autoscaler ticks still fire.
         """
         if horizon_s is not None:
             if self._fault_mode:
@@ -649,16 +621,11 @@ class FleetSimulator:
             if horizon_s <= warmup_s:
                 raise ValueError("horizon_s must exceed warmup_s")
         if self.core != "python":
-            epoch = self.core == "vector-epoch"
-            reasons = self._vector_fallback_reasons(epoch=epoch)
-            if epoch and horizon_s is not None:
-                reasons.append(_EPOCH_HORIZON_REASON)
+            reasons = self._vector_fallback_reasons()
             if not reasons:
                 from repro.sim import fast_core
 
                 with _gc_paused():
-                    if epoch:
-                        return fast_core.run_epoch(self, trace, warmup_s)
                     return fast_core.run_vectorized(
                         self, trace, warmup_s, horizon_s
                     )

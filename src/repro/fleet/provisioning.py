@@ -337,8 +337,8 @@ def provision_fault_aware(
             you would have shipped without measuring).
         policy / retries / hedge_ms / seed / core: Fleet-replay knobs,
             as on :class:`~repro.fleet.engine.FleetSimulator`.  A plain
-            schedule with ``retries=0``, no hedging and rr / weighted /
-            p2c routing replays on the vector core's segmented fault
+            schedule with ``retries=0``, no hedging and any built-in
+            routing policy replays on the vector core's segmented fault
             path; the default ``retries=2`` needs the per-event python
             core, so ``core="auto"`` logs the fallback and
             ``core="vector"`` raises.

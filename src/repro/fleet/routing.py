@@ -59,8 +59,9 @@ class RoutingPolicy:
     #: identically whether or not completions interleave, which is what
     #: lets the vectorized fast core pre-route batches.  Queue-aware
     #: policies force the exact per-event engine, except
-    #: :class:`PowerOfTwoPolicy` itself, which the vectorized core
-    #: routes per arrival against its two drawn replicas.
+    #: :class:`PowerOfTwoPolicy` and :class:`LeastOutstandingPolicy`
+    #: themselves, which the vectorized core routes per arrival against
+    #: live per-replica queues.
     outstanding_oblivious = False
 
     def choose(self, candidates: Sequence["FleetServer"]) -> "FleetServer":
@@ -81,23 +82,6 @@ class RoutingPolicy:
         pos = {id(s): i for i, s in enumerate(candidates)}
         choose = self.choose
         return [pos[id(choose(candidates))] for _ in range(n)]
-
-    def snapshot_batch(
-        self, candidates: Sequence["FleetServer"], outstanding: list[int], n: int
-    ):
-        """Route ``n`` arrivals against an epoch queue-depth snapshot.
-
-        ``outstanding`` is a caller-owned list aligned with
-        ``candidates``: the in-flight count of each replica as of the
-        epoch start.  Queue-aware policies override this to read the
-        snapshot (incrementing it in place per pick, so arrivals inside
-        one epoch still see each other); the base implementation simply
-        delegates to :meth:`choose_batch`, which is correct for
-        outstanding-oblivious policies -- the snapshot cannot change
-        their picks.  Used by the ``core="vector-epoch"`` fleet runner
-        (see ``docs/performance.md``).
-        """
-        return self.choose_batch(candidates, n)
 
 
 class RoundRobinPolicy(RoutingPolicy):
@@ -130,7 +114,10 @@ class LeastOutstandingPolicy(RoutingPolicy):
     """Send to the replica with the fewest in-flight queries.
 
     Ties break toward the higher-throughput replica, so a fast and a
-    slow empty server are not treated as equals.
+    slow empty server are not treated as equals, and then toward the
+    earlier position in ``candidates``.  The vectorized core's least
+    router (``route_least`` in :mod:`repro.sim.fast_core`) reproduces
+    this order, so the two change together.
     """
 
     name = "least"
@@ -163,71 +150,6 @@ class LeastOutstandingPolicy(RoutingPolicy):
                     best = server
                     best_w = w
         return best
-
-    def snapshot_batch(
-        self, candidates: Sequence["FleetServer"], outstanding: list[int], n: int
-    ) -> list[int]:
-        """Epoch-batched least-outstanding over a local snapshot.
-
-        The argmin runs over the caller's ``outstanding`` list instead
-        of live replica attributes; each pick increments its slot in
-        place, so arrivals within one epoch observe each other while
-        completions are only folded in at epoch boundaries.  Weights
-        are read once per epoch.
-        """
-        k = len(candidates)
-        if k == 0:
-            raise RoutingError("no routable replicas (all replicas down?)")
-        if 256 <= n * k <= 2_000_000:
-            # Sequential argmin over a snapshot that only ever grows by
-            # its own picks is a k-way merge: replica ``i``'s ``t``-th
-            # assignment carries key ``(outstanding[i] + t, rank_i)``
-            # (rank orders the weight-desc/index-asc tie-break), heads
-            # only increase, so the first ``n`` keys of the sorted
-            # union ARE the pick sequence -- computed here without the
-            # per-pick python scan.
-            order = sorted(
-                range(k), key=lambda i: (-candidates[i].weight, i)
-            )
-            rank = [0] * k
-            for r, i in enumerate(order):
-                rank[i] = r
-            levels = np.asarray(outstanding, dtype=np.int64)[:, None] + (
-                np.arange(n, dtype=np.int64)[None, :]
-            )
-            enc = (
-                levels * k + np.asarray(rank, dtype=np.int64)[:, None]
-            ).ravel()
-            take = np.argpartition(enc, n - 1)[:n]
-            take = take[np.argsort(enc[take], kind="stable")]
-            picks = take // n
-            for i, c in enumerate(
-                np.bincount(picks, minlength=k).tolist()
-            ):
-                if c:
-                    outstanding[i] += c
-            return picks
-        weights = [s.weight for s in candidates]
-        out = outstanding
-        picks_l: list[int] = []
-        append = picks_l.append
-        tail = range(1, k)
-        for _ in range(n):
-            best = 0
-            best_out = out[0]
-            best_w = weights[0]
-            for i in tail:
-                o = out[i]
-                if o < best_out:
-                    best = i
-                    best_out = o
-                    best_w = weights[i]
-                elif o == best_out and weights[i] > best_w:
-                    best = i
-                    best_w = weights[i]
-            out[best] = best_out + 1
-            append(best)
-        return picks_l
 
 
 class PowerOfTwoPolicy(RoutingPolicy):
@@ -273,44 +195,6 @@ class PowerOfTwoPolicy(RoutingPolicy):
         if b_out < a_out or (b_out == a_out and b.weight > a.weight):
             return b
         return a
-
-    def snapshot_batch(
-        self, candidates: Sequence["FleetServer"], outstanding: list[int], n: int
-    ) -> list[int]:
-        """Epoch-batched p2c: two draws compared on the snapshot list.
-
-        Seed-deterministic (the same ``Random`` stream as the scalar
-        path, though the pick *sequence* differs because queue depths
-        are only refreshed at epoch boundaries); each pick increments
-        its snapshot slot so intra-epoch arrivals pile up realistically
-        instead of all landing on the epoch-start minimum.
-        """
-        k = len(candidates)
-        if k == 0:
-            raise RoutingError("no routable replicas (all replicas down?)")
-        out = outstanding
-        if k == 1:
-            out[0] += n
-            return [0] * n
-        rand = self._random
-        weights = [s.weight for s in candidates]
-        picks: list[int] = []
-        append = picks.append
-        for _ in range(n):
-            i = int(rand() * k)
-            j = int(rand() * k)
-            if i >= k:
-                i = k - 1
-            if j >= k:
-                j = k - 1
-            if i != j:
-                o_i = out[i]
-                o_j = out[j]
-                if o_j < o_i or (o_j == o_i and weights[j] > weights[i]):
-                    i = j
-            out[i] += 1
-            append(i)
-        return picks
 
 
 class WeightedPolicy(RoutingPolicy):

@@ -39,9 +39,6 @@ Limitations (all raise actionable errors): fault injection, retries,
 hedging, and observers couple shards (cross-model dead domains,
 shared query logs) and are not supported — run those single-process,
 optionally with ``percentile_mode="sketch"`` for the memory ceiling.
-``core="vector-epoch"`` cannot shard: it cuts its routing epochs
-across every model's arrivals, so a shard's epochs differ from the
-single-process run's.
 """
 
 from __future__ import annotations
@@ -52,11 +49,7 @@ import os
 from dataclasses import dataclass
 
 from repro.cluster.state import Allocation
-from repro.fleet.engine import (
-    _EPOCH_HORIZON_REASON,
-    FleetSimulator,
-    build_fleet,
-)
+from repro.fleet.engine import FleetSimulator, build_fleet
 from repro.fleet.report import FleetResult, fleet_power_summary
 from repro.fleet.routing import RoutingPolicy, make_policy
 from repro.traces.arrivals import MODEL_SEED_STRIDE, FleetArrivals
@@ -343,8 +336,7 @@ def run_fleet_sharded(
         percentile_mode: ``"exact"`` (bit-identical merge) or
             ``"sketch"`` (O(models) report memory; see the engine).
         core: Each worker's ``FleetSimulator(core=...)``; the
-            ``"auto"`` fallback is logged once, here.  ``"vector-epoch"``
-            cannot shard (see the module docstring).
+            ``"auto"`` fallback is logged once, here.
         max_workers: Pool size cap (defaults to ``min(shards, cpus)``).
     """
     if shards < 1:
@@ -369,12 +361,6 @@ def run_fleet_sharded(
             percentile_mode=percentile_mode,
         )
         return sim.run(source, warmup_s=warmup_s)
-
-    if core == "vector-epoch":
-        raise ValueError(
-            f"core='vector-epoch' cannot shard: {_EPOCH_HORIZON_REASON}; "
-            "use core='auto', core='vector' or core='python'"
-        )
 
     rows = _global_rows(allocation, standby)
     if not rows:

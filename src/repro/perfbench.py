@@ -3,7 +3,7 @@
 Classic HPC benchmarking practice (RZBENCH and its descendants) is to
 establish a reproducible measurement harness *first* and optimize the
 measured bottlenecks second.  This module is that harness for the
-repo's four hot paths:
+repo's hot paths, one scenario each (in registry order):
 
 - ``search``        -- the gradient task-scheduling search for a pair;
 - ``profile_table`` -- full classification-table construction (the 60
@@ -17,6 +17,10 @@ repo's four hot paths:
   core (CI gates ``speedup_vector_vs_python`` > 3.0 on the full
   configuration), asserting both cores agree on every per-model
   statistic;
+- ``fleet_replay_queueaware`` -- one model fleet-wide under ``least``
+  and under p2c, each on the python core vs the vector core's exact
+  per-arrival router (CI gates ``speedup_vector_least_vs_python``
+  > 2.0 on the full configuration), asserting equal reports;
 - ``fleet_replay_streaming`` -- the same replay fed by a lazily
   streamed arrival process instead of the materialized list, reporting
   the wall-time ratio against the list path (CI bounds it at < 1.1)
@@ -37,6 +41,11 @@ repo's four hot paths:
   the dormant-guard ratio at < 1.05x), with per-query tracing vs the
   tracked loop it rides on (< 1.5x), and with streaming metrics vs
   the dark loop (< 1.6x), asserting every leg agrees float-for-float.
+- ``fleet_replay_sharded`` -- a four-model fleet replayed in four
+  worker processes vs one, asserting the merged report is equal
+  (``speedup_shards`` recorded ungated).
+- ``fleet_replay_sketchmem`` -- a long streamed replay in sketch
+  percentile mode under a fixed RSS-growth budget.
 - ``fault_aware_provisioning`` -- the availability -> ``R`` fixpoint
   search under a scripted rack-outage schedule (several fault-injected
   replays per run); wall time tracks the cost of closing the loop.
@@ -102,8 +111,9 @@ _FULL = {
     "sketch_queries": 10_000_000,
     # The queue-aware scenario runs one model fleet-wide: the python
     # least-outstanding scan is O(replicas) per arrival, so the full
-    # configuration doubles the fleet to size the gap the epoch core
-    # closes (and doubles the queries so the walls are not sub-100ms).
+    # configuration doubles the fleet to size the gap the exact least
+    # router closes (and doubles the queries so the walls are not
+    # sub-100ms).
     "queueaware_servers": 100,
     "queueaware_queries": 200_000,
 }
@@ -486,84 +496,54 @@ def _scenario_fleet_replay_fastcore(ctx: _Context) -> dict[str, Any]:
 
 
 def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
-    """Epoch-batched queue-aware routing vs the per-event python core.
+    """Queue-aware routing: the exact per-arrival routers vs python.
 
-    One model spread fleet-wide under least-outstanding routing -- the
-    configuration where the python core pays an O(replicas) scan per
-    arrival and ``core='vector-epoch'`` routes whole arrival
-    micro-epochs against one queue snapshot (a k-way merge, see
-    ``LeastOutstandingPolicy.snapshot_batch``).
-    ``speedup_vector_epoch_vs_python`` is the number CI gates at > 2.0
-    on the full configuration, best-of-three walls per side.  Unlike
-    the exact-core scenarios the two replays are *statistically*
-    equivalent, not bit-identical (queue depths refresh at epoch
-    boundaries); the scenario bounds the drift in-process: completed
-    counts within 1%, average power within 2%, p50 within 2x.
-
-    Two more legs replay the same fleet and trace under p2c on the
-    python core and under ``core='auto'``, which routes p2c exactly per
-    arrival on the vector core; their reports must be ``==``.
-    ``speedup_vector_p2c_vs_python`` (best of three walls per side) is
-    recorded ungated.
+    One model spread fleet-wide -- the configuration where the python
+    core's least-outstanding scan pays O(replicas) per arrival.  The
+    same fleet and trace replay under ``least`` and under p2c, each on
+    the python core and on ``core='auto'``, which routes both exactly
+    per arrival on the vector core; each pair of reports must be
+    ``==``.  ``speedup_vector_least_vs_python`` is the number CI gates
+    at > 2.0 on the full configuration, best-of-three walls per side;
+    ``speedup_vector_p2c_vs_python`` (also best of three) is recorded
+    ungated.
     """
     fleet = _Fleet(
         ctx, _ONE_MODEL_SHARES, ctx.cfg["queueaware_servers"],
         ctx.cfg["queueaware_queries"],
     )
     trace = list(fleet.stream)
-    wall_py, result_py, _ = fleet.replay(
-        3, lambda: trace, policy="least", core="python"
-    )
-    wall_epoch, result_epoch, _ = fleet.replay(
-        3, lambda: trace, policy="least", core="vector-epoch"
-    )
-    wall_p2c_py, result_p2c_py, _ = fleet.replay(
-        3, lambda: trace, policy="p2c", core="python"
-    )
-    wall_p2c_vec, result_p2c_vec, _ = fleet.replay(
-        3, lambda: trace, policy="p2c", core="auto"
-    )
-    if result_p2c_vec.to_dict() != result_p2c_py.to_dict():
-        raise AssertionError(
-            "exact p2c routing on the vector core diverged from the "
-            "python core"
+    legs = {}
+    for policy in ("least", "p2c"):
+        wall_py, result_py, _ = fleet.replay(
+            3, lambda: trace, policy=policy, core="python"
         )
+        wall_vec, result_vec, _ = fleet.replay(
+            3, lambda: trace, policy=policy, core="auto"
+        )
+        if result_vec.to_dict() != result_py.to_dict():
+            raise AssertionError(
+                f"exact {policy} routing on the vector core diverged from "
+                "the python core"
+            )
+        legs[policy] = wall_py, wall_vec, result_vec
 
     (model,) = _ONE_MODEL_SHARES
-    stats_py = result_py.per_model[model]
-    stats_epoch = result_epoch.per_model[model]
-    if abs(stats_epoch.completed - stats_py.completed) > 0.01 * stats_py.completed:
-        raise AssertionError(
-            "epoch core completed-count drifted beyond 1%: "
-            f"{stats_epoch.completed} vs {stats_py.completed}"
-        )
-    if abs(result_epoch.avg_power_w - result_py.avg_power_w) > (
-        0.02 * result_py.avg_power_w
-    ):
-        raise AssertionError(
-            "epoch core average power drifted beyond 2%: "
-            f"{result_epoch.avg_power_w:.1f} vs {result_py.avg_power_w:.1f} W"
-        )
-    if not 0.5 * stats_py.p50_ms <= stats_epoch.p50_ms <= 2.0 * stats_py.p50_ms:
-        raise AssertionError(
-            "epoch core p50 drifted beyond 2x: "
-            f"{stats_epoch.p50_ms:.3f} vs {stats_py.p50_ms:.3f} ms"
-        )
-
+    wall_py, wall_vec, result = legs["least"]
+    wall_p2c_py, wall_p2c_vec, _ = legs["p2c"]
+    stats = result.per_model[model]
     return {
-        "wall_s": wall_epoch,
+        "wall_s": wall_vec,
         "wall_python_s": wall_py,
-        "speedup_vector_epoch_vs_python": (
-            wall_py / wall_epoch if wall_epoch > 0 else None
+        "speedup_vector_least_vs_python": (
+            wall_py / wall_vec if wall_vec > 0 else None
         ),
         "servers": fleet.servers,
         "queries": len(trace),
-        "queries_per_s": len(trace) / wall_epoch if wall_epoch > 0 else 0.0,
-        "p50_ms_python": stats_py.p50_ms,
-        "p50_ms_epoch": stats_epoch.p50_ms,
-        "p99_ms_python": stats_py.p99_ms,
-        "p99_ms_epoch": stats_epoch.p99_ms,
-        "completed": stats_epoch.completed,
+        "queries_per_s": len(trace) / wall_vec if wall_vec > 0 else 0.0,
+        "p50_ms": stats.p50_ms,
+        "p99_ms": stats.p99_ms,
+        "completed": stats.completed,
         "wall_p2c_python_s": wall_p2c_py,
         "wall_p2c_vector_s": wall_p2c_vec,
         "speedup_vector_p2c_vs_python": (
@@ -910,13 +890,14 @@ def _scenario_fleet_replay_sharded(ctx: _Context) -> dict[str, Any]:
     """4-shard multi-process replay vs the single-process engine.
 
     Shards the four-model fleet by model across a process pool
-    (oblivious round-robin routing, exact percentile mode) and asserts
-    the merged report equals the single-process report float for
-    float -- ``sharded_merge_equal`` is the bool CI's perf-smoke job
-    gates on.  ``speedup_shards`` is recorded ungated: CI's 1-vCPU
-    runner serializes the workers (plus pays process spawn and a
-    phase-A stream scan), so the number only means something on
-    multi-core hosts; the scaling story lives in
+    (weighted routing, exact percentile mode, ``core='auto'`` on both
+    legs, so the workers run the vector core) and raises unless the
+    merged report equals the single-process report float for float;
+    ``sharded_merge_equal`` records that the check ran.
+    ``speedup_shards`` is recorded ungated: on a host with fewer CPUs
+    than shards the workers serialize (and pay process spawn and a
+    phase-A stream scan), so read it next to the document's
+    ``host.cpus``; the scaling story lives in
     ``benchmarks/bench_scale_out.py``.
     """
     from repro.fleet.sharded import run_fleet_sharded
@@ -939,7 +920,7 @@ def _scenario_fleet_replay_sharded(ctx: _Context) -> dict[str, Any]:
                 sla_ms=fleet.sla,
                 seed=ctx.seed,
                 warmup_s=fleet.duration * 0.1,
-                core="python",
+                core="auto",
             )
         )
     wall_single, result_single = replay(1)
@@ -1189,7 +1170,7 @@ BENCH_GATES: tuple[tuple[str, str, str, float, bool], ...] = (
     ("fleet_replay_observed", "ratio_metrics_vs_off", "<", 1.60, False),
     ("fleet_replay_fastcore", "speedup_vector_vs_python", ">", 3.0, True),
     ("fleet_replay_faultpath", "speedup_vector_fault_vs_python", ">", 2.5, True),
-    ("fleet_replay_queueaware", "speedup_vector_epoch_vs_python", ">", 2.0, True),
+    ("fleet_replay_queueaware", "speedup_vector_least_vs_python", ">", 2.0, True),
 )
 
 

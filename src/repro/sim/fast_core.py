@@ -5,9 +5,7 @@ event at a time through a global heap.  Without retries, hedging or a
 live observer, per-event interleaving across replicas is unnecessary:
 replicas never interact except through the router, and a replica's
 queue at time t depends only on its own admissions.  This module
-exploits that in two loops, :func:`run_vectorized` (exact) and
-:func:`run_epoch` (queue-aware routing by arrival micro-epochs,
-statistically equivalent):
+exploits that in one loop, :func:`run_vectorized`:
 
 - Arrivals are ingested into flat numpy arrays -- a
   :class:`~repro.traces.FleetArrivals` source hands over its merged
@@ -16,12 +14,14 @@ statistically equivalent):
   arrival order alone, so they are **pre-routed in batches** per model
   via :meth:`RoutingPolicy.choose_batch` (round-robin collapses to
   modular index arithmetic, smooth-WRR to a tight local credit loop).
-- p2c reads the outstanding counts of its two draws only, so it is
-  routed **per arrival** inside the same segment body: the two drawn
-  replicas are brought up to the arrival time (a DirectStage replica
-  retires its known finishes, a FUSE replica pumps its local loop) and
-  the pick is admitted at once.  ``least`` reads every candidate and
-  stays on the per-event core.
+- The queue-aware policies are routed **per arrival** inside the same
+  segment body, each by its own router.  p2c reads the outstanding
+  counts of its two draws only, so just those two replicas are brought
+  up to the arrival time (a DirectStage replica retires its known
+  finishes, a FUSE replica pumps its local loop).  ``least`` reads
+  every candidate, so one per-model heap of pending finishes retires
+  the whole candidate set up to the arrival and per-level bitmasks
+  give the argmin.  Either way the pick is admitted at once.
 - Queries routed to a :class:`~repro.sim.event_core.DirectStage`
   replica (every CPU placement) are delivered as **per-replica batches**:
   chunk service times are expanded vectorized, then a compact
@@ -53,29 +53,29 @@ order-insensitive either way (see ``docs/performance.md``).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
-__all__ = ["run_vectorized", "run_epoch"]
+__all__ = ["run_vectorized"]
 
 #: Per-ServicedStage dense service tables, shared across replicas (the
 #: stage objects themselves are shared via plan_cache).  Keyed by id()
 #: with the stage kept referenced so a recycled id cannot alias.
 _SERVICE_TABLES: dict[int, tuple[object, int, np.ndarray]] = {}
 
-#: Python-list views of the same tables for the scalar-indexed loops
-#: (the FUSE drains and the epoch core): indexing a list of floats is
-#: ~3x cheaper than indexing a numpy array element-wise.
+#: Python-list views of the same tables for the scalar-indexed FUSE
+#: drains: indexing a list of floats is ~3x cheaper than indexing a
+#: numpy array element-wise.
 _SERVICE_LISTS: dict[int, tuple[object, int, list]] = {}
 
 #: FUSE stages with fusion limits above this keep the dict-memo lookup
 #: (a dense table would mostly hold service times no batch ever forms).
 _FUSE_TABLE_CAP = 4096
 
-#: Arrivals the p2c router turns into Python scalars at a time.  Whole-
-#: trace lists would hold a float or int object plus a list slot per
-#: column, 108-136 B per arrival on top of the numpy columns.
+#: Arrivals the per-arrival routers turn into Python scalars at a time.
+#: Whole-trace lists would hold a float or int object plus a list slot
+#: per column, 108-136 B per arrival on top of the numpy columns.
 _P2C_BLOCK = 8192
 
 
@@ -756,9 +756,10 @@ def run_vectorized(
     rescaling).  ``sim.faults=None`` is zero fault boundaries.  Results
     are bit-identical to the python light loop (modulo the
     cross-replica tie caveat in the module docstring); the caller has
-    verified eligibility: outstanding-oblivious or exact
-    :class:`~repro.fleet.routing.PowerOfTwoPolicy` routing, no retries,
-    hedging, or observer.
+    verified eligibility: outstanding-oblivious routing or the exact
+    :class:`~repro.fleet.routing.PowerOfTwoPolicy` /
+    :class:`~repro.fleet.routing.LeastOutstandingPolicy` classes, no
+    retries, hedging, or observer.
 
     A forced ``horizon_s`` acts as in the light loop: ticks fire while
     before it, the report settles at it, and an empty stream is allowed.
@@ -768,7 +769,7 @@ def run_vectorized(
         _materialized_faults,
         iter_boundaries,
     )
-    from repro.fleet.routing import PowerOfTwoPolicy
+    from repro.fleet.routing import LeastOutstandingPolicy, PowerOfTwoPolicy
 
     servers = sim.servers
     n_servers = len(servers)
@@ -829,11 +830,9 @@ def run_vectorized(
     direct_pushes = 0
     ticks = 0
     fstate = _FaultState(servers, routable)
-    # Replicas of p2c-routed models are admitted by ``route_p2c``; each
-    # DirectStage replica keeps a min-heap of its known finishes there.
-    p2c_routed = [
-        type(policies[s.model_name]) is PowerOfTwoPolicy for s in servers
-    ]
+    # Each DirectStage replica's known finishes: the queries it admitted
+    # through a per-arrival router whose completion has not been retired
+    # yet (a crash clears them).
     known = [[] if s.direct is not None else None for s in servers]
 
     def runner_of(server) -> _LocalReplicaSim:
@@ -841,6 +840,20 @@ def run_vectorized(
         if runner is None:
             runner = runners[server.index] = _LocalReplicaSim(server.pipeline)
         return runner
+
+    def candidate_view(candidates):
+        """Per-position views of ``candidates`` for a per-arrival router:
+        server indices, DirectStages and straggler factors, and local
+        runners (``None`` on a DirectStage replica)."""
+        return (
+            [s.index for s in candidates],
+            [s.direct for s in candidates],
+            [s.slow_factor for s in candidates],
+            [
+                None if s.direct is not None else runner_of(s)
+                for s in candidates
+            ],
+        )
 
     def route_p2c(sel, candidates, policy) -> None:
         """Route and admit arrivals ``sel`` one at a time, exactly as
@@ -857,15 +870,9 @@ def run_vectorized(
         back to ``server_of`` / ``finish``.
         """
         k = len(candidates)
-        srv_of = [s.index for s in candidates]
+        srv_of, directs, slows, runs = candidate_view(candidates)
         weights = [s.weight for s in candidates]
         heaps = [known[i] for i in srv_of]
-        directs = [s.direct for s in candidates]
-        slows = [s.slow_factor for s in candidates]
-        runs = [
-            None if s.direct is not None else runner_of(s)
-            for s in candidates
-        ]
         rand = policy._random
         pop = heappop
         push = heappush
@@ -941,10 +948,124 @@ def run_vectorized(
             if d_idx:
                 finish[d_idx] = d_fin
 
+    def route_least(sel, candidates, policy) -> None:
+        """Route and admit arrivals ``sel`` one at a time, exactly as
+        :meth:`LeastOutstandingPolicy.choose` would against live queues.
+
+        ``choose`` keeps the first minimum of (outstanding, -weight) in
+        candidate-list order, so each candidate owns one bit, ranked by
+        (-weight, position), and ``levels[c]`` holds the bits of the
+        candidates with ``c`` queries outstanding: the pick is the
+        lowest bit of the lowest non-empty level.  One min-heap of
+        (time, position) entries holds every pending DirectStage finish
+        and each FUSE replica's next local event.  An arrival at t
+        first retires the entries strictly before t -- a finish lowers
+        its replica's count by one, a FUSE entry pumps that replica to
+        t -- then admits the pick at once, in blocks as ``route_p2c``
+        does.  The pending direct finishes go back to ``known`` at the
+        end, where a crash and the next segment find them.
+        """
+        k = len(candidates)
+        srv_of, directs, slows, runs = candidate_view(candidates)
+        order = sorted(range(k), key=lambda p: (-candidates[p].weight, p))
+        bits = [0] * k
+        for r, p in enumerate(order):
+            bits[p] = 1 << r
+        count = [0] * k
+        pending = []
+        for p, runner in enumerate(runs):
+            if runner is None:
+                h = known[srv_of[p]]
+                count[p] = len(h)
+                pending += [(f, p) for f in h]
+                h.clear()
+            else:
+                count[p] = runner.inflight
+                if runner.events:
+                    pending.append((runner.events[0][0], p))
+        heapify(pending)
+        # Only an admission raises a count, by one per arrival.
+        levels = [0] * (max(count) + len(sel) + 2)
+        for p in range(k):
+            levels[count[p]] |= bits[p]
+        low = min(count)
+        pop = heappop
+        push = heappush
+        for b in range(0, len(sel), _P2C_BLOCK):
+            g = sel[b:b + _P2C_BLOCK]
+            picks = []
+            d_idx = []
+            d_fin = []
+            pick = picks.append
+            d_idx_add = d_idx.append
+            d_fin_add = d_fin.append
+            for t, sz, pl, gi in zip(
+                arr_t[g].tolist(), arr_size[g].tolist(),
+                arr_pool[g].tolist(), g.tolist(),
+            ):
+                while pending and pending[0][0] < t:
+                    p = pop(pending)[1]
+                    c = count[p]
+                    runner = runs[p]
+                    if runner is None:
+                        out = c - 1
+                    else:
+                        ev = runner.events
+                        if not ev or ev[0][0] >= t:
+                            continue  # stale: already pumped past it
+                        runner.pump((), (), (), (), t, finish, rank, scaling)
+                        if ev:
+                            push(pending, (ev[0][0], p))
+                        out = runner.inflight
+                        if out == c:
+                            continue
+                    bit = bits[p]
+                    levels[c] ^= bit
+                    levels[out] |= bit
+                    count[p] = out
+                    if out < low:
+                        low = out
+                m = levels[low]
+                p = order[(m & -m).bit_length() - 1]
+                runner = runs[p]
+                if runner is None:
+                    f = slows[p]
+                    if f == 1.0:
+                        d = directs[p].completion_time(t, sz, pl)
+                    else:
+                        d = directs[p].completion_time_slowed(t, sz, pl, f)
+                    push(pending, (d, p))
+                    d_idx_add(gi)
+                    d_fin_add(d)
+                else:
+                    ev = runner.events
+                    nxt = ev[0][0] if ev else None
+                    runner.pump([t], [sz], [pl], [gi], t, finish, rank, scaling)
+                    if ev and (nxt is None or ev[0][0] < nxt):
+                        push(pending, (ev[0][0], p))
+                c = count[p]
+                count[p] = c + 1
+                bit = bits[p]
+                levels[c] ^= bit
+                levels[c + 1] |= bit
+                if not levels[c]:
+                    low = c + 1
+                pick(srv_of[p])
+            server_of[g] = picks
+            if d_idx:
+                finish[d_idx] = d_fin
+        for f, p in pending:
+            if runs[p] is None:
+                known[srv_of[p]].append(f)
+
+    # The exact classes only: a subclass may override ``choose``.
+    routers = {PowerOfTwoPolicy: route_p2c, LeastOutstandingPolicy: route_least}
+    per_arrival = [type(policies[s.model_name]) in routers for s in servers]
+
     def deliver(lo: int, hi: int, limit: float) -> None:
         """Route and deliver arrivals [lo, hi) -- the fault-free
         segment body.  Oblivious policies pre-route the segment in one
-        batch and p2c routes and admits per arrival (``route_p2c``).
+        batch; p2c and least route and admit per arrival (``routers``).
         Batch-routed direct replicas then run the exact DirectStage
         recurrence in batches (chunk services scaled while a slow fault
         holds), and every direct replica keeps its delivered indices for
@@ -966,8 +1087,9 @@ def run_vectorized(
                 )
                 continue
             policy = policies[model]
-            if type(policy) is PowerOfTwoPolicy:
-                route_p2c(lo + sel, candidates, policy)
+            route = routers.get(type(policy))
+            if route is not None:
+                route(lo + sel, candidates, policy)
             else:
                 picks = policy.choose_batch(candidates, len(sel))
                 cand_idx = np.fromiter(
@@ -991,7 +1113,7 @@ def run_vectorized(
             if scaling:
                 outstanding_vec[srv_i] += len(gidx)
             if s.direct is not None:
-                if p2c_routed[srv_i]:
+                if per_arrival[srv_i]:
                     fin = finish[gidx]
                 else:
                     fin = _direct_batch(s, ts, arr_size[gidx], arr_pool[gidx])
@@ -1007,7 +1129,7 @@ def run_vectorized(
                     if fmax > last_finish[srv_i]:
                         last_finish[srv_i] = fmax
                     pool.append((fin, fin - ts, codes[s.model_name], srv_i))
-            elif not p2c_routed[srv_i]:
+            elif not per_arrival[srv_i]:
                 runner_of(s).pump(
                     ts.tolist(), arr_size[gidx].tolist(),
                     arr_pool[gidx].tolist(), gidx.tolist(),
@@ -1214,329 +1336,4 @@ def run_vectorized(
         sim, ingested, warmup_s, horizon, server_of, (server_of >= 0) & ~killed,
         finish, rank, dropped, drop_order, scale_events, fault_info,
         n + len(fault_evs) + direct_pushes + local_pushes + ticks,
-    )
-
-
-def run_epoch(sim, trace, warmup_s: float = 0.0):
-    """Play ``trace`` through the fleet on the epoch-batched core.
-
-    Queue-aware policies (``least`` / ``p2c``) read live outstanding
-    counts per arrival, which the batch core cannot reproduce exactly.
-    This core routes arrival *micro-epochs* instead: all arrivals
-    within ``sim.epoch_ms`` of the epoch's first unrouted arrival are
-    routed together against a queue-depth snapshot refreshed at the
-    epoch start (completions retire strictly-earlier finishes from
-    per-replica pending heaps), via
-    :meth:`RoutingPolicy.snapshot_batch`.  Epochs never span an
-    autoscaler tick.
-
-    Individual routing draws therefore differ from the python core --
-    this is a *statistically* equivalent leg, never chosen by
-    ``core="auto"`` (the user opts in with ``core="vector-epoch"``);
-    ``tests/test_fast_core.py``'s calibrated lane bounds the per-model
-    p50/p99/violation/power drift.  Fault machinery is refused by the
-    caller (mid-epoch kills would invalidate the snapshot contract).
-    """
-    servers = sim.servers
-    n_servers = len(servers)
-    ingested = _ingest(sim, trace)
-    arr_t, arr_size, arr_pool, arr_m, model_names, codes = ingested
-    n = len(arr_t)
-    if not n:
-        raise ValueError("empty fleet trace")
-    horizon = float(arr_t[-1])
-    eps = sim.epoch_ms * 1e-3
-    scaling = sim.autoscaler is not None
-    window_s = sim.autoscaler.window_s if scaling else 0.0
-    routable = sim._routable
-    policies = sim._policies
-
-    # The delivery loop is scalar per arrival (epoch buckets average a
-    # handful of queries, far below numpy's fixed-overhead break-even),
-    # so plain python lists back every per-arrival read and write; the
-    # routing picks are the one per-arrival cost that vectorizes well
-    # (see LeastOutstandingPolicy.snapshot_batch's k-way merge).
-    tl = arr_t.tolist()
-    szl = arr_size.tolist()
-    pll = arr_pool.tolist()
-    ml = arr_m.tolist()
-    fin_l = [0.0] * n
-    rank = np.zeros(n, dtype=np.int32)
-    server_of = np.full(n, -1, dtype=np.int64)
-    max_sz = int(arr_size.max())
-
-    # Per-replica queue state for the snapshots: ``out_ct`` is the
-    # routed-minus-retired count the router reads; ``pend`` holds the
-    # known finish timestamps of that backlog (unsorted -- backlogs are
-    # queue-depth sized), filtered strictly-before-the-cut whenever a
-    # snapshot or tick needs the live count (strict: the python core
-    # pops an arrival before a completion with the same timestamp).
-    pend: list[list[float]] = [[] for _ in range(n_servers)]
-    out_ct = [0] * n_servers
-    last_finish = [0.0] * n_servers
-
-    window_lat: dict[str, list[float]] = {m: [] for m in routable}
-    window_arrivals: dict[str, int] = {m: 0 for m in routable}
-    window_drops: dict[str, int] = {m: 0 for m in routable}
-    window_failures: dict[str, int] = {m: 0 for m in routable}
-    win: dict[str, list] = {m: [] for m in routable}  # pending samples
-    scale_events: list = []
-    dropped: dict[str, int] = {m: 0 for m in routable}
-    drop_order: list[str] = []
-    pending_settles: dict = {}
-    runners: dict[int, _LocalReplicaSim] = {}
-    # Per-server (avail, table, chunk_items, ps, chunks_for) for the
-    # scalar DirectStage recurrence, built on first routing.  Epoch
-    # mode never injects faults, so caching ``avail`` is safe (only
-    # ``DirectStage.reset`` replaces the list).
-    direct_info: list = [None] * n_servers
-    direct_pushes = 0
-    ticks = 0
-
-    def bank(srv_i: int, runner) -> None:
-        """Move a runner's banked completions into the queue state."""
-        comps = runner.completions
-        if not comps:
-            return
-        runner.completions = []
-        h = pend[srv_i]
-        lf = last_finish[srv_i]
-        w = win[servers[srv_i].model_name] if scaling else None
-        for fin, gi in comps:
-            h.append(fin)
-            if fin > lf:
-                lf = fin
-            if w is not None:
-                w.append((fin, fin - tl[gi]))
-        last_finish[srv_i] = lf
-
-    def prune(srv_i: int, cut: float) -> None:
-        """Retire finishes strictly before ``cut`` from one backlog."""
-        h = pend[srv_i]
-        kept = [f for f in h if f >= cut]
-        if len(kept) != len(h):
-            out_ct[srv_i] -= len(h) - len(kept)
-            pend[srv_i] = kept
-
-    def do_tick(T: float) -> None:
-        nonlocal ticks
-        for srv_i, runner in runners.items():
-            if runner.events:
-                runner.pump((), (), (), (), T, fin_l, rank, True)
-            bank(srv_i, runner)
-        for srv_i in range(n_servers):
-            if pend[srv_i]:
-                prune(srv_i, T)
-        _apply_settles(pending_settles, T)
-        for s, o in zip(servers, out_ct):
-            s.outstanding = o
-        for m, samples in win.items():
-            if not samples:
-                continue
-            taken = [sm for sm in samples if sm[0] < T]
-            if not taken:
-                continue
-            if len(taken) == len(samples):
-                win[m] = []
-            else:
-                win[m] = [sm for sm in samples if sm[0] >= T]
-            taken.sort()
-            window_lat[m] = [lat * 1e3 for _, lat in taken]
-        ticks += 1
-        before = len(scale_events)
-        sim._apply_autoscaler_tick(
-            T, window_lat, window_arrivals, window_drops, scale_events,
-            window_failures,
-        )
-        for ev in scale_events[before:]:
-            drained = ev.server
-            if ev.action == "drain" and drained.draining:
-                # No new arrivals can land here: run it dry and settle
-                # lazily at its last completion, before a later tick.
-                srv_i = drained.index
-                runner = runners.get(srv_i)
-                if runner is not None and runner.events:
-                    runner.pump(
-                        (), (), (), (), float("inf"), fin_l, rank, True
-                    )
-                    bank(srv_i, runner)
-                pending_settles[drained] = last_finish[srv_i]
-
-    # -- the epoch loop ------------------------------------------------
-    tick_t = window_s if scaling else float("inf")
-    pos = 0
-    while pos < n:
-        t0 = tl[pos]
-        while tick_t <= t0 and tick_t < horizon:
-            do_tick(tick_t)
-            tick_t += window_s
-        t1 = t0 + eps
-        if tick_t < t1:
-            t1 = tick_t  # epochs never span a tick
-        hi = int(np.searchsorted(arr_t, t1, side="left"))
-        if hi <= pos:
-            hi = pos + 1  # degenerate epoch (eps underflow): one arrival
-        # Bucket the epoch's arrivals by model in bulk: epochs hold
-        # hundreds of arrivals at fleet scale, so numpy masks beat a
-        # python scan here (unlike the per-server delivery buckets,
-        # which stay a handful of queries each and remain scalar).
-        seg = arr_m[pos:hi]
-        code0 = ml[pos]
-        if bool((seg == code0).all()):
-            groups = ((code0, None),)
-        else:
-            groups = tuple(
-                (int(c), np.nonzero(seg == c)[0] + pos)
-                for c in np.unique(seg).tolist()
-            )
-        buckets: dict[int, list[int]] = {}
-        for code, idxs_np in groups:
-            model = model_names[code]
-            candidates = routable.get(model)
-            cnt = hi - pos if idxs_np is None else len(idxs_np)
-            if not candidates:
-                _drop_unroutable(
-                    model,
-                    arr_t[pos:hi] if idxs_np is None else arr_t[idxs_np],
-                    warmup_s, routable, dropped, drop_order, window_drops,
-                )
-                continue
-            # Refresh this stream's queue snapshot at the epoch start:
-            # pump candidate runners to t0 and retire finishes < t0.
-            outs = []
-            cil = []
-            ap = outs.append
-            for s_c in candidates:
-                ci = s_c.index
-                cil.append(ci)
-                runner = runners.get(ci)
-                if runner is not None:
-                    if runner.events:
-                        runner.pump((), (), (), (), t0, fin_l, rank, True)
-                    bank(ci, runner)
-                if pend[ci]:
-                    prune(ci, t0)
-                ap(out_ct[ci])
-            picks = policies[model].snapshot_batch(candidates, outs, cnt)
-            if type(picks) is list:
-                picks = np.asarray(picks, dtype=np.int64)
-            if scaling:
-                window_arrivals[model] += cnt
-            if idxs_np is None:
-                idxs_np = np.arange(pos, hi, dtype=np.int64)
-            sis = np.asarray(cil, dtype=np.int64)[picks]
-            server_of[idxs_np] = sis
-            for j, c_add in enumerate(
-                np.bincount(picks, minlength=len(cil)).tolist()
-            ):
-                if c_add:
-                    out_ct[cil[j]] += c_add
-            # Group picks by server: a stable sort keeps each server's
-            # slice in arrival order, matching the scalar apply loop.
-            order = np.argsort(sis, kind="stable")
-            gs = idxs_np[order].tolist()
-            ss = sis[order]
-            bounds = (np.nonzero(ss[1:] != ss[:-1])[0] + 1).tolist()
-            bounds.append(cnt)
-            a = 0
-            for b_end in bounds:
-                si = int(ss[a])
-                chunk = gs[a:b_end]
-                prev = buckets.get(si)
-                if prev is None:
-                    buckets[si] = chunk
-                else:
-                    prev.extend(chunk)
-                a = b_end
-        for si, idxs in buckets.items():
-            s = servers[si]
-            if s.direct is not None:
-                info = direct_info[si]
-                if info is None:
-                    st = s.direct.stage
-                    c = st.chunk_items
-                    info = direct_info[si] = (
-                        s.direct.avail,
-                        _service_list(st, max_sz if max_sz > c else c),
-                        c,
-                        st.pooling_sensitivity,
-                        st.chunks_for,
-                    )
-                avail, tab, c, ps, chunks_for = info
-                h = pend[si]
-                hap = h.append
-                lf = last_finish[si]
-                w = win[s.model_name] if scaling else None
-                for i in idxs:
-                    t = tl[i]
-                    sz = szl[i]
-                    # The exact DirectStage recurrence, scalar.
-                    if sz <= c:
-                        base = tab[sz]
-                        if ps > 0.0:
-                            pl = pll[i]
-                            base = base * (1.0 - ps + ps * ((pl * sz) / sz))
-                        tf = avail[0]
-                        d = (tf if tf > t else t) + base
-                        heapreplace(avail, d)
-                    else:
-                        pl = pll[i]
-                        d = t
-                        for chunk in chunks_for(sz):
-                            base = tab[chunk]
-                            if ps > 0.0:
-                                base = base * (
-                                    1.0 - ps + ps * ((pl * chunk) / chunk)
-                                )
-                            tf = avail[0]
-                            dd = (tf if tf > t else t) + base
-                            heapreplace(avail, dd)
-                            if dd > d:
-                                d = dd
-                    fin_l[i] = d
-                    hap(d)
-                    if d > lf:
-                        lf = d
-                    if w is not None:
-                        w.append((d, d - t))
-                last_finish[si] = lf
-                direct_pushes += len(idxs)
-            else:
-                runner = runners.get(si)
-                if runner is None:
-                    runner = runners[si] = _LocalReplicaSim(s.pipeline)
-                runner.pump(
-                    [tl[i] for i in idxs],
-                    [szl[i] for i in idxs],
-                    [pll[i] for i in idxs],
-                    idxs, t1, fin_l, rank, True,
-                )
-                bank(si, runner)
-        pos = hi
-
-    # Ticks between the last arrival's epoch and the horizon.
-    while tick_t < horizon:
-        do_tick(tick_t)
-        tick_t += window_s
-
-    # -- drain ---------------------------------------------------------
-    for srv_i, runner in runners.items():
-        if runner.events:
-            runner.pump((), (), (), (), float("inf"), fin_l, rank, True)
-        bank(srv_i, runner)
-    _apply_settles(pending_settles)
-
-    no_faults = {
-        "failed": {},
-        "retried": {},
-        "hedged": {},
-        "events": (),
-        "downtime_s": 0.0,
-        "ticks": ticks,
-    }
-    local_pushes = sum(r.seq for r in runners.values())
-    return _report(
-        sim, ingested, warmup_s, horizon, server_of, server_of >= 0,
-        np.asarray(fin_l), rank, dropped, drop_order, scale_events, no_faults,
-        n + direct_pushes + local_pushes + ticks,
     )

@@ -47,7 +47,7 @@ class TestGateList:
             ("fleet_replay_faultpath", "speedup_vector_fault_vs_python")
         ][:2] == (">", 2.5)
         assert gates[
-            ("fleet_replay_queueaware", "speedup_vector_epoch_vs_python")
+            ("fleet_replay_queueaware", "speedup_vector_least_vs_python")
         ][:2] == (">", 2.0)
         assert gates[
             ("fleet_replay_streaming", "ratio_vector_stream_vs_list")
@@ -65,13 +65,13 @@ class TestCompareBench:
     def test_new_document_failure_flags_regression(self):
         old = _doc(**_passing_scenarios())
         bad = _passing_scenarios()
-        bad["fleet_replay_queueaware"]["speedup_vector_epoch_vs_python"] = 1.3
+        bad["fleet_replay_queueaware"]["speedup_vector_least_vs_python"] = 1.3
         text, regressed = compare_bench(old, _doc(**bad))
         assert regressed
         assert "FAIL" in text
         # The failing gate row names the metric and both values.
         row = next(l for l in text.splitlines() if "FAIL" in l)
-        assert "speedup_vector_epoch_vs_python" in row
+        assert "speedup_vector_least_vs_python" in row
         assert "1.300" in row
 
     def test_old_document_failure_does_not_regress(self):
@@ -102,7 +102,7 @@ class TestCompareBench:
         quick = _passing_scenarios()
         quick["fleet_replay_fastcore"]["speedup_vector_vs_python"] = 2.42
         quick["fleet_replay_faultpath"]["speedup_vector_fault_vs_python"] = 2.32
-        quick["fleet_replay_queueaware"]["speedup_vector_epoch_vs_python"] = 1.82
+        quick["fleet_replay_queueaware"]["speedup_vector_least_vs_python"] = 1.82
         text, regressed = compare_bench(
             _doc(**_passing_scenarios()), _doc(mode="quick", **quick)
         )

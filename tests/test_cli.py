@@ -123,17 +123,17 @@ class TestCommands:
         assert "fleet power" in out
 
     def test_fleet_shards_honour_the_vector_core(self):
-        # Sharded workers run the core asked for: least routing is
-        # queue-aware, so a forced vector core fails with the engine's
-        # reason instead of quietly running python.
-        with pytest.raises(ValueError, match="queue-aware"):
+        # Sharded workers run the core asked for: sketch percentiles
+        # need the per-event core, so a forced vector core fails with
+        # the engine's reason instead of quietly running python.
+        with pytest.raises(ValueError, match="sketch-mode"):
             main(
                 [
                     "fleet",
                     "--servers", "4",
                     "--server-types", "T2",
                     "--models", "DLRM-RMC1",
-                    "--policy", "least",
+                    "--percentile-mode", "sketch",
                     "--duration", "2",
                     "--segments", "8",
                     "--shards", "2",

@@ -95,7 +95,7 @@ def test_every_subcommand_documented():
             ["--faults", "--retries", "--hedge-ms", "--autoscale",
              "--autoscale-mode", "--arrivals", "--trace",
              "--over-provision", "--policy", "--seed", "--core",
-             "--epoch-ms", "--shards", "--percentile-mode",
+             "--shards", "--percentile-mode",
              "--carbon", "--deferrable", "--deferrable-policy",
              "--power-cap", "--deferral-horizon",
              "--metrics-out", "--trace-out", "--metrics-window-s", "--json"],

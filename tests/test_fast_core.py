@@ -1,22 +1,23 @@
 """Differential lane: the vectorized event core vs the python core.
 
 ``core="vector"`` promises *bit-identical* results to ``core="python"``
-for every run it accepts (outstanding-oblivious or p2c routing, plain
-fault schedules, no live observer): the per-replica float recurrences
-are evaluated in the same order, so summaries are compared with ``==``
--- no tolerances.
+for every run it accepts (outstanding-oblivious, p2c or least routing,
+plain fault schedules, no live observer): the per-replica float
+recurrences are evaluated in the same order, so summaries are compared
+with ``==`` -- no tolerances.
 The only reordering the design permits is cross-replica finish-time
 ties inside one model's completion stream (documented in
 ``docs/performance.md``); none of the traffic here produces one, so the
 pins below are exact.
 
 The lane sweeps the eligibility surface -- routing policies (rr,
-weighted, and p2c through the per-arrival router), arrival shapes
-(piecewise Poisson, MMPP bursts, diurnal ramps, recorded replay), and
-autoscaler modes (none, reactive, predictive) -- and then asserts the
-*other* half of the contract: every ineligible configuration falls back
-(``auto`` logs why, ``vector`` raises), so ``least``, custom policies,
-tracking, and live observers always get the exact per-event core.
+weighted, and p2c and least through the per-arrival routers), arrival
+shapes (piecewise Poisson, MMPP bursts, diurnal ramps, recorded
+replay), and autoscaler modes (none, reactive, predictive) -- and then
+asserts the *other* half of the contract: every ineligible
+configuration falls back (``auto`` logs why, ``vector`` raises), so
+custom policies, tracking, and live observers always get the exact
+per-event core.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ np = pytest.importorskip("numpy")
 
 from repro.cluster.state import Allocation
 from repro.fleet import FleetSimulator, build_fleet, build_fleet_trace
-from repro.fleet.routing import PowerOfTwoPolicy
+from repro.fleet.routing import LeastOutstandingPolicy, PowerOfTwoPolicy
 from repro.sim import QueryWorkload
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -113,13 +114,13 @@ def _assert_identical(vec, base):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("policy", ["rr", "weighted", "p2c"])
+@pytest.mark.parametrize("policy", ["rr", "weighted", "p2c", "least"])
 @pytest.mark.parametrize("seed", [13, 41])
 def test_vector_bit_identical_mixed_fleet(
     small_table, two_model_inputs, policy, seed
 ):
-    """Direct + FUSE replicas, both oblivious policies and p2c, ``==``
-    floats."""
+    """Direct + FUSE replicas, both oblivious policies, p2c and least,
+    ``==`` floats."""
     allocation = _mixed_allocation()
     trace = _rmc1_trace(small_table, two_model_inputs[1], 0.65, seed)
     _, base = _replay(
@@ -246,14 +247,14 @@ def test_vector_bit_identical_arrival_shapes(
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    policy=st.sampled_from(["rr", "weighted", "p2c"]),
+    policy=st.sampled_from(["rr", "weighted", "p2c", "least"]),
     load=st.floats(0.3, 0.95),
 )
 def test_vector_matches_python_property(
     small_table, two_model_inputs, seed, policy, load
 ):
-    """Property sweep: any oblivious or p2c replay is exact, load and
-    seed free."""
+    """Property sweep: any oblivious, p2c or least replay is exact, load
+    and seed free."""
     allocation = _mixed_allocation()
     trace = _rmc1_trace(small_table, two_model_inputs[1], load, seed, duration=1.5)
     _, base = _replay(
@@ -268,12 +269,12 @@ def test_vector_matches_python_property(
 def test_auto_selects_vector_without_logging(
     small_table, two_model_inputs, caplog
 ):
-    """``core="auto"`` on an eligible run -- oblivious rr or exact p2c
-    -- takes the fast path silently and still matches the python core
-    exactly."""
+    """``core="auto"`` on an eligible run -- oblivious rr, or exact p2c or
+    least -- takes the fast path silently and still matches the python
+    core exactly."""
     allocation = _mixed_allocation()
     trace = _rmc1_trace(small_table, two_model_inputs[1], 0.6, seed=3)
-    for policy in ("rr", "p2c"):
+    for policy in ("rr", "p2c", "least"):
         _, base = _replay(
             small_table, two_model_inputs, allocation, trace, "python",
             policy=policy,
@@ -373,7 +374,7 @@ class TestVectorFaultDifferential:
         assert vec.availability == base.availability
         assert vec.phases == base.phases
 
-    @pytest.mark.parametrize("policy", ["rr", "weighted", "p2c"])
+    @pytest.mark.parametrize("policy", ["rr", "weighted", "p2c", "least"])
     @pytest.mark.parametrize("kind", ["crash", "blip", "slow", "storm"])
     def test_fault_legs_bit_identical(
         self, small_table, two_model_inputs, kind, policy
@@ -410,13 +411,13 @@ class TestVectorFaultDifferential:
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        policy=st.sampled_from(["rr", "weighted", "p2c"]),
+        policy=st.sampled_from(["rr", "weighted", "p2c", "least"]),
     )
     def test_fault_property_sweep(
         self, small_table, two_model_inputs, seed, policy
     ):
-        """Any seed, either oblivious policy or p2c: the storm schedule
-        replays exactly."""
+        """Any seed, either oblivious policy, p2c or least: the storm
+        schedule replays exactly."""
         allocation = _mixed_allocation()
         trace = _rmc1_trace(
             small_table, two_model_inputs[1], 0.6, seed, duration=1.5
@@ -433,12 +434,12 @@ class TestVectorFaultDifferential:
 
 
 # ----------------------------------------------------------------------
-# Exact p2c: the vector core's per-arrival router
+# Exact p2c and least: the vector core's per-arrival routers
 # ----------------------------------------------------------------------
 
 
-def _p2c_scaler(mode):
-    """A fresh autoscaler for the p2c rows (``None`` for ``"none"``)."""
+def _router_scaler(mode):
+    """A fresh autoscaler for the router rows (``None`` for ``"none"``)."""
     from repro.fleet import PredictiveAutoscaler, ReactiveAutoscaler
 
     if mode == "none":
@@ -450,7 +451,7 @@ def _p2c_scaler(mode):
     return PredictiveAutoscaler({"DLRM-RMC1": 20.0}, window_s=0.25)
 
 
-def _p2c_storm():
+def _router_storm():
     """A crash, two blips and a slowdown on the mixed fleet.  The blips
     recover while their victims' finish times still lie ahead, so a
     replica must come back with no outstanding queries -- on the
@@ -483,43 +484,66 @@ def _both_cores(small_table, inputs, allocation, trace, make_kwargs):
     return out
 
 
+def _router_rows(test):
+    """Seeds x {no autoscaler, reactive, predictive} x {no faults, a
+    crash/blip/slowdown storm}: the matrix both routers are pinned on."""
+    test = pytest.mark.parametrize("seed", [5, 19])(test)
+    test = pytest.mark.parametrize(
+        "scaler", ["none", "reactive", "predictive"]
+    )(test)
+    return pytest.mark.parametrize(
+        "faults", [False, True], ids=["no-faults", "storm"]
+    )(test)
+
+
 class TestExactP2C:
-    """p2c on the vector core routes each arrival against live queues:
-    it draws with the policy's own ``Random`` and brings only the two
-    drawn replicas up to the arrival time, so the whole report, the
+    """p2c and least on the vector core route each arrival against live
+    queues -- p2c draws with the policy's own ``Random`` and brings only
+    the two drawn replicas up to the arrival time, least retires every
+    candidate's finishes before the arrival -- so the whole report, the
     event count and the tick count are ``==`` to the python core's, on a
     fleet of DirectStage (T2) and FUSE (T7) replicas."""
 
-    @pytest.mark.parametrize(
-        "faults", [False, True], ids=["no-faults", "storm"]
-    )
-    @pytest.mark.parametrize("scaler", ["none", "reactive", "predictive"])
-    @pytest.mark.parametrize("seed", [5, 19])
-    def test_p2c_bit_identical(
-        self, small_table, two_model_inputs, seed, scaler, faults
+    def _check_row(
+        self, small_table, inputs, policy, load, seed, scaler, faults
     ):
-        """Seeds x {no autoscaler, reactive, predictive} x {no faults, a
-        crash/blip/slowdown storm}."""
         standby = Allocation()
         standby.add("T2", "DLRM-RMC1", 2)
-        trace = _rmc1_trace(small_table, two_model_inputs[1], 1.0, seed)
+        trace = _rmc1_trace(small_table, inputs[1], load, seed)
 
         def kwargs():
             return {
-                "policy": "p2c",
+                "policy": policy,
                 "seed": seed,
                 "standby": standby,
-                "autoscaler": _p2c_scaler(scaler),
-                "faults": _p2c_storm() if faults else None,
+                "autoscaler": _router_scaler(scaler),
+                "faults": _router_storm() if faults else None,
             }
 
         runs = _both_cores(
-            small_table, two_model_inputs, _mixed_allocation(), trace, kwargs
+            small_table, inputs, _mixed_allocation(), trace, kwargs
         )
         assert runs["vector"] == runs["python"]
         doc = runs["python"][0]
         assert bool(doc["fault_events"]) == faults
         assert bool(doc["scale_events"]) == (scaler != "none")
+
+    @_router_rows
+    def test_p2c_bit_identical(
+        self, small_table, two_model_inputs, seed, scaler, faults
+    ):
+        self._check_row(
+            small_table, two_model_inputs, "p2c", 1.0, seed, scaler, faults
+        )
+
+    @_router_rows
+    def test_least_bit_identical(
+        self, small_table, two_model_inputs, seed, scaler, faults
+    ):
+        # least keeps the tail under the reactive trigger at load 1.0.
+        self._check_row(
+            small_table, two_model_inputs, "least", 1.2, seed, scaler, faults
+        )
 
     def test_one_replica_model_draws_nothing(
         self, small_table, two_model_inputs
@@ -616,26 +640,24 @@ class TestExactP2C:
 
         assert run("vector") == run("python")
 
-    def test_arrival_on_a_pending_finish_counts_it(
-        self, small_table, two_model_inputs
-    ):
-        """An arrival at exactly a pending DirectStage finish still sees
-        that query outstanding (the python core pops the arrival before
-        the completion), and here that decides the pick: arriving at the
-        finish, the second query goes to the idle replica; one ulp later
-        it joins the first."""
+    @staticmethod
+    def _tie_runs(small_table, inputs, policy, seed):
+        """Two queries on two T2 replicas, the second arriving exactly at
+        the first's DirectStage finish and one ulp later, replayed on
+        both cores: ``{core: [at the finish, one ulp later]}``, each run
+        as ``(to_dict, sorted completed counts)``."""
         from repro.sim.event_core import DirectStage
         from repro.sim.queries import Query
 
-        models, workloads = two_model_inputs
+        models, workloads = inputs
         allocation = Allocation()
         allocation.add("T2", "DLRM-RMC1", 2)
 
         def run(core, t1):
             servers = build_fleet(allocation, small_table, models, workloads)
             sim = FleetSimulator(
-                servers, policy="p2c", sla_ms={"DLRM-RMC1": 20.0},
-                seed=3, core=core,
+                servers, policy=policy, sla_ms={"DLRM-RMC1": 20.0},
+                seed=seed, core=core,
             )
             result = sim.run([
                 ("DLRM-RMC1", Query(0, 0.0, 40, 1.0)),
@@ -648,114 +670,71 @@ class TestExactP2C:
         )[0].direct.stage
         finish = DirectStage(stage).completion_time(0.0, 40, 1.0)
         after = float(np.nextafter(finish, np.inf))
-        at_tie = run("python", finish)
-        later = run("python", after)
+        return {
+            core: [run(core, finish), run(core, after)]
+            for core in ("python", "vector")
+        }
+
+    def test_arrival_on_a_pending_finish_counts_it(
+        self, small_table, two_model_inputs
+    ):
+        """An arrival at exactly a pending DirectStage finish still sees
+        that query outstanding (the python core pops the arrival before
+        the completion), and here that decides the pick: arriving at the
+        finish, the second query goes to the idle replica; one ulp later
+        it joins the first.  Seed 3 makes p2c draw both replicas."""
+        runs = self._tie_runs(small_table, two_model_inputs, "p2c", 3)
+        at_tie, later = runs["python"]
         assert at_tie[1] == [1, 1]
         assert later[1] == [0, 2]
-        assert run("vector", finish) == at_tie
-        assert run("vector", after) == later
+        assert runs["vector"] == runs["python"]
 
-
-# ----------------------------------------------------------------------
-# Statistical-equivalence lane: core="vector-epoch" on queue-aware runs
-# ----------------------------------------------------------------------
-
-
-class TestEpochStatisticalLane:
-    """``vector-epoch`` trades per-event queue freshness for batching,
-    so its reports are *statistically* equivalent, never ``==``.  The
-    bands below were calibrated offline over 2,000 seeded trials
-    (seeds x loads 0.4/0.65/0.85 x least/p2c on this fleet shape) with
-    zero violations -- worst cases: completed 0.34%, power 1.8%, p50
-    ratio 2.05, p99 ratio (0.96, 1.97) -- then widened for headroom; a
-    failure here means the epoch core's drift regime changed, not bad
-    luck."""
-    COMPLETED_REL = 0.02
-    POWER_REL = 0.04
-    P50_BAND = (0.45, 3.0)
-    P99_BAND = (0.45, 3.0)
-
-    def _pair(self, small_table, inputs, seed, load, policy, epoch_ms=5.0):
-        allocation = _mixed_allocation()
-        trace = _rmc1_trace(
-            small_table, inputs[1], load, seed, duration=1.5
-        )
-
-        def run(core):
-            return _replay(
-                small_table, inputs, allocation, trace, core,
-                policy=policy, epoch_ms=epoch_ms,
-            )[1]
-
-        return run("python"), run("vector-epoch")
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        load=st.floats(0.4, 0.85),
-        policy=st.sampled_from(["least", "p2c"]),
-    )
-    def test_epoch_aggregates_within_calibrated_band(
-        self, small_table, two_model_inputs, seed, load, policy
-    ):
-        base, vec = self._pair(
-            small_table, two_model_inputs, seed, load, policy
-        )
-        b = base.per_model["DLRM-RMC1"]
-        v = vec.per_model["DLRM-RMC1"]
-        assert abs(v.completed - b.completed) <= max(
-            1, self.COMPLETED_REL * b.completed
-        )
-        assert abs(vec.avg_power_w - base.avg_power_w) <= (
-            self.POWER_REL * base.avg_power_w
-        )
-        lo, hi = self.P50_BAND
-        assert lo * b.p50_ms <= v.p50_ms <= hi * b.p50_ms
-        lo, hi = self.P99_BAND
-        assert lo * b.p99_ms <= v.p99_ms <= hi * b.p99_ms
-
-    def test_oblivious_policies_stay_exact_under_epoch(
+    def test_least_arrival_on_a_pending_finish_counts_it(
         self, small_table, two_model_inputs
     ):
-        """rr under ``vector-epoch`` takes the same exact pre-routed
-        path as ``vector`` -- epochs only change queue-aware routing."""
-        allocation = _mixed_allocation()
-        trace = _rmc1_trace(small_table, two_model_inputs[1], 0.6, seed=3)
-        _, base = _replay(
-            small_table, two_model_inputs, allocation, trace, "python"
-        )
-        _, vec = _replay(
-            small_table, two_model_inputs, allocation, trace, "vector-epoch"
-        )
-        _assert_identical(vec, base)
+        """The same tie under ``least``: the router retires only the
+        finishes strictly before an arrival."""
+        runs = self._tie_runs(small_table, two_model_inputs, "least", 0)
+        at_tie, later = runs["python"]
+        assert at_tie[1] == [1, 1]
+        assert later[1] == [0, 2]
+        assert runs["vector"] == runs["python"]
 
-    def test_epoch_ms_must_be_positive(self, small_table, two_model_inputs):
-        models, workloads = two_model_inputs
-        servers = build_fleet(
-            _mixed_allocation(), small_table, models, workloads
+    def test_least_ties_follow_list_order(self, small_table, two_model_inputs):
+        """``least`` breaks (outstanding, weight) ties by position in the
+        candidate list, not by server index.  A quiet start drains the
+        low-index replica 0; when the load returns it is re-activated at
+        the end of the list, where it ties with its equal-weight T2
+        peers."""
+        from repro.fleet import ReactiveAutoscaler
+
+        workload = two_model_inputs[1]["DLRM-RMC1"]
+        allocation = Allocation()
+        allocation.add("T2", "DLRM-RMC1", 3)
+        capacity = 3 * small_table.qps("T2", "DLRM-RMC1")
+        trace = build_fleet_trace(
+            {"DLRM-RMC1": workload},
+            {"DLRM-RMC1": [(0.1 * capacity, 0.5), (1.2 * capacity, 1.5)]},
+            seed=2,
         )
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError, match="epoch_ms must be > 0"):
-                FleetSimulator(
-                    servers, policy="least", sla_ms={"DLRM-RMC1": 20.0},
-                    core="vector-epoch", epoch_ms=bad,
-                )
 
-    def test_epoch_refuses_fault_schedules(
-        self, small_table, two_model_inputs
-    ):
-        """Mid-epoch kills would invalidate the queue snapshots, so
-        ``vector-epoch`` + faults is a hard error pointing at ``auto``."""
-        from repro.fleet import FaultSchedule
-        from repro.fleet.faults import crash
+        def kwargs():
+            return {
+                "policy": "least",
+                "autoscaler": ReactiveAutoscaler(
+                    {"DLRM-RMC1": 20.0}, window_s=0.25, cooldown_s=0.5
+                ),
+            }
 
-        trace = _rmc1_trace(small_table, two_model_inputs[1], 0.6, seed=3)
-        with pytest.raises(ValueError, match="mid-epoch"):
-            _replay(
-                small_table, two_model_inputs, _mixed_allocation(), trace,
-                "vector-epoch", policy="least",
-                faults=FaultSchedule([crash(0.5, 0)]),
-            )
+        runs = _both_cores(
+            small_table, two_model_inputs, allocation, trace, kwargs
+        )
+        scaled = [
+            (ev["action"], ev["server"])
+            for ev in runs["python"][0]["scale_events"]
+        ]
+        assert scaled[:2] == [("drain", 0), ("activate", 0)]
+        assert runs["vector"] == runs["python"]
 
 
 # ----------------------------------------------------------------------
@@ -772,12 +751,19 @@ class _CustomP2C(PowerOfTwoPolicy):
         return super().choose(candidates)
 
 
+class _CustomLeast(LeastOutstandingPolicy):
+    """The same for ``least``: a subclass falls back."""
+
+    def choose(self, candidates):
+        return super().choose(candidates)
+
+
 def _ineligible_kwargs(kind):
     from repro.fleet import FaultSchedule
     from repro.obs import FleetProbe
 
-    if kind == "least":
-        return {"policy": "least"}, "queue-aware"
+    if kind == "least-subclass":
+        return {"policy": _CustomLeast()}, "queue-aware"
     if kind == "p2c-subclass":
         return {"policy": _CustomP2C(seed=7)}, "queue-aware"
     if kind == "tracked":
@@ -787,7 +773,7 @@ def _ineligible_kwargs(kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["least", "p2c-subclass", "tracked", "observer"]
+    "kind", ["least-subclass", "p2c-subclass", "tracked", "observer"]
 )
 def test_auto_falls_back_and_logs(small_table, two_model_inputs, caplog, kind):
     """Every ineligible configuration degrades to the python core under
@@ -813,7 +799,7 @@ def test_auto_falls_back_and_logs(small_table, two_model_inputs, caplog, kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["least", "p2c-subclass", "tracked", "observer"]
+    "kind", ["least-subclass", "p2c-subclass", "tracked", "observer"]
 )
 def test_vector_raises_when_ineligible(small_table, two_model_inputs, kind):
     """Forcing ``core="vector"`` on an ineligible run is an actionable
@@ -838,7 +824,7 @@ def test_vector_error_lists_every_reason(small_table, two_model_inputs):
     with pytest.raises(ValueError) as exc:
         _replay(
             small_table, two_model_inputs, _mixed_allocation(), trace,
-            "vector", policy="least",
+            "vector", policy=_CustomLeast(),
             observer=FleetProbe(window_s=0.25), retries=1,
         )
     msg = str(exc.value)

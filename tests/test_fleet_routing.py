@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.fleet.routing import (
     ROUTING_POLICIES,
@@ -114,83 +113,6 @@ class TestWeighted:
         policy = WeightedPolicy()
         picks = [policy.choose([broken, healthy]) for _ in range(50)]
         assert picks.count(healthy) >= 49
-
-
-class TestSnapshotBatch:
-    """Epoch-batched picks over a frozen queue snapshot.
-
-    ``LeastOutstandingPolicy.snapshot_batch`` has two implementations --
-    a per-pick scalar argmin and a numpy k-way merge used when
-    ``256 <= n * k <= 2_000_000`` -- that must agree pick for pick: the
-    merge exploits that a snapshot which only grows by its own picks
-    yields a sorted union of per-replica key streams, and any
-    divergence from the scalar loop breaks the epoch core's routing.
-    """
-
-    @staticmethod
-    def _reference(servers, outstanding, n):
-        """Sequential argmin with the weight-desc tie-break, by hand."""
-        out = list(outstanding)
-        picks = []
-        for _ in range(n):
-            best = 0
-            for i in range(1, len(servers)):
-                if out[i] < out[best] or (
-                    out[i] == out[best]
-                    and servers[i].weight > servers[best].weight
-                ):
-                    best = i
-            out[best] += 1
-            picks.append(best)
-        return picks, out
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        k=st.integers(1, 12),
-        n=st.integers(1, 500),
-        data=st.data(),
-    )
-    def test_merge_and_scalar_agree(self, k, n, data):
-        # n*k spans both sides of the 256 merge threshold, so this
-        # sweep exercises the numpy branch and the scalar branch (and,
-        # through small draws, their boundary).
-        weights = data.draw(
-            st.lists(
-                st.sampled_from([100.0, 250.0, 1000.0, 4000.0]),
-                min_size=k, max_size=k,
-            )
-        )
-        outstanding = data.draw(
-            st.lists(st.integers(0, 40), min_size=k, max_size=k)
-        )
-        servers = [_Stub(weight=w) for w in weights]
-        expected_picks, expected_out = self._reference(
-            servers, outstanding, n
-        )
-        got_out = list(outstanding)
-        got = LeastOutstandingPolicy().snapshot_batch(servers, got_out, n)
-        assert list(got) == expected_picks
-        assert got_out == expected_out  # the snapshot absorbed its picks
-
-    def test_merge_branch_forced_large(self):
-        """A shape that is unambiguously on the merge path (n*k >= 256)
-        still matches the hand reference exactly."""
-        servers = [
-            _Stub(weight=w)
-            for w in (4000.0, 100.0, 4000.0, 250.0, 1000.0, 100.0)
-        ]
-        outstanding = [3, 0, 7, 0, 2, 5]
-        expected_picks, expected_out = self._reference(
-            servers, outstanding, 600
-        )
-        got_out = [3, 0, 7, 0, 2, 5]
-        got = LeastOutstandingPolicy().snapshot_batch(servers, got_out, 600)
-        assert list(got) == expected_picks
-        assert got_out == expected_out
-
-    def test_empty_candidates_raise(self):
-        with pytest.raises(RoutingError, match="no routable replicas"):
-            LeastOutstandingPolicy().snapshot_batch([], [], 4)
 
 
 class TestEmptyCandidates:

@@ -12,10 +12,10 @@ and is held to the calibrated P² rank-band criterion from
 ``tests/test_obs.py`` on percentiles.
 
 Every merge test runs its workers on the python core and on the core
-``auto`` picks (the vector core for rr / weighted routing).  Unit tests
-cover the shard planner, the actionable refusals (policy instances,
-the vector-epoch core, bare iterators), orphan models, arrival seed
-lanes, and the engine's forced horizon on both exact cores.
+``auto`` picks (the vector core for every built-in routing policy).
+Unit tests cover the shard planner, the actionable refusals (policy
+instances, bare iterators), orphan models, arrival seed lanes, and the
+engine's forced horizon on both exact cores.
 """
 
 from __future__ import annotations
@@ -148,21 +148,29 @@ class TestShardedMergeBitIdentity:
             assert out.avg_power_w == ref.avg_power_w
             assert out.events == ref.events
 
-    @pytest.mark.parametrize("policy", ["p2c", "least", "rr", "weighted"])
+    @pytest.mark.parametrize(
+        "policy, mode",
+        [
+            pytest.param(policy, "exact", id=policy)
+            for policy in ("p2c", "least", "rr", "weighted")
+        ]
+        + [pytest.param("p2c", "sketch", id="p2c-sketch")],
+    )
     def test_autoscaled_timeline_interleaves_identically(
-        self, fleet_inputs, policy, caplog
+        self, fleet_inputs, policy, mode, caplog
     ):
         """With a reactive autoscaler and a standby pool, the merged
         scale-event timeline is the single-process timeline.  The parent
-        logs the engine's fallback once for ``least`` routing, and
-        nothing when every worker runs the vector core (p2c included)."""
+        logs the engine's fallback once when the workers cannot run the
+        vector core (sketch percentiles), and nothing when they all
+        do."""
         standby = Allocation()
         standby.add("T2", "DLRM-RMC1", 2)
         standby.add("T3", "DLRM-RMC2", 1)
         source = _source(fleet_inputs[2], seed=7)
         ref = _run(
             fleet_inputs, source, shards=1, policy=policy, seed=7,
-            autoscale=True, standby=standby,
+            autoscale=True, standby=standby, percentile_mode=mode,
         )
         for core in CORES:
             caplog.clear()
@@ -170,6 +178,7 @@ class TestShardedMergeBitIdentity:
                 out = _run(
                     fleet_inputs, source, shards=2, policy=policy, seed=7,
                     autoscale=True, standby=standby, core=core,
+                    percentile_mode=mode,
                 )
             assert out.to_dict() == ref.to_dict()
             assert len(out.scale_events) == len(ref.scale_events)
@@ -181,10 +190,10 @@ class TestShardedMergeBitIdentity:
                 r.getMessage() for r in caplog.records
                 if r.getMessage().startswith(FALLBACK_LOG)
             ]
-            queue_aware = core == "auto" and policy == "least"
-            assert len(logged) == queue_aware
-            if queue_aware:
-                assert "is queue-aware" in logged[0]
+            falls_back = core == "auto" and mode == "sketch"
+            assert len(logged) == falls_back
+            if falls_back:
+                assert "sketch-mode reports" in logged[0]
 
     def test_materialized_list_source(self, fleet_inputs):
         """A pre-drawn list shards without a phase-A scan (its horizon
@@ -337,19 +346,13 @@ class TestPlanAndRefusals:
         with pytest.raises(ValueError, match="policy name"):
             _run(fleet_inputs, source, shards=2, policy=make_policy("p2c"))
 
-    def test_vector_core_refused(self, fleet_inputs):
-        """Only the epoch core is refused: its epochs are cut across
-        every model's arrivals.  The vector core shards exactly."""
-        table, models, workloads, allocation = fleet_inputs
-        source = _source(workloads)
+    def test_vector_core_shards_exactly(self, fleet_inputs):
+        """A forced ``core="vector"`` is not refused: its workers replay
+        under the fleet-wide horizon and merge exactly."""
+        source = _source(fleet_inputs[2])
         ref = _run(fleet_inputs, source, shards=1)
         out = _run(fleet_inputs, source, shards=2, core="vector")
         assert out.to_dict() == ref.to_dict()
-        with pytest.raises(ValueError, match="across every model's arrivals"):
-            run_fleet_sharded(
-                allocation, table, models, workloads,
-                source, shards=2, sla_ms=SLA, core="vector-epoch",
-            )
 
     def test_bare_iterator_refused(self, fleet_inputs):
         with pytest.raises(ValueError, match="re-iterable"):
