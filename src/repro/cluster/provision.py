@@ -8,10 +8,10 @@ Hercules formulates cluster provisioning as a linear program:
                 N_{h,m} >= 0
 
 The paper solves it with a standard interior-point/simplex solver; we
-provide both a SciPy (HiGHS) backend and a self-contained Big-M primal
-simplex so the substrate has no required external dependency.  The
-fractional optimum is then integerized: floor, then greedily repair any
-residual coverage deficit with the most power-efficient available
+solve it with a self-contained dense Big-M primal simplex, so the
+runtime needs numpy only (the tests check it against SciPy's HiGHS).
+The fractional optimum is then integerized: floor, then greedily repair
+any residual coverage deficit with the most power-efficient available
 servers.
 """
 
@@ -40,6 +40,11 @@ __all__ = [
     "standby_power_w",
 ]
 
+# Cost of an artificial variable in the Big-M phase.
+_BIG_M = 1e9
+# Pivot budget; the provisioning LPs finish in a few dozen pivots.
+_MAX_ITERATIONS = 10_000
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -65,10 +70,6 @@ class SimplexSolver:
     constraints.  Rows with negative ``b`` (the >= coverage rows after
     negation) receive artificial variables priced at Big-M.
     """
-
-    def __init__(self, big_m: float = 1e9, max_iterations: int = 10_000) -> None:
-        self.big_m = big_m
-        self.max_iterations = max_iterations
 
     def solve(
         self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray
@@ -103,7 +104,7 @@ class SimplexSolver:
             if flipped[i]:
                 tab[i, slack_col] = -1.0
                 tab[i, art_idx] = 1.0
-                cost[art_idx] = self.big_m
+                cost[art_idx] = _BIG_M
                 basis[i] = art_idx
                 art_idx += 1
             else:
@@ -111,11 +112,15 @@ class SimplexSolver:
                 basis[i] = slack_col
 
         rhs = b.copy()
-        for _ in range(self.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             cb = cost[basis]
             # Reduced costs via the current basis rows (tab kept in
             # basis-canonical form by the pivots below).
             reduced = cost - cb @ tab
+            # A basic column's reduced cost is 0 in exact arithmetic, but
+            # at Big-M scale float noise can make it negative; re-entering
+            # it would pivot the column onto itself until the limit.
+            reduced[basis] = 0.0
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -1e-9:
                 break  # optimal
@@ -187,41 +192,22 @@ def solve_allocation_lp(
     loads: dict[str, float],
     fleet: dict[str, int],
     over_provision: float = 0.0,
-    solver: str = "auto",
 ) -> LpSolution:
-    """Solve the fractional provisioning LP.
+    """Solve the fractional provisioning LP with :class:`SimplexSolver`.
 
     Args:
         table: Offline-profiled efficiency tuples.
         loads: Current per-model load (QPS).
         fleet: Per-type availability ``N_h``.
         over_provision: Over-provision rate ``R`` (e.g. 0.1 for 10%).
-        solver: ``"scipy"``, ``"simplex"`` (built-in), or ``"auto"``
-            (scipy with built-in fallback).
     """
-    if solver not in ("auto", "scipy", "simplex"):
-        raise ValueError(f"unknown solver {solver!r}")
     active_loads = {m: q for m, q in loads.items() if q > 0}
     if not active_loads:
         return LpSolution(values={}, objective_w=0.0, feasible=True)
     variables, c, a_ub, b_ub = _lp_matrices(
         table, active_loads, fleet, over_provision
     )
-
-    x: np.ndarray | None = None
-    objective = math.inf
-    if solver in ("auto", "scipy"):
-        try:
-            from scipy.optimize import linprog
-
-            res = linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs")
-            if res.status == 0:
-                x, objective = res.x, float(res.fun)
-        except ImportError:
-            if solver == "scipy":
-                raise
-    if x is None and solver in ("auto", "simplex"):
-        x, objective = SimplexSolver().solve(c, a_ub, b_ub)
+    x, objective = SimplexSolver().solve(c, a_ub, b_ub)
     if x is None:
         return LpSolution(values={}, objective_w=math.inf, feasible=False)
     values = {

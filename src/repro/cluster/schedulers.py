@@ -191,23 +191,9 @@ class PriorityAwareScheduler(ClusterScheduler):
 
 
 class HerculesClusterScheduler(ClusterScheduler):
-    """Goal-oriented provisioning: solve the LP, then integerize.
-
-    Args (beyond the base class):
-        solver: LP backend (``"auto"``, ``"scipy"``, ``"simplex"``).
-    """
-
-    solver: str = "auto"
-
-    def __init__(
-        self,
-        table: ClassificationTable,
-        fleet: dict[str, int],
-        ranking_metric: str = "qps_per_watt",
-        solver: str = "auto",
-    ) -> None:
-        super().__init__(table, fleet, ranking_metric)
-        self.solver = solver
+    """Goal-oriented provisioning: solve the LP with the built-in
+    simplex, then integerize; an LP the fleet cannot cover falls back to
+    greedy, which reports the shortfall per model."""
 
     def allocate(
         self, loads: dict[str, float], over_provision: float = 0.0
@@ -215,9 +201,7 @@ class HerculesClusterScheduler(ClusterScheduler):
         active = {m: q for m, q in loads.items() if q > 0}
         if not active:
             return Allocation()
-        solution = solve_allocation_lp(
-            self.table, active, self.fleet, over_provision, solver=self.solver
-        )
+        solution = solve_allocation_lp(self.table, active, self.fleet, over_provision)
         if not solution.feasible:
             # Fleet cannot cover the load even fractionally: fall back
             # to greedy so the shortfall is reported per model.

@@ -214,18 +214,6 @@ class OfflineProfiler:
 
         from concurrent.futures import ProcessPoolExecutor
 
-        # Shared cache warm-up: prime the module state fork-started
-        # workers inherit -- the scipy import and the lru-cached
-        # log-normal percentile table behind ``tail_size`` (the
-        # latency-bounded bisection's per-probe sizes) -- so each
-        # worker starts hot instead of re-deriving them per process.
-        for model in models:
-            workload = (workloads or {}).get(model.name) or QueryWorkload.for_model(
-                model.config.mean_query_size
-            )
-            for p in (50.0, 95.0, 99.0):
-                workload.tail_size(p)
-
         tasks = [
             (self.scheduler_factory, self.evaluator_factory, server, models, workloads)
             for server in servers

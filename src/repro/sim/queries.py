@@ -15,6 +15,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -33,9 +34,7 @@ def _lognormal_percentile(
     """Cached clipped log-normal percentile (hot path of the evaluator)."""
     if not 0.0 < p < 100.0:
         raise ValueError("percentile must be in (0, 100)")
-    from scipy.special import erfinv
-
-    z = math.sqrt(2.0) * float(erfinv(2.0 * p / 100.0 - 1.0))
+    z = NormalDist().inv_cdf(p / 100.0)
     raw = math.exp(mu + sigma * z)
     return int(min(max(raw, min_size), max_size))
 

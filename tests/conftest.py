@@ -7,8 +7,12 @@ real production-scale configurations.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.cluster import GreedyScheduler, LpSolution, integerize
+from repro.cluster.provision import _lp_matrices
 from repro.hardware import SERVER_TYPES
 from repro.models import ModelVariant, build_model, partition_model
 from repro.scheduling import OfflineProfiler
@@ -66,3 +70,32 @@ def small_table():
     servers = [SERVER_TYPES[s] for s in ("T2", "T3", "T7")]
     models = [build_model("DLRM-RMC1"), build_model("DLRM-RMC2")]
     return OfflineProfiler().profile(servers, models)
+
+
+@pytest.fixture(scope="session")
+def highs_allocation():
+    """The Hercules allocation with SciPy's HiGHS as the LP solver.
+
+    The test-only reference for the built-in simplex: HiGHS solves the
+    same ``_lp_matrices`` LP, a feasible optimum is integerized as
+    ``HerculesClusterScheduler.allocate`` integerizes the simplex's, and
+    an LP HiGHS calls infeasible falls back to greedy.  Returns
+    ``(allocation, objective_w)``, the objective ``inf`` when HiGHS
+    calls the LP infeasible.
+    """
+    # Imported here: CI's numpy-only job loads this conftest without scipy.
+    from scipy.optimize import linprog
+
+    def allocate(table, fleet, loads, over_provision=0.0):
+        active = {m: q for m, q in loads.items() if q > 0}
+        variables, c, a_ub, b_ub = _lp_matrices(table, active, fleet, over_provision)
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs")
+        if res.status != 0:
+            greedy = GreedyScheduler(table, fleet).allocate(loads, over_provision)
+            return greedy, math.inf
+        values = {var: float(v) for var, v in zip(variables, res.x) if v > 1e-9}
+        solution = LpSolution(values=values, objective_w=float(res.fun), feasible=True)
+        allocation = integerize(solution, table, active, fleet, over_provision)
+        return allocation, solution.objective_w
+
+    return allocate

@@ -88,6 +88,21 @@ class TestCommands:
             "false", "no"
         )
 
+    def test_serve_overloaded_day_reports_shortfall(self, capsys):
+        # The fleet cannot cover this day: every infeasible interval's
+        # LP must end in a reported shortfall, not a solver error.
+        code = main(
+            [
+                "serve",
+                "--servers", "T1", "T2", "T5", "T6", "T10",
+                "--models", "DIN", "MT-WnD",
+                "--peak-qps", "100000",
+            ]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "peak" in out and "shortfall: True" in out
+
     def test_fleet_replay(self, capsys):
         code = main(
             [

@@ -1,4 +1,4 @@
-"""Tests for the LP provisioner: simplex substrate, scipy parity, rounding."""
+"""Tests for the LP provisioner: simplex substrate, HiGHS parity, rounding."""
 
 from __future__ import annotations
 
@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import SimplexSolver, integerize, solve_allocation_lp
+from repro.cluster import (
+    GreedyScheduler,
+    HerculesClusterScheduler,
+    SimplexSolver,
+    integerize,
+    solve_allocation_lp,
+)
+from repro.cluster.provision import _lp_matrices
 from repro.plans import ExecutionPlan, Placement
 from repro.scheduling import ClassificationTable, EfficiencyTuple
 
@@ -40,6 +47,31 @@ class TestSimplexSolver:
         c = np.array([1.0])
         a = np.array([[-1.0], [1.0]])
         b = np.array([-5.0, 2.0])
+        x, obj = SimplexSolver().solve(c, a, b)
+        assert x is None and math.isinf(obj)
+
+    def test_big_m_infeasible_lp_terminates(self):
+        # Overloaded 3x3 LP: at Big-M scale a basic column's reduced cost
+        # reads about -6.5e-5 instead of 0, and letting it re-enter
+        # pivoted the column onto itself until the iteration limit.
+        rng = np.random.default_rng(1186)
+        ns, nm = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        table = ClassificationTable()
+        for s in range(ns):
+            for m in range(nm):
+                table.add(
+                    EfficiencyTuple(
+                        f"S{s}",
+                        f"M{m}",
+                        qps=rng.uniform(100, 5000),
+                        power_w=rng.uniform(80, 2000),
+                        plan=_PLAN,
+                    )
+                )
+        fleet = {f"S{s}": int(rng.integers(1, 50)) for s in range(ns)}
+        loads = {f"M{m}": rng.uniform(1e4, 3e5) for m in range(nm)}
+        assert fleet == {"S0": 45, "S1": 2, "S2": 32}
+        _, c, a, b = _lp_matrices(table, loads, fleet, 0.0)
         x, obj = SimplexSolver().solve(c, a, b)
         assert x is None and math.isinf(obj)
 
@@ -78,22 +110,31 @@ class TestSolveAllocationLp:
         table = _table()
         loads = {"A": 10_000.0, "B": 800.0}
         fleet = {"T2": 50, "T3": 10}
-        sol = solve_allocation_lp(table, loads, fleet, solver="simplex")
+        sol = solve_allocation_lp(table, loads, fleet)
         assert sol.feasible
         cover_a = sum(
             v * table.qps(s, m) for (s, m), v in sol.values.items() if m == "A"
         )
         assert cover_a >= 10_000.0 - 1e-6
 
-    def test_scipy_and_simplex_agree(self):
+    def test_scipy_and_simplex_agree(self, highs_allocation):
         table = _table()
-        loads = {"A": 12_000.0, "B": 1_000.0}
         fleet = {"T2": 40, "T3": 8}
-        scipy_sol = solve_allocation_lp(table, loads, fleet, solver="scipy")
-        simplex_sol = solve_allocation_lp(table, loads, fleet, solver="simplex")
-        assert scipy_sol.objective_w == pytest.approx(
-            simplex_sol.objective_w, rel=1e-6
-        )
+        loads = {"A": 12_000.0, "B": 1_000.0}
+        reference, highs_w = highs_allocation(table, fleet, loads)
+        sol = solve_allocation_lp(table, loads, fleet)
+        assert sol.objective_w == pytest.approx(highs_w, rel=1e-6)
+        assert integerize(sol, table, loads, fleet) == reference
+
+        # HiGHS calls this LP infeasible: the scheduler reports greedy's
+        # allocation, shortfall included.
+        loads = {"A": 1e9, "B": 1_000.0}
+        reference, highs_w = highs_allocation(table, fleet, loads)
+        assert math.isinf(highs_w)
+        assert not solve_allocation_lp(table, loads, fleet).feasible
+        ours = HerculesClusterScheduler(table, fleet).allocate(loads)
+        assert ours == reference == GreedyScheduler(table, fleet).allocate(loads)
+        assert ours.has_shortfall
 
     def test_prefers_efficient_servers(self):
         table = _table()
@@ -115,10 +156,6 @@ class TestSolveAllocationLp:
         base = solve_allocation_lp(table, {"A": 10_000.0}, fleet, over_provision=0.0)
         padded = solve_allocation_lp(table, {"A": 10_000.0}, fleet, over_provision=0.2)
         assert padded.objective_w == pytest.approx(1.2 * base.objective_w, rel=1e-6)
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            solve_allocation_lp(_table(), {"A": 1.0}, {"T2": 1}, solver="cplex")
 
 
 class TestIntegerize:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -92,17 +94,20 @@ def test_hercules_never_worse_than_greedy_on_fixture():
     assert not hercules.has_shortfall
 
 
-def test_hercules_simplex_backend_matches_scipy():
+def test_hercules_simplex_backend_matches_scipy(highs_allocation):
     table = _asymmetric_table()
-    scipy_alloc = HerculesClusterScheduler(table, dict(FLEET), solver="scipy").allocate(
-        LOADS
-    )
-    simplex_alloc = HerculesClusterScheduler(
-        table, dict(FLEET), solver="simplex"
-    ).allocate(LOADS)
-    assert scipy_alloc.provisioned_power_w(table) == pytest.approx(
-        simplex_alloc.provisioned_power_w(table), rel=0.05
-    )
+    for fleet, loads, lp_feasible in (
+        (FLEET, LOADS, True),
+        (FLEET, {"A": 1e6, "B": 4_000.0}, False),
+        ({"T2": 1, "T3": 1}, {"A": 1e7}, False),
+    ):
+        reference, highs_w = highs_allocation(table, dict(fleet), loads, 0.05)
+        assert math.isfinite(highs_w) == lp_feasible
+        ours = HerculesClusterScheduler(table, dict(fleet)).allocate(loads, 0.05)
+        assert ours == reference
+        if not lp_feasible:
+            greedy = GreedyScheduler(table, dict(fleet)).allocate(loads, 0.05)
+            assert ours == greedy and ours.has_shortfall
 
 
 def test_hercules_falls_back_to_greedy_when_infeasible():

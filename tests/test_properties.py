@@ -5,18 +5,21 @@ These pin down the invariants the schedulers rely on:
 - the evaluator's tail latency and power are monotone in load;
 - latency-bounded throughput never exceeds raw pipeline capacity;
 - the DES conserves queries (all arrivals eventually complete);
-- random covering LPs: the built-in simplex matches SciPy and the
-  integerized allocation always covers or reports shortfall;
+- random covering LPs: the built-in simplex allocates exactly as with
+  SciPy's HiGHS, infeasible loads included, and the integerized
+  allocation always covers or reports shortfall;
 - graph roll-ups are additive under sparse/dense splitting.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import integerize, solve_allocation_lp
+from repro.cluster import HerculesClusterScheduler, integerize, solve_allocation_lp
 from repro.models import build_model, partition_model
 from repro.plans import ExecutionPlan, Placement
 from repro.scheduling import ClassificationTable, EfficiencyTuple
@@ -137,7 +140,7 @@ class TestLpProperties:
                     )
                 )
         loads = {m: float(rng.uniform(100, 20_000)) for m in models}
-        solution = solve_allocation_lp(table, loads, fleet, solver="simplex")
+        solution = solve_allocation_lp(table, loads, fleet)
         if not solution.feasible:
             return
         alloc = integerize(solution, table, loads, fleet)
@@ -147,8 +150,9 @@ class TestLpProperties:
             assert covered >= load - 1e-3
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_simplex_matches_scipy_objective(self, seed):
+    @given(seed=st.integers(0, 10_000), overload=st.sampled_from([1.0, 10.0]))
+    def test_simplex_matches_scipy_objective(self, highs_allocation, seed, overload):
+        """``overload`` 10 scales the loads past most of these fleets."""
         rng = np.random.default_rng(seed)
         table = ClassificationTable()
         fleet = {"A": int(rng.integers(2, 40)), "B": int(rng.integers(2, 40))}
@@ -163,12 +167,15 @@ class TestLpProperties:
                         plan=_PLAN,
                     )
                 )
-        loads = {"X": float(rng.uniform(500, 30_000)), "Y": float(rng.uniform(100, 5_000))}
-        a = solve_allocation_lp(table, loads, fleet, solver="scipy")
-        b = solve_allocation_lp(table, loads, fleet, solver="simplex")
-        assert a.feasible == b.feasible
-        if a.feasible:
-            assert a.objective_w == pytest.approx(b.objective_w, rel=1e-5, abs=1e-4)
+        loads = {
+            "X": overload * float(rng.uniform(500, 30_000)),
+            "Y": overload * float(rng.uniform(100, 5_000)),
+        }
+        reference, highs_w = highs_allocation(table, fleet, loads)
+        solution = solve_allocation_lp(table, loads, fleet)
+        assert solution.feasible == math.isfinite(highs_w)
+        assert solution.objective_w == pytest.approx(highs_w, rel=1e-5, abs=1e-4)
+        assert HerculesClusterScheduler(table, fleet).allocate(loads) == reference
 
 
 class TestGraphSplitAdditivity:
