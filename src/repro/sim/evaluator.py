@@ -35,7 +35,7 @@ from repro.perf.opmodel import CPU_DISPATCH_OVERHEAD_S
 from repro.perf.schedule import list_makespan
 from repro.plans import ExecutionPlan, Placement
 from repro.sim.metrics import LatencyStats, ServerPerformance
-from repro.sim.plan_cache import PlanTimingsCache
+from repro.sim.plan_cache import PlanTimingsCache, model_key
 from repro.sim.queries import QueryWorkload
 
 __all__ = ["ServerEvaluator", "PlanTimings", "Stage"]
@@ -201,6 +201,9 @@ class ServerEvaluator:
         # fixpoint; id-keyed with pinning (process-local by design).
         self._graph_profiles: dict[tuple, tuple] = {}
         self._pinned_graphs: dict[int, Graph] = {}
+        # Per-model weight bytes for the host-memory fit check, keyed by
+        # content (``model_key``): every CPU plan of a search re-checks it.
+        self._weight_bytes: dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -236,7 +239,11 @@ class ServerEvaluator:
                 f"plan {plan.describe()} does not fit server {self.server.name}"
             )
         if not plan.placement.uses_gpu:
-            weights = partitioned.model.graph.total_weight_bytes()
+            key = model_key(partitioned.model)
+            weights = self._weight_bytes.get(key)
+            if weights is None:
+                weights = partitioned.model.graph.total_weight_bytes()
+                self._weight_bytes[key] = weights
             if weights > self.server.memory.capacity_bytes:
                 raise ValueError(
                     f"{partitioned.name} needs {weights / 1e9:.0f} GB, host has "
@@ -565,44 +572,27 @@ class ServerEvaluator:
         def span_at(f: float) -> float:
             return list_makespan(deps, latencies(f), workers)[0]
 
-        def saturating_share(pool_bytes: float, peak: float, f_max: float) -> float:
-            """The share at which this pool's achieved bandwidth hits peak.
-
-            Achieved aggregate bandwidth is ``threads * pool_bytes /
-            span(f)`` and increases with ``f``; if even ``f_max`` keeps
-            it under the peak there is no contention, otherwise bisect
-            for the share where achieved == peak.
-
-            Co-location degrades the *achievable* peak itself (more
-            threads -> more row-buffer conflicts and LLC thrashing) --
-            the effect that makes 10x2 beat 20x1 on memory-dominated
-            models (Fig. 4).
-            """
-            if pool_bytes <= 0:
-                return f_max
-            peak_eff = peak / inflation
-            if co_located_threads * pool_bytes / span_at(f_max) <= peak_eff:
-                return f_max
-            lo, hi = 1e-3, f_max
-            for _ in range(24):
-                mid = (lo + hi) / 2.0
-                if co_located_threads * pool_bytes / span_at(mid) <= peak_eff:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
-
         # Rank-side NMP traffic contends against the rank-parallel
         # gather-reduce bandwidth; everything else against the host
         # gather bandwidth.  One share throttles all memory ops, so the
-        # binding pool wins.
+        # binding pool wins.  Co-location degrades the *achievable*
+        # peak itself (more threads -> more row-buffer conflicts and LLC
+        # thrashing) -- the effect that makes 10x2 beat 20x1 on
+        # memory-dominated models (Fig. 4).
         f_max = 1.0 / inflation
+        memory = self.server.memory
         effective = min(
-            saturating_share(
-                host_bytes, self.server.memory.gather_bw_bytes, f_max
+            _saturating_share(
+                span_at,
+                co_located_threads * host_bytes,
+                memory.gather_bw_bytes / inflation,
+                f_max,
             ),
-            saturating_share(
-                nmp_bytes, self.server.memory.nmp_gather_reduce_bw_bytes, f_max
+            _saturating_share(
+                span_at,
+                co_located_threads * nmp_bytes,
+                memory.nmp_gather_reduce_bw_bytes / inflation,
+                f_max,
             ),
         )
         makespan, busy = list_makespan(deps, latencies(effective), workers)
@@ -796,3 +786,130 @@ class ServerEvaluator:
             mem_bytes_per_item=mem_bytes_per_item,
             gpu_power_util_scale=self.gpu_model.gpu.utilization(b),
         )
+
+
+#: Steps of the host bandwidth-share bisection, and its lower end.
+_SHARE_STEPS = 24
+_MIN_SHARE = 1e-3
+#: Guess-and-verify rounds that narrow the evaluated bracket before
+#: :func:`_saturating_share` replays the bisection.
+_GUESS_ROUNDS = 6
+
+
+def _guess_walk(f_max: float, guess: float) -> tuple[float, float]:
+    """The fixed share bisection walked as if exactly the shares ``<=
+    guess`` passed.
+
+    Returns the walk's last passing and last failing midpoints
+    (``-inf`` / ``inf`` when it has none).  Passing midpoints rise along
+    a walk and failing ones fall, so these are its largest passing and
+    smallest failing midpoints.
+    """
+    lo, hi = _MIN_SHARE, f_max
+    last_pass, last_fail = -math.inf, math.inf
+    for _ in range(_SHARE_STEPS):
+        mid = (lo + hi) / 2.0
+        if mid <= guess:
+            lo = last_pass = mid
+        else:
+            hi = last_fail = mid
+    return last_pass, last_fail
+
+
+def _saturating_share(
+    span_at: Callable[[float], float],
+    demand: float,
+    peak_eff: float,
+    f_max: float,
+) -> float:
+    """The bandwidth share at which a memory pool's demand hits its peak.
+
+    ``span_at(f)`` is the graph's makespan with every memory term
+    scaled by ``1/f``; ``demand`` is the co-located threads times the
+    pool's bytes per batch, so ``demand / span_at(f)`` is the achieved
+    aggregate bandwidth.  If even ``f_max`` keeps it within
+    ``peak_eff`` there is no contention and the result is ``f_max``.
+    Otherwise the result is exactly the ``lo`` of the fixed 24-step
+    bisection of ``[1e-3, f_max]`` on ``demand / span_at(mid) <=
+    peak_eff``, which evaluates every midpoint.
+
+    **The predicate holds on a prefix of shares.**
+
+    - Each node latency ``overhead + max(compute, mem_term / (bw * f)
+      * mem_scale)`` is non-increasing in ``f``: ``bw``, ``mem_scale``
+      and ``f`` are positive, and every operation on that path is
+      monotone under round-to-nearest.
+    - :func:`list_makespan` dispatches the nodes in a fixed topological
+      order, each to the earliest-free worker.  By induction over the
+      nodes, lowering latencies lowers every finish time and every
+      entry of the sorted worker-free vector: order statistics are
+      monotone, and no node is dispatched out of order, so Graham's
+      list-scheduling anomaly cannot occur.  The span is therefore
+      non-increasing in ``f``, and ``demand / span`` non-decreasing.
+
+    So a midpoint at or below an evaluated passing share passes, and
+    one at or above an evaluated failing share fails.  The search keeps
+    the evaluated bracket ``(yes, no)`` and replays the bisection,
+    evaluating only the midpoints strictly inside it: the result is the
+    fixed bisection's, whichever shares the bracket came from.
+
+    **Tightening the bracket first.**  After the first midpoint, which
+    the bisection always evaluates, each round guesses the threshold by
+    a secant in ``x = 1/f`` through the last two evaluated shares (on a
+    stretch where the same ops are memory-bound, the span is affine in
+    ``1/f``), walks the bisection with the guessed outcomes, and
+    evaluates only the walk's last passing and last failing midpoints.
+    If both confirm the guess, every midpoint of the walk is decided:
+    the walk is the bisection's own path, and the replay evaluates
+    nothing.  If not, they tighten the bracket for the next round.  A
+    degenerate fit (equal spans, ``x <= 0``, or a guess outside the
+    bracket) guesses the bracket's midpoint instead.  After
+    ``_GUESS_ROUNDS`` rounds the replay evaluates whatever midpoints
+    the bracket leaves open.
+    """
+    if demand <= 0:
+        return f_max
+    span = span_at(f_max)
+    if demand / span <= peak_eff:
+        return f_max
+    # The span at which the predicate flips, for the secant.
+    target = demand / peak_eff if peak_eff > 0 else math.inf
+    yes, no = -math.inf, f_max
+    # The last two evaluated ``(share, span)`` points, for the secant.
+    last = before = (f_max, span)
+
+    def evaluate(f: float) -> None:
+        nonlocal yes, no, last, before
+        span = span_at(f)
+        before, last = last, (f, span)
+        if demand / span <= peak_eff:
+            yes = f
+        else:
+            no = f
+
+    evaluate((_MIN_SHARE + f_max) / 2.0)
+    for _ in range(_GUESS_ROUNDS):
+        (f1, span1), (f2, span2) = last, before
+        x = (
+            1.0 / f1 + (target - span1) * (1.0 / f2 - 1.0 / f1) / (span2 - span1)
+            if span2 != span1
+            else 0.0
+        )
+        guess = 1.0 / x if x > 0.0 else math.nan
+        if not yes < guess < no:
+            guess = (max(yes, _MIN_SHARE) + no) / 2.0
+        probed = False
+        for f in _guess_walk(f_max, guess):
+            if yes < f < no:
+                evaluate(f)
+                probed = True
+        if not probed:
+            break
+    lo, hi = _MIN_SHARE, f_max
+    for _ in range(_SHARE_STEPS):
+        mid = (lo + hi) / 2.0
+        if mid <= yes or (mid < no and demand / span_at(mid) <= peak_eff):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -99,3 +99,27 @@ def highs_allocation():
         return allocation, solution.objective_w
 
     return allocate
+
+
+@pytest.fixture(scope="session")
+def fixed_share_bisection():
+    """The evaluator's share search as a fixed 24-step bisection.
+
+    The reference for ``repro.sim.evaluator._saturating_share``: it
+    checks ``f_max`` first, then evaluates every one of the 24 midpoints
+    of ``[1e-3, f_max]``, and returns the bisection's ``lo``.
+    """
+
+    def bisect(span_at, demand, peak_eff, f_max):
+        if demand <= 0 or demand / span_at(f_max) <= peak_eff:
+            return f_max
+        lo, hi = 1e-3, f_max
+        for _ in range(24):
+            mid = (lo + hi) / 2.0
+            if demand / span_at(mid) <= peak_eff:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return bisect

@@ -1,4 +1,5 @@
-"""Tests for list scheduling of operator workers (Fig. 5 behaviour)."""
+"""Tests for list scheduling of operator workers (Fig. 5 behaviour), and
+for the evaluator's bandwidth-share search built on it."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from repro.models.graph import Graph, Node
 from repro.models.ops import FullyConnected
 from repro.perf import list_schedule
 from repro.perf.schedule import list_makespan
+from repro.sim.evaluator import _saturating_share
 
 
 def _chain(n: int) -> Graph:
@@ -136,3 +138,65 @@ def test_list_makespan_matches_list_schedule(dag, workers):
         )
     ref = list_schedule(graph, {f"n{i}": lat for i, lat in enumerate(lats)}, workers)
     assert list_makespan(deps, lats, workers) == (ref.makespan_s, ref.busy_s)
+
+
+@given(dag=_dags(), workers=st.integers(1, 5), data=st.data())
+def test_lowering_latencies_never_raises_makespan(dag, workers, data):
+    """Lowering any subset of latencies -- to zero, or onto a tie with
+    another node's -- never raises the makespan: the dispatch order is
+    fixed, so no list-scheduling anomaly can occur.  The evaluator's
+    share search skips bisection midpoints on the strength of this."""
+    deps, lats = dag
+    lowered = [
+        data.draw(
+            st.sampled_from((lat, 0.0, *(v for v in lats if v <= lat)))
+            | st.floats(0.0, lat)
+        )
+        for lat in lats
+    ]
+    assert list_makespan(deps, lowered, workers)[0] <= list_makespan(deps, lats, workers)[0]
+
+
+@given(dag=_dags(), workers=st.integers(1, 5), data=st.data())
+def test_saturating_share_matches_fixed_bisection(
+    dag, workers, data, fixed_share_bisection
+):
+    """The share search returns the fixed 24-step bisection's ``lo``,
+    ``==``, on random graphs priced as ``_cpu_graph_timing`` prices
+    them.  The threshold share is drawn below 1e-3 (every midpoint
+    fails), anywhere in range, or just under ``f_max``."""
+    deps, _ = dag
+    # Every op pays a positive dispatch overhead, as on the host.
+    overhead = st.just(1.0) | st.floats(1e-3, 2.0)
+    term = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 5.0)
+    rows = [
+        (data.draw(overhead), data.draw(term), data.draw(term),
+         data.draw(st.floats(0.5, 50.0)))
+        for _ in deps
+    ]
+    mem_scale = data.draw(st.floats(0.05, 4.0))
+    f_max = data.draw(st.floats(0.05, 1.0))
+
+    def span_at(f):
+        return list_makespan(
+            deps,
+            [
+                overhead
+                + (m if (m := mem_term / (bw * f) * mem_scale) > compute else compute)
+                for overhead, compute, mem_term, bw in rows
+            ],
+            workers,
+        )[0]
+
+    demand = data.draw(st.floats(1e-3, 1e3))
+    threshold = data.draw(
+        st.floats(1e-6, 1e-3)
+        | st.floats(1e-3, f_max)
+        | st.integers(1, 40).map(lambda k: f_max * (1.0 - 2.0**-k))
+    )
+    peak_eff = data.draw(
+        st.just(demand / span_at(threshold)) | st.floats(1e-3, 1e3)
+    )
+    assert _saturating_share(span_at, demand, peak_eff, f_max) == (
+        fixed_share_bisection(span_at, demand, peak_eff, f_max)
+    )

@@ -6,16 +6,17 @@ import hashlib
 
 import pytest
 
+import repro.sim.evaluator as evaluator_module
 from repro.hardware import SERVER_TYPES
 from repro.models import MODEL_NAMES, build_model
+from repro.perf.schedule import list_makespan
+from repro.plans import ExecutionPlan, Placement
 from repro.scheduling import (
     ClassificationTable,
     EfficiencyTuple,
     OfflineProfiler,
 )
-
-
-from repro.plans import ExecutionPlan, Placement
+from repro.sim.evaluator import _saturating_share
 
 _DUMMY_PLAN = ExecutionPlan(Placement.CPU_MODEL_BASED, threads=1)
 
@@ -112,18 +113,66 @@ class TestOfflineProfiler:
             assert low < gain < high
 
 
+def test_pooled_profile_equals_serial(small_table):
+    """``jobs=2`` profiles one server type per worker process; the table
+    equals the serial one entry for entry, in the same order."""
+    servers = [SERVER_TYPES[s] for s in ("T2", "T3", "T7")]
+    models = [build_model("DLRM-RMC1"), build_model("DLRM-RMC2")]
+    pooled = OfflineProfiler().profile(servers, models, jobs=2)
+    assert list(pooled.entries.items()) == list(small_table.entries.items())
+
+
 #: sha256 of the full 10 x 6 classification table's per-pair reprs
 #: ``(server, model, qps, power_w, plan, evaluations)``: every float,
 #: plan and search cost of the offline stage, pinned bit-for-bit.
 _FULL_TABLE_SHA256 = (
     "48a5f96708e52f533a63cfa67532fde4f4cab9ff029481b960f2289274afe5ed"
 )
+#: Contended share searches of the full table: those that bisect.
+_FULL_TABLE_CONTENDED_SEARCHES = 8531
+#: ``list_makespan`` calls of the full-table profile.  Evaluating every
+#: midpoint of every contended search made 257,230.
+_FULL_TABLE_MAKESPAN_CALLS_MAX = 100_000
 
 
-def test_full_table_is_bit_identical():
-    table = OfflineProfiler().profile(
-        list(SERVER_TYPES.values()), [build_model(m) for m in MODEL_NAMES]
-    )
+@pytest.fixture(scope="module")
+def full_table_run(fixed_share_bisection):
+    """The full 10 x 6 table, profiled once for this module, with its
+    ``list_makespan`` calls counted and every share search recorded as
+    ``(result, fixed bisection's result, f_max)``.  The reference
+    bisections run outside the count."""
+    calls = 0
+    in_reference = False
+    searches = []
+
+    def counting_makespan(deps, latencies, workers):
+        nonlocal calls
+        if not in_reference:
+            calls += 1
+        return list_makespan(deps, latencies, workers)
+
+    def recording_share(span_at, demand, peak_eff, f_max):
+        nonlocal in_reference
+        got = _saturating_share(span_at, demand, peak_eff, f_max)
+        in_reference = True
+        try:
+            want = fixed_share_bisection(span_at, demand, peak_eff, f_max)
+        finally:
+            in_reference = False
+        searches.append((got, want, f_max))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator_module, "list_makespan", counting_makespan)
+        mp.setattr(evaluator_module, "_saturating_share", recording_share)
+        table = OfflineProfiler().profile(
+            list(SERVER_TYPES.values()), [build_model(m) for m in MODEL_NAMES]
+        )
+    return table, calls, searches
+
+
+def test_full_table_is_bit_identical(full_table_run):
+    table, _, _ = full_table_run
     rows = [
         repr((t.server_name, t.model_name, t.qps, t.power_w,
               t.plan.describe() if t.plan else None, t.evaluations))
@@ -131,3 +180,18 @@ def test_full_table_is_bit_identical():
     ]
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == _FULL_TABLE_SHA256, "\n".join(rows)
+
+
+def test_full_table_share_searches_match_fixed_bisection(full_table_run):
+    """Every share search the full-table profile makes returns the fixed
+    24-step bisection's ``lo``, ``==``: the evaluated bracket only
+    skips midpoints whose outcome it already decides."""
+    _, _, searches = full_table_run
+    contended = sum(1 for _, want, f_max in searches if want != f_max)
+    assert contended == _FULL_TABLE_CONTENDED_SEARCHES
+    assert [s for s in searches if s[0] != s[1]] == []
+
+
+def test_full_table_list_makespan_calls(full_table_run):
+    _, calls, _ = full_table_run
+    assert calls <= _FULL_TABLE_MAKESPAN_CALLS_MAX
