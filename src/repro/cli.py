@@ -641,10 +641,6 @@ def _provision_outcome_dict(outcome) -> dict:
 
 
 def _cmd_provision_carbon_aware(args: argparse.Namespace) -> int:
-    # 50% aggregate utilization: leaves fleet headroom to grow R into.
-    models, table, fleet_counts, traces, workloads, source = _fleet_inputs(
-        args, target_utilization=0.5
-    )
     if args.shards > 1:
         raise SystemExit(
             "--shards > 1 is not supported by provision-carbon-aware: "
@@ -652,6 +648,18 @@ def _cmd_provision_carbon_aware(args: argparse.Namespace) -> int:
             "activation windows; use --percentile-mode sketch to bound "
             "replay memory instead"
         )
+    if args.retries or args.hedge_ms is not None:
+        raise SystemExit(
+            "--retries/--hedge-ms are not supported by "
+            "provision-carbon-aware: its search replays every candidate "
+            "fleet fault-free, without retries or hedging; drop them, or "
+            "size the fleet against crashes with provision-fault-aware, "
+            "which takes both"
+        )
+    # 50% aggregate utilization: leaves fleet headroom to grow R into.
+    models, table, fleet_counts, traces, workloads, source = _fleet_inputs(
+        args, target_utilization=0.5
+    )
     span = _replay_span_s(args, source)
     trace = list(source)
     scheduler = HerculesClusterScheduler(table, fleet_counts)

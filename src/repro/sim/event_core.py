@@ -15,13 +15,17 @@ and the performance machinery so the two engines cannot drift apart:
   a fleet).  The memoized results are bit-identical to calling
   ``SimStage.service_s`` / ``_split`` directly.
 - :class:`QueryState` -- per-query runtime record (``__slots__``).
-- :class:`EventHeap` -- the global event heap: flat ``(time, seq,
-  owner, stage_idx, payload)`` tuples, a monotone sequence number for
-  deterministic FIFO tie-breaks, and cheap lazy deletion (``cancel``
-  marks a sequence number dead; dead entries are skipped at pop).
+- :class:`EventHeap` -- the python fleet loops' global event heap:
+  flat ``(time, seq, owner, stage_idx, payload)`` tuples, a monotone
+  sequence number for deterministic FIFO tie-breaks, and a ``dead``
+  set of killed sequence numbers the loops skip.
 - :class:`Pipeline` -- per-replica queue/free-unit state with
-  closure-free ``enqueue``/``dispatch``/``on_finish`` methods (the
-  engines previously rebuilt these as nested closures per run).
+  closure-free ``enqueue``/``dispatch``/``on_finish`` methods on the
+  global heap: the python reference of the batching semantics.
+- :class:`ReplicaLoop` -- the same semantics on one replica's private
+  heap, resumable at any time limit: the vector fleet core runs every
+  FUSE-bearing replica on one, and the single-node simulator its
+  whole trace.
 - :class:`DirectStage` -- an exact arrival-driven fast path for
   single-stage SPLIT pipelines (every CPU placement): a G/D/c queue
   with deterministic service admits a unit-availability recurrence, so
@@ -30,7 +34,7 @@ and the performance machinery so the two engines cannot drift apart:
   recurrence performs the same float operations in the same order as
   the event pipeline, so completion times are bit-identical.
 
-Arrivals are *not* heap events: engines merge the (sorted) arrival
+Arrivals are *not* heap events: the loops merge the (sorted) arrival
 list with the heap, preferring arrivals on ties -- equivalent to the
 old behaviour of pushing every arrival up front with the lowest
 sequence numbers, at a fraction of the heap traffic.
@@ -52,6 +56,7 @@ __all__ = [
     "DirectStage",
     "EventHeap",
     "Pipeline",
+    "ReplicaLoop",
     "enqueue_units",
     "form_batch",
 ]
@@ -157,12 +162,11 @@ def form_batch(stage, queue: deque) -> tuple[list, int, float]:
 
 
 class QueryState:
-    """Runtime record of one in-flight query (shared by both engines).
+    """Runtime record of one in-flight query on a :class:`Pipeline`.
 
     ``arrival_s``/``size``/``pooling`` mirror the immutable
     :class:`~repro.sim.queries.Query` so the hot loops never chase the
-    extra attribute hop; ``server``/``model`` are fleet-only,
-    ``finish_s`` is single-node-only.
+    extra attribute hop; ``server``/``model`` name where it runs.
     """
 
     __slots__ = (
@@ -173,7 +177,6 @@ class QueryState:
         "size",
         "pooling",
         "pending_units",
-        "finish_s",
     )
 
     def __init__(self, query, model: str | None = None) -> None:
@@ -184,7 +187,6 @@ class QueryState:
         self.size = query.size
         self.pooling = query.pooling_scale
         self.pending_units = 0
-        self.finish_s = 0.0
 
 
 class ServicedStage:
@@ -418,13 +420,9 @@ class EventHeap:
 
     Entries are flat ``(time, seq, owner, stage_idx, payload)`` tuples;
     comparison never reaches ``owner`` because ``seq`` is unique.  The
-    engines read ``items``/``dead`` directly in their hot loops; the
-    methods are the convenient path for everything else.
-
-    Lazy deletion: :meth:`cancel` marks a sequence number dead in O(1);
-    the entry stays in the heap and is discarded when it surfaces.
-    (The engines do not cancel yet -- the hook exists for preemption
-    scenarios such as killing a replica mid-run with in-flight batches.)
+    python fleet loops pop ``items`` directly in their hot loops and
+    skip entries whose sequence number they marked in ``dead`` (a
+    crash kills its replica's in-flight batches that way).
     """
 
     __slots__ = ("items", "seq", "dead")
@@ -435,60 +433,26 @@ class EventHeap:
         self.dead: set[int] = set()
 
     def push(self, time_s: float, owner, stage_idx: int, payload) -> int:
-        """Schedule an event; returns its sequence number (for cancel)."""
+        """Schedule an event; returns its sequence number."""
         seq = self.seq
         self.seq = seq + 1
         heappush(self.items, (time_s, seq, owner, stage_idx, payload))
         return seq
 
-    def cancel(self, seq: int) -> None:
-        """Mark a scheduled event dead; it is skipped when popped."""
-        self.dead.add(seq)
-
-    def pop(self):
-        """Next live event, or None when drained."""
-        items = self.items
-        dead = self.dead
-        while items:
-            entry = heappop(items)
-            if dead and entry[1] in dead:
-                dead.discard(entry[1])
-                continue
-            return entry
-        return None
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next live event (purges dead heads)."""
-        items = self.items
-        dead = self.dead
-        while items and dead and items[0][1] in dead:
-            dead.discard(heappop(items)[1])
-        return items[0][0] if items else None
-
-    def __len__(self) -> int:
-        """Live entries (scheduled minus cancelled-but-unpopped)."""
-        return len(self.items) - len(self.dead)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 class Pipeline:
     """Per-replica stage queues, free-unit counts, and event plumbing.
 
-    ``owner`` rides in every scheduled event so the driving engine can
-    map a finish back to its replica without closures; the single-node
-    engine sets ``owner`` to the pipeline itself.
+    The methods drive the pipeline on a shared :class:`EventHeap` (the
+    python fleet loops).  ``owner`` rides in every scheduled event so
+    the driving loop can map a finish back to its replica without
+    closures; it defaults to the pipeline itself.  A
+    :class:`ReplicaLoop` drives the same queues on a private heap.
     """
 
-    __slots__ = ("stages", "queues", "free", "busy", "owner", "last", "service_scale")
+    __slots__ = ("stages", "queues", "free", "owner", "last", "service_scale")
 
-    def __init__(
-        self,
-        stages: Sequence,
-        owner=None,
-        track_busy: bool = False,
-    ) -> None:
+    def __init__(self, stages: Sequence, owner=None) -> None:
         if not stages:
             raise ValueError("need at least one stage")
         self.stages: tuple[ServicedStage, ...] = tuple(
@@ -497,9 +461,6 @@ class Pipeline:
         )
         self.queues: list[deque] = [deque() for _ in self.stages]
         self.free: list[int] = [s.units for s in self.stages]
-        self.busy: list[float] | None = (
-            [0.0] * len(self.stages) if track_busy else None
-        )
         self.owner = owner if owner is not None else self
         self.last = len(self.stages) - 1
         # Straggler hook: service times of batches *started* while the
@@ -529,7 +490,6 @@ class Pipeline:
         if not queue:
             return
         form = self.stages[idx].form_and_time
-        busy = self.busy
         owner = self.owner
         items = heap.items
         seq = heap.seq
@@ -539,8 +499,6 @@ class Pipeline:
             if scale != 1.0:
                 service *= scale
             n -= 1
-            if busy is not None:
-                busy[idx] += service
             heappush(items, (now + service, seq, owner, idx, batch))
             seq += 1
         heap.seq = seq
@@ -591,3 +549,195 @@ class Pipeline:
                 else:
                     completed.append(state)
         self.dispatch(idx, now, heap)
+
+
+class _State:
+    """Query record of a :class:`ReplicaLoop`: the :class:`QueryState`
+    fields the loop reads, plus the caller's index ``idx`` for it."""
+
+    __slots__ = ("pooling", "pending_units", "size", "idx")
+
+    def __init__(self, pooling: float, size: int, idx: int) -> None:
+        self.pooling = pooling
+        self.size = size
+        self.idx = idx
+        self.pending_units = 0
+
+
+class ReplicaLoop:
+    """Resumable private event loop for one replica's pipeline.
+
+    Mirrors :class:`Pipeline`'s methods exactly -- including
+    ``on_finish``'s per-query enqueue-then-dispatch order, which batch
+    formation at the next stage observes -- but against a private heap
+    of ``(time, seq, stage_idx, batch)`` events.  Only the order of one
+    replica's own events matters to it, so the vector fleet core gives
+    every FUSE-bearing replica one loop, and the single-node simulator
+    runs its whole trace through one.
+
+    :meth:`pump` feeds a sorted arrival slice and runs local events
+    with ``time < limit``; events at or past the limit stay queued so
+    the replica can resume after a segment boundary.  ``seq`` counts
+    batch events exactly as the global heap's sequence would for this
+    replica; ``inflight`` counts the admitted queries that have not
+    finished (the replica's outstanding count).
+    """
+
+    __slots__ = (
+        "pipeline", "queues", "free", "last",
+        "stages", "forms", "chunk_memos", "is_fuse",
+        "events", "seq", "completions", "inflight", "done",
+    )
+
+    def __init__(self, pipeline: Pipeline) -> None:
+        stages = pipeline.stages
+        self.pipeline = pipeline
+        self.queues = pipeline.queues
+        self.free = pipeline.free
+        self.last = len(stages) - 1
+        self.stages = stages
+        self.forms = [s.form_and_time for s in stages]
+        self.chunk_memos = [s._chunks for s in stages]
+        self.is_fuse = [s.is_fuse for s in stages]
+        self.events: list[tuple] = []
+        self.seq = 0
+        self.completions: list[tuple[float, int]] = []
+        self.inflight = 0
+        self.done = 0
+
+    def kill(self) -> set:
+        """Cancel all in-flight work after a crash.
+
+        Returns the index of every query currently in the local heap or
+        the stage queues, then resets to an empty pipeline.
+        ``Pipeline.reset`` clears the queue deques in place but
+        *replaces* ``free``, so the alias is re-synced here; ``seq`` is
+        preserved (the python core's global heap sequence keeps
+        counting across crashes).
+        """
+        vict: set = set()
+        add = vict.add
+        for entry in self.events:
+            for unit in entry[3]:
+                add(unit[0].idx)
+        for q in self.queues:
+            for unit in q:
+                add(unit[0].idx)
+        self.events = []
+        self.completions = []
+        self.inflight = 0
+        self.pipeline.reset()
+        self.free = self.pipeline.free
+        return vict
+
+    def pump(self, tl, sl, pl, il, limit, finish, rank, track: bool) -> None:
+        """Admit a sorted arrival slice and run events before ``limit``.
+
+        ``tl``/``sl``/``pl``/``il`` hold the arrivals' times, sizes
+        (at least 1; the loop does not check), pooling scales and
+        indices.  An arrival is admitted before a local event at the
+        same time, as the python loops pop arrivals first.  Each query
+        that leaves the last stage gets its finish time in
+        ``finish[idx]`` and its completion number (``done`` so far) in
+        ``rank[idx]``: the queries one batch completes share a finish
+        time and complete in batch order, which need not be arrival
+        order.  With ``track`` each completion is also appended to
+        ``completions`` as ``(finish, idx)``.
+        """
+        stages = self.stages
+        queues = self.queues
+        free = self.free
+        last = self.last
+        forms = self.forms
+        chunk_memos = self.chunk_memos
+        is_fuse = self.is_fuse
+        events = self.events
+        seq = self.seq
+        scale = self.pipeline.service_scale
+        comp = self.completions.append
+        nn = len(tl)
+        done = self.done
+        i = 0
+        while True:
+            if i < nn:
+                now = tl[i]
+                if not events or now <= events[0][0]:
+                    st = _State(pl[i], sl[i], il[i])
+                    i += 1
+                    if is_fuse[0]:
+                        st.pending_units = 1
+                        queues[0].append((st, st.size))
+                    else:
+                        chunks = chunk_memos[0].get(st.size)
+                        if chunks is None:
+                            chunks = stages[0].chunks_for(st.size)
+                        st.pending_units = len(chunks)
+                        q0 = queues[0]
+                        for chunk in chunks:
+                            q0.append((st, chunk))
+                    nfree = free[0]
+                    q0 = queues[0]
+                    form = forms[0]
+                    while nfree > 0 and q0:
+                        batch, service = form(q0)
+                        if scale != 1.0:
+                            service *= scale
+                        heappush(events, (now + service, seq, 0, batch))
+                        seq += 1
+                        nfree -= 1
+                    free[0] = nfree
+                    continue
+            elif not events or events[0][0] >= limit:
+                break
+            now, _, idx, batch = heappop(events)
+            free[idx] += 1
+            for unit in batch:
+                st = unit[0]
+                pending = st.pending_units - 1
+                st.pending_units = pending
+                if pending == 0:
+                    if idx < last:
+                        nxt = idx + 1
+                        if is_fuse[nxt]:
+                            st.pending_units = 1
+                            queues[nxt].append((st, st.size))
+                        else:
+                            chunks = chunk_memos[nxt].get(st.size)
+                            if chunks is None:
+                                chunks = stages[nxt].chunks_for(st.size)
+                            st.pending_units = len(chunks)
+                            qn = queues[nxt]
+                            for chunk in chunks:
+                                qn.append((st, chunk))
+                        nfree = free[nxt]
+                        qn = queues[nxt]
+                        form = forms[nxt]
+                        while nfree > 0 and qn:
+                            b2, service = form(qn)
+                            if scale != 1.0:
+                                service *= scale
+                            heappush(events, (now + service, seq, nxt, b2))
+                            seq += 1
+                            nfree -= 1
+                        free[nxt] = nfree
+                    else:
+                        finish[st.idx] = now
+                        rank[st.idx] = done
+                        done += 1
+                        if track:
+                            comp((now, st.idx))
+            nfree = free[idx]
+            q = queues[idx]
+            if nfree > 0 and q:
+                form = forms[idx]
+                while nfree > 0 and q:
+                    b2, service = form(q)
+                    if scale != 1.0:
+                        service *= scale
+                    heappush(events, (now + service, seq, idx, b2))
+                    seq += 1
+                    nfree -= 1
+                free[idx] = nfree
+        self.seq = seq
+        self.inflight += nn - (done - self.done)
+        self.done = done

@@ -28,10 +28,11 @@ exploits that in one loop, :func:`run_vectorized`:
   ``heapreplace`` recurrence over the replica's persistent unit-
   availability heap reproduces the event core's float sequence exactly.
 - FUSE-bearing (accelerator) replicas run a **per-replica local event
-  loop** -- batch formation there genuinely depends on queue state --
-  but with plain-tuple query states and the global heap replaced by a
-  replica-private one, which preserves within-replica event order (the
-  only order that matters for an isolated replica).
+  loop**, a :class:`~repro.sim.event_core.ReplicaLoop` -- batch
+  formation there genuinely depends on queue state -- with the global
+  heap replaced by a replica-private one, which preserves
+  within-replica event order (the only order that matters for an
+  isolated replica).
 - Only **segment boundaries** go through global coordination: the
   trace is cut at autoscaler tick times and fault events, and the
   engine's own :meth:`FleetSimulator._apply_autoscaler_tick` (or the
@@ -57,21 +58,14 @@ from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
+from repro.sim.event_core import ReplicaLoop
+
 __all__ = ["run_vectorized"]
 
 #: Per-ServicedStage dense service tables, shared across replicas (the
 #: stage objects themselves are shared via plan_cache).  Keyed by id()
 #: with the stage kept referenced so a recycled id cannot alias.
 _SERVICE_TABLES: dict[int, tuple[object, int, np.ndarray]] = {}
-
-#: Python-list views of the same tables for the scalar-indexed FUSE
-#: drains: indexing a list of floats is ~3x cheaper than indexing a
-#: numpy array element-wise.
-_SERVICE_LISTS: dict[int, tuple[object, int, list]] = {}
-
-#: FUSE stages with fusion limits above this keep the dict-memo lookup
-#: (a dense table would mostly hold service times no batch ever forms).
-_FUSE_TABLE_CAP = 4096
 
 #: Arrivals the per-arrival routers turn into Python scalars at a time.
 #: Whole-trace lists would hold a float or int object plus a list slot
@@ -101,402 +95,6 @@ def _service_table(stage, maxsz: int) -> np.ndarray:
         tab[sz] = base
     _SERVICE_TABLES[key] = (stage, maxsz, tab)
     return tab
-
-
-def _service_list(stage, maxsz: int) -> list:
-    """Plain-list view of :func:`_service_table` for scalar loops."""
-    key = id(stage)
-    cached = _SERVICE_LISTS.get(key)
-    if cached is not None and cached[0] is stage and cached[1] >= maxsz:
-        return cached[2]
-    tab = _service_table(stage, maxsz).tolist()
-    _SERVICE_LISTS[key] = (stage, len(tab) - 1, tab)
-    return tab
-
-
-class _State:
-    """Local stand-in for :class:`QueryState` in generic pipelines."""
-
-    __slots__ = ("pooling", "pending_units", "size", "idx")
-
-    def __init__(self, pooling: float, size: int, idx: int) -> None:
-        self.pooling = pooling
-        self.size = size
-        self.idx = idx
-        self.pending_units = 0
-
-
-class _LocalReplicaSim:
-    """Resumable private event loop for one FUSE-bearing replica.
-
-    Mirrors :class:`~repro.sim.event_core.Pipeline` semantics exactly --
-    including ``on_finish``'s per-query enqueue-then-dispatch order,
-    which batch formation at the next stage observes -- but against a
-    replica-private heap.  ``pump`` feeds a sorted arrival slice and
-    runs local events with ``time < limit``; events at or past the
-    limit stay queued so the replica can resume after an autoscaler
-    tick.  ``seq`` counts batch events exactly as the global heap's
-    sequence would for this replica; ``inflight`` counts the admitted
-    queries that have not finished (the replica's outstanding count).
-    Each finished query gets its finish time in ``finish`` and its
-    replica-local completion number (``done`` so far) in ``rank``:
-    queries one batch completes share a finish time, and the python
-    core records them in batch order, which need not be arrival order.
-    """
-
-    __slots__ = (
-        "pipeline", "queues", "free", "last", "fuse_only",
-        "stages", "forms", "chunk_memos", "is_fuse",
-        "fuse_of", "tab_of", "memo_of", "fn_of", "ps_of",
-        "events", "seq", "completions", "inflight", "done",
-    )
-
-    def __init__(self, pipeline) -> None:
-        stages = pipeline.stages
-        self.pipeline = pipeline
-        self.queues = pipeline.queues
-        self.free = pipeline.free
-        self.last = len(stages) - 1
-        self.fuse_only = all(s.is_fuse for s in stages)
-        self.stages = stages
-        self.forms = [s.form_and_time for s in stages]
-        self.chunk_memos = [s._chunks for s in stages]
-        self.is_fuse = [s.is_fuse for s in stages]
-        self.fuse_of = [s.fuse_items for s in stages]
-        # Dense service tables replace the dict-memo lookup in the FUSE
-        # drains: any batch a stage with fusion limit F can form totals
-        # at most F items (a single oversize query keeps the memo path).
-        self.tab_of = [
-            _service_list(s, s.fuse_items)
-            if s.is_fuse and 0 < s.fuse_items <= _FUSE_TABLE_CAP
-            else None
-            for s in stages
-        ]
-        self.memo_of = [s._base_s for s in stages]
-        self.fn_of = [s.latency_fn for s in stages]
-        self.ps_of = [s.pooling_sensitivity for s in stages]
-        self.events: list[tuple] = []
-        self.seq = 0
-        self.completions: list[tuple[float, int]] = []
-        self.inflight = 0
-        self.done = 0
-
-    def kill(self) -> set:
-        """Cancel all in-flight work after a crash.
-
-        Returns the global arrival indices of every query currently in
-        the local heap or the stage queues, then resets to an empty
-        pipeline.  ``Pipeline.reset`` clears the queue deques in place
-        but *replaces* ``free``, so the alias is re-synced here; ``seq``
-        is preserved (the python core's global heap sequence keeps
-        counting across crashes).
-        """
-        vict: set = set()
-        add = vict.add
-        if self.fuse_only:
-            for entry in self.events:
-                for tup in entry[3]:
-                    add(tup[2])
-            for q in self.queues:
-                for tup in q:
-                    add(tup[2])
-        else:
-            for entry in self.events:
-                for unit in entry[3]:
-                    add(unit[0].idx)
-            for q in self.queues:
-                for unit in q:
-                    add(unit[0].idx)
-        self.events = []
-        self.completions = []
-        self.inflight = 0
-        self.pipeline.reset()
-        self.free = self.pipeline.free
-        return vict
-
-    def pump(self, tl, sl, pl, il, limit, finish, rank, track: bool) -> None:
-        if self.fuse_only:
-            self._pump_fuse(tl, sl, pl, il, limit, finish, rank, track)
-        else:
-            self._pump_generic(tl, sl, pl, il, limit, finish, rank, track)
-
-    def _pump_fuse(self, tl, sl, pl, il, limit, finish, rank, track) -> None:
-        """All-FUSE pipelines: query state is a plain (pooling, size,
-        global-arrival-index) tuple and every dispatch is inlined.
-
-        Service times come from the dense per-stage tables where built
-        (``total <= fuse`` always holds for multi-unit batches; a lone
-        oversize query falls back to the dict memo), the pooled-average
-        loop runs only for pooling-sensitive stages, and batches started
-        under a fault-scaled pipeline are stretched exactly like
-        ``Pipeline.dispatch`` (the scale is constant within a pump: the
-        fault path only changes it at segment boundaries).
-        """
-        queues = self.queues
-        free = self.free
-        last = self.last
-        fuse_of = self.fuse_of
-        tab_of = self.tab_of
-        memo_of = self.memo_of
-        fn_of = self.fn_of
-        ps_of = self.ps_of
-        events = self.events
-        seq = self.seq
-        scale = self.pipeline.service_scale
-        comp = self.completions.append
-        nn = len(tl)
-        done = self.done
-        i = 0
-        while True:
-            if i < nn:
-                now = tl[i]
-                if not events or now <= events[0][0]:
-                    queues[0].append((pl[i], sl[i], il[i]))
-                    i += 1
-                    nfree = free[0]
-                    q = queues[0]
-                    if nfree > 0 and q:
-                        fuse = fuse_of[0]
-                        tab = tab_of[0]
-                        memo = memo_of[0]
-                        fn = fn_of[0]
-                        ps = ps_of[0]
-                        popleft = q.popleft
-                        while nfree > 0 and q:
-                            unit = popleft()
-                            total = unit[1]
-                            batch = [unit]
-                            while q and total + q[0][1] <= fuse:
-                                extra = popleft()
-                                total += extra[1]
-                                batch.append(extra)
-                            if tab is not None and total <= fuse:
-                                base = tab[total]
-                            else:
-                                base = memo.get(total)
-                                if base is None:
-                                    base = fn(total)
-                                    memo[total] = base
-                            if ps > 0.0:
-                                if len(batch) > 1:
-                                    pooled = 0.0
-                                    for tup in batch:
-                                        pooled += tup[0] * tup[1]
-                                    pooling = pooled / total
-                                else:
-                                    pooling = (unit[0] * total) / total
-                                base = base * (1.0 - ps + ps * pooling)
-                            if scale != 1.0:
-                                base = base * scale
-                            heappush(events, (now + base, seq, 0, batch))
-                            seq += 1
-                            nfree -= 1
-                        free[0] = nfree
-                    continue
-            elif not events or events[0][0] >= limit:
-                break
-            entry = heappop(events)
-            now = entry[0]
-            idx = entry[2]
-            free[idx] += 1
-            if idx < last:
-                # Mirror Pipeline.on_finish: each finished query is
-                # enqueued and the next stage dispatched before the next
-                # query lands, so batch formation sees them one at a time.
-                nxt = idx + 1
-                q = queues[nxt]
-                fuse = fuse_of[nxt]
-                tab = tab_of[nxt]
-                memo = memo_of[nxt]
-                fn = fn_of[nxt]
-                ps = ps_of[nxt]
-                popleft = q.popleft
-                for tup in entry[3]:
-                    q.append(tup)
-                    nfree = free[nxt]
-                    while nfree > 0 and q:
-                        unit = popleft()
-                        total = unit[1]
-                        batch = [unit]
-                        while q and total + q[0][1] <= fuse:
-                            extra = popleft()
-                            total += extra[1]
-                            batch.append(extra)
-                        if tab is not None and total <= fuse:
-                            base = tab[total]
-                        else:
-                            base = memo.get(total)
-                            if base is None:
-                                base = fn(total)
-                                memo[total] = base
-                        if ps > 0.0:
-                            if len(batch) > 1:
-                                pooled = 0.0
-                                for t2 in batch:
-                                    pooled += t2[0] * t2[1]
-                                pooling = pooled / total
-                            else:
-                                pooling = (unit[0] * total) / total
-                            base = base * (1.0 - ps + ps * pooling)
-                        if scale != 1.0:
-                            base = base * scale
-                        heappush(events, (now + base, seq, nxt, batch))
-                        seq += 1
-                        nfree -= 1
-                    free[nxt] = nfree
-            else:
-                for tup in entry[3]:
-                    finish[tup[2]] = now
-                    rank[tup[2]] = done
-                    done += 1
-                    if track:
-                        comp((now, tup[2]))
-            # refill the stage that just freed a unit
-            nfree = free[idx]
-            q = queues[idx]
-            if nfree > 0 and q:
-                fuse = fuse_of[idx]
-                tab = tab_of[idx]
-                memo = memo_of[idx]
-                fn = fn_of[idx]
-                ps = ps_of[idx]
-                popleft = q.popleft
-                while nfree > 0 and q:
-                    unit = popleft()
-                    total = unit[1]
-                    batch = [unit]
-                    while q and total + q[0][1] <= fuse:
-                        extra = popleft()
-                        total += extra[1]
-                        batch.append(extra)
-                    if tab is not None and total <= fuse:
-                        base = tab[total]
-                    else:
-                        base = memo.get(total)
-                        if base is None:
-                            base = fn(total)
-                            memo[total] = base
-                    if ps > 0.0:
-                        if len(batch) > 1:
-                            pooled = 0.0
-                            for t2 in batch:
-                                pooled += t2[0] * t2[1]
-                            pooling = pooled / total
-                        else:
-                            pooling = (unit[0] * total) / total
-                        base = base * (1.0 - ps + ps * pooling)
-                    if scale != 1.0:
-                        base = base * scale
-                    heappush(events, (now + base, seq, idx, batch))
-                    seq += 1
-                    nfree -= 1
-                free[idx] = nfree
-        self.seq = seq
-        self.inflight += nn - (done - self.done)
-        self.done = done
-
-    def _pump_generic(
-        self, tl, sl, pl, il, limit, finish, rank, track
-    ) -> None:
-        """Mixed SPLIT/FUSE pipelines: slotted query states with
-        ``pending_units`` accounting, exactly like ``Pipeline``."""
-        stages = self.stages
-        queues = self.queues
-        free = self.free
-        last = self.last
-        forms = self.forms
-        chunk_memos = self.chunk_memos
-        is_fuse = self.is_fuse
-        events = self.events
-        seq = self.seq
-        scale = self.pipeline.service_scale
-        comp = self.completions.append
-        nn = len(tl)
-        done = self.done
-        i = 0
-        while True:
-            if i < nn:
-                now = tl[i]
-                if not events or now <= events[0][0]:
-                    st = _State(pl[i], sl[i], il[i])
-                    i += 1
-                    if is_fuse[0]:
-                        st.pending_units = 1
-                        queues[0].append((st, st.size))
-                    else:
-                        chunks = chunk_memos[0].get(st.size)
-                        if chunks is None:
-                            chunks = stages[0].chunks_for(st.size)
-                        st.pending_units = len(chunks)
-                        q0 = queues[0]
-                        for chunk in chunks:
-                            q0.append((st, chunk))
-                    nfree = free[0]
-                    q0 = queues[0]
-                    form = forms[0]
-                    while nfree > 0 and q0:
-                        batch, service = form(q0)
-                        if scale != 1.0:
-                            service *= scale
-                        heappush(events, (now + service, seq, 0, batch))
-                        seq += 1
-                        nfree -= 1
-                    free[0] = nfree
-                    continue
-            elif not events or events[0][0] >= limit:
-                break
-            now, _, idx, batch = heappop(events)
-            free[idx] += 1
-            for unit in batch:
-                st = unit[0]
-                pending = st.pending_units - 1
-                st.pending_units = pending
-                if pending == 0:
-                    if idx < last:
-                        nxt = idx + 1
-                        if is_fuse[nxt]:
-                            st.pending_units = 1
-                            queues[nxt].append((st, st.size))
-                        else:
-                            chunks = chunk_memos[nxt].get(st.size)
-                            if chunks is None:
-                                chunks = stages[nxt].chunks_for(st.size)
-                            st.pending_units = len(chunks)
-                            qn = queues[nxt]
-                            for chunk in chunks:
-                                qn.append((st, chunk))
-                        nfree = free[nxt]
-                        qn = queues[nxt]
-                        form = forms[nxt]
-                        while nfree > 0 and qn:
-                            b2, service = form(qn)
-                            if scale != 1.0:
-                                service *= scale
-                            heappush(events, (now + service, seq, nxt, b2))
-                            seq += 1
-                            nfree -= 1
-                        free[nxt] = nfree
-                    else:
-                        finish[st.idx] = now
-                        rank[st.idx] = done
-                        done += 1
-                        if track:
-                            comp((now, st.idx))
-            nfree = free[idx]
-            q = queues[idx]
-            if nfree > 0 and q:
-                form = forms[idx]
-                while nfree > 0 and q:
-                    b2, service = form(q)
-                    if scale != 1.0:
-                        service *= scale
-                    heappush(events, (now + service, seq, idx, b2))
-                    seq += 1
-                    nfree -= 1
-                free[idx] = nfree
-        self.seq = seq
-        self.inflight += nn - (done - self.done)
-        self.done = done
 
 
 def _ingest_blocks(models, blocks, codes):
@@ -818,7 +416,7 @@ def run_vectorized(
     dropped: dict[str, int] = {m: 0 for m in routable}
     drop_order: list[str] = []
 
-    runners: dict[int, _LocalReplicaSim] = {}
+    runners: dict[int, ReplicaLoop] = {}
     # Per-server delivered direct-query index chunks: the crash-victim
     # lookback (finish >= crash time) needs to find them.
     delivered: dict[int, list] = {}
@@ -835,10 +433,10 @@ def run_vectorized(
     # yet (a crash clears them).
     known = [[] if s.direct is not None else None for s in servers]
 
-    def runner_of(server) -> _LocalReplicaSim:
+    def runner_of(server) -> ReplicaLoop:
         runner = runners.get(server.index)
         if runner is None:
-            runner = runners[server.index] = _LocalReplicaSim(server.pipeline)
+            runner = runners[server.index] = ReplicaLoop(server.pipeline)
         return runner
 
     def candidate_view(candidates):

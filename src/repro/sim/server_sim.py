@@ -11,11 +11,13 @@ a query trace through the plan's stage pipeline:
   serve them as one accelerator batch (query fusion, Section II-B);
 - a query completes when its last work unit leaves the last stage.
 
-The event mechanics (stage records, batch formation, the heap, the
-per-replica pipeline state) live in :mod:`repro.sim.event_core` and are
-shared with the fleet engine; the equivalence tests pin this engine's
-per-query completion times bit-for-bit against a reference
-implementation of the pre-optimization event loop.
+The event mechanics (stage records, batch formation, the per-replica
+pipeline state and its private event loop) live in
+:mod:`repro.sim.event_core`: the trace runs through the same
+:class:`~repro.sim.event_core.ReplicaLoop` that replays each
+accelerator replica on the vector fleet core.  The equivalence tests
+pin this engine's latencies, in completion order, bit-for-bit against
+a reference implementation of the pre-optimization event loop.
 
 Integration tests check the DES against the closed-form evaluator; the
 examples use it to show live tail-latency behaviour.
@@ -24,7 +26,6 @@ examples use it to show live tail-latency behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop
 from typing import Callable
 
 import numpy as np
@@ -33,19 +34,10 @@ from repro.hardware.power import ComponentUtilization
 from repro.models.partition import PartitionedModel
 from repro.plans import ExecutionPlan
 from repro.sim.evaluator import ServerEvaluator
-from repro.sim.event_core import (  # _split re-exported for back-compat
-    EventHeap,
-    Pipeline,
-    QueryState,
-    SimStage,
-    StageMode,
-    _split,
-    enqueue_units,
-    form_batch,
-)
+from repro.sim.event_core import Pipeline, ReplicaLoop, SimStage, StageMode
 from repro.sim.loadgen import generate_trace
 from repro.sim.metrics import LatencyStats, ServerPerformance
-from repro.sim.queries import Query, QueryWorkload
+from repro.sim.queries import QueryWorkload
 
 __all__ = [
     "StageMode",
@@ -53,8 +45,6 @@ __all__ = [
     "SimResult",
     "DiscreteEventServerSim",
     "simulate",
-    "enqueue_units",
-    "form_batch",
 ]
 
 
@@ -66,7 +56,6 @@ class SimResult:
         latencies_s: Per-completed-query end-to-end latency.
         completed: Number of completed queries in the measured window.
         duration_s: Measured window length.
-        stage_busy_s: Busy thread-seconds per stage.
         items_served: Total items completed.
         events: Events processed (arrivals + batch completions).
     """
@@ -74,7 +63,6 @@ class SimResult:
     latencies_s: np.ndarray
     completed: int
     duration_s: float
-    stage_busy_s: dict[str, float]
     items_served: int
     events: int = 0
 
@@ -102,80 +90,55 @@ class DiscreteEventServerSim:
     def run(self, queries, warmup_s: float = 0.0) -> SimResult:
         """Play a trace through the pipeline.
 
+        The trace runs through one
+        :class:`~repro.sim.event_core.ReplicaLoop`, the replica loop
+        of the vector fleet core, to its last completion.
+
         Args:
             queries: Arrival-sorted trace -- a list of
-                :class:`Query` records or any iterable of them (e.g.
-                an :meth:`repro.traces.ArrivalProcess.stream`).
+                :class:`~repro.sim.queries.Query` records or any
+                iterable of them (e.g. an
+                :meth:`repro.traces.ArrivalProcess.stream`).
             warmup_s: Initial window excluded from the statistics.
 
         Returns:
-            Latency samples and per-stage busy accounting for the
-            post-warmup window.
+            Latency samples of the post-warmup window, in completion
+            order.
         """
-        pipeline = Pipeline(self.stages, track_busy=True)
-        heap = EventHeap()
-        states = [QueryState(q) for q in queries]
-        if not states:
+        # Stable sort: equal arrival times keep trace order.
+        trace = sorted(queries, key=lambda q: q.arrival_s)
+        if not trace:
             raise ValueError("empty trace")
-        # Stable sort == the old heap order (time, then push counter);
-        # arrivals beat same-time finishes just as their all-up-front
-        # counters used to.
-        states.sort(key=lambda s: s.arrival_s)
+        sizes = [q.size for q in trace]
+        if min(sizes) < 1:
+            raise ValueError(
+                "query size must be >= 1 (zero units never complete)"
+            )
+        n = len(trace)
+        arrivals = [q.arrival_s for q in trace]
+        finish = [0.0] * n
+        rank = [0] * n
+        loop = ReplicaLoop(Pipeline(self.stages))
+        loop.pump(
+            arrivals, sizes, [q.pooling_scale for q in trace], range(n),
+            float("inf"), finish, rank, False,
+        )
 
-        done: list[QueryState] = []
-        completed: list[QueryState] = []
-        events = heap.items
-        dead = heap.dead
-        enqueue = pipeline.enqueue
-        on_finish = pipeline.on_finish
-        i, n = 0, len(states)
-        while True:
-            if events:
-                if i < n:
-                    state = states[i]
-                    if state.arrival_s <= events[0][0]:
-                        i += 1
-                        enqueue(0, state, state.size, state.arrival_s, heap)
-                        continue
-                entry = heappop(events)
-                if dead and entry[1] in dead:
-                    dead.discard(entry[1])
-                    continue
-                now = entry[0]
-                on_finish(entry[3], entry[4], now, heap, completed)
-                if completed:
-                    for state in completed:
-                        state.finish_s = now
-                        done.append(state)
-                    completed.clear()
-            elif i < n:
-                state = states[i]
-                i += 1
-                enqueue(0, state, state.size, state.arrival_s, heap)
-            else:
-                break
-
-        horizon = states[-1].arrival_s
-        measured = [
-            st
-            for st in done
-            if st.arrival_s >= warmup_s and st.finish_s <= horizon + 1e9
+        horizon = arrivals[-1]
+        t = np.array(arrivals)
+        fin = np.array(finish)
+        order = np.argsort(rank)
+        measured = order[
+            (t[order] >= warmup_s) & (fin[order] <= horizon + 1e9)
         ]
-        if not measured:
+        if not measured.size:
             raise RuntimeError("no queries completed in the measured window")
-        latencies = np.array([st.finish_s - st.arrival_s for st in measured])
-        duration = horizon - warmup_s
-        items = sum(st.size for st in measured)
-        busy = pipeline.busy or []
         return SimResult(
-            latencies_s=latencies,
+            latencies_s=fin[measured] - t[measured],
             completed=len(measured),
-            duration_s=max(duration, 1e-9),
-            stage_busy_s={
-                stage.name: busy[idx] for idx, stage in enumerate(pipeline.stages)
-            },
-            items_served=items,
-            events=n + heap.seq,
+            duration_s=max(horizon - warmup_s, 1e-9),
+            items_served=int(np.array(sizes)[measured].sum()),
+            events=n + loop.seq,
         )
 
 

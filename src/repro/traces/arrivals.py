@@ -206,18 +206,14 @@ class PiecewisePoissonProcess(ArrivalProcess):
         segments: ``(qps, duration_s)`` chain laid back to back from
             t=0.  Segments with non-positive rate or duration are
             skipped (a positive duration still advances the clock),
-            exactly as the legacy fleet trace builder did.
-        seed_offset / seed_stride: Segment ``s`` draws with seed
-            ``seed + seed_offset + seed_stride * s`` -- the historical
-            schedule (offset 0, stride 1) by default.
+            exactly as the legacy fleet trace builder did.  Segment
+            ``s`` draws with seed ``seed + s``.
     """
 
     def __init__(
         self,
         workload: QueryWorkload,
         segments: Sequence[tuple[float, float]],
-        seed_offset: int = 0,
-        seed_stride: int = 1,
     ) -> None:
         self.workload = workload
         self.segments = tuple((float(q), float(d)) for q, d in segments)
@@ -231,8 +227,6 @@ class PiecewisePoissonProcess(ArrivalProcess):
                 )
         if not sum(max(d, 0.0) for _, d in self.segments) > 0:
             raise ValueError("need positive total duration")
-        self.seed_offset = seed_offset
-        self.seed_stride = seed_stride
 
     @property
     def end_s(self) -> float:
@@ -253,9 +247,7 @@ class PiecewisePoissonProcess(ArrivalProcess):
         clock = 0.0
         for s_idx, (qps, dur) in enumerate(self.segments):
             if qps > 0 and dur > 0:
-                rng = np.random.default_rng(
-                    seed + self.seed_offset + self.seed_stride * s_idx
-                )
+                rng = np.random.default_rng(seed + s_idx)
                 block = _draw_block(self.workload, rng, qps, clock, dur)
                 if block is not None:
                     yield block

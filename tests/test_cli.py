@@ -460,6 +460,23 @@ class TestCarbonCLI:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "flags", [("--retries", "5"), ("--hedge-ms", "3")]
+    )
+    def test_provision_carbon_aware_refuses_retries_and_hedging(self, flags):
+        # The search replays fault-free and never passes them on.
+        with pytest.raises(SystemExit, match="--retries/--hedge-ms"):
+            main(
+                [
+                    "provision-carbon-aware",
+                    "--servers", "4",
+                    "--server-types", "T2",
+                    "--models", "DLRM-RMC1",
+                    *self.CARBON,
+                    *flags,
+                ]
+            )
+
     def test_sweep_value_grammar(self, capsys):
         parser = build_parser()
         args = parser.parse_args(

@@ -1,15 +1,17 @@
 """Unit tests for the shared tuned event core.
 
-Covers the pieces both engines build on: the event heap (ordering,
-lazy deletion), the memoized stage records (service/chunk tables must
-reproduce the un-memoized spec bit-for-bit), batch-formation edge
-cases (zero-size queries, fusion-cap boundaries), and the direct
-G/D/c fast path's eligibility rules.
+Covers the pieces both engines build on: the event heap (ordering),
+the private replica loop (resumable pumps), the memoized stage records
+(service/chunk tables must reproduce the un-memoized spec
+bit-for-bit), batch-formation edge cases (zero-size queries,
+fusion-cap boundaries), and the direct G/D/c fast path's eligibility
+rules.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.sim.event_core import (
     EventHeap,
     Pipeline,
     QueryState,
+    ReplicaLoop,
     ServicedStage,
     SimStage,
     StageMode,
@@ -50,26 +53,7 @@ class TestEventHeap:
         heap.push(2.0, None, 0, "late")
         heap.push(1.0, None, 0, "a")
         heap.push(1.0, None, 0, "b")
-        assert [heap.pop()[4] for _ in range(3)] == ["a", "b", "late"]
-
-    def test_lazy_deletion_skips_cancelled(self):
-        heap = EventHeap()
-        keep = heap.push(1.0, None, 0, "keep")
-        kill = heap.push(0.5, None, 0, "kill")
-        heap.cancel(kill)
-        assert len(heap) == 1
-        assert heap.peek_time() == 1.0  # purges the dead head
-        entry = heap.pop()
-        assert entry[4] == "keep" and entry[1] == keep
-        assert heap.pop() is None
-
-    def test_cancelled_heap_is_falsy(self):
-        heap = EventHeap()
-        seq = heap.push(1.0, None, 0, None)
-        assert heap
-        heap.cancel(seq)
-        assert not heap
-        assert heap.peek_time() is None
+        assert [heappop(heap.items)[4] for _ in range(3)] == ["a", "b", "late"]
 
     def test_sequence_numbers_monotone(self):
         heap = EventHeap()
@@ -215,13 +199,14 @@ class TestDirectStage:
 
 
 class TestPipeline:
-    def test_busy_accounting_tracks_dispatched_service(self):
+    def test_enqueue_dispatches_onto_the_heap(self):
         heap = EventHeap()
-        pipeline = Pipeline([_stage(units=1, chunk=100)], track_busy=True)
-        state = _state(size=10)
-        pipeline.enqueue(0, state, 10, 0.0, heap)
-        assert pipeline.busy[0] > 0.0
-        assert len(heap) == 1
+        pipeline = Pipeline([_stage(units=1, chunk=100)])
+        pipeline.enqueue(0, _state(size=10), 10, 0.5, heap)
+        assert len(heap.items) == 1
+        time_s, _, owner, idx, batch = heap.items[0]
+        assert time_s == 0.5 + pipeline.stages[0].unit_service_s(10, 1.0)
+        assert owner is pipeline and idx == 0 and len(batch) == 1
 
     def test_requires_stages(self):
         with pytest.raises(ValueError, match="at least one stage"):
@@ -231,3 +216,42 @@ class TestPipeline:
         stage = ServicedStage(_stage())
         pipeline = Pipeline([stage])
         assert pipeline.stages[0] is stage
+
+
+def _mixed_stages():
+    return [
+        _stage(units=2, chunk=8, sensitivity=0.9),
+        _stage(mode=StageMode.FUSE, units=1, fuse=40, sensitivity=0.6),
+    ]
+
+
+def _arrivals(n=60):
+    ts = [0.0004 * i + (0.0003 if i % 7 == 0 else 0.0) for i in range(n)]
+    sizes = [1 + (i * 13) % 29 for i in range(n)]
+    pools = [0.5 + (i % 5) * 0.3 for i in range(n)]
+    return ts, sizes, pools
+
+
+class TestReplicaLoop:
+    def test_resumed_pumps_equal_one_pump(self):
+        """Pumping arrival by arrival, with limits, as the vector fleet
+        core does, gives the finishes, ranks and event count of one
+        pump over the whole trace (the single-node simulator's call)."""
+        ts, sizes, pools = _arrivals()
+        n = len(ts)
+        whole = ReplicaLoop(Pipeline(_mixed_stages()))
+        fin_a, rank_a = [0.0] * n, [0] * n
+        whole.pump(ts, sizes, pools, range(n), float("inf"), fin_a, rank_a, False)
+
+        piece = ReplicaLoop(Pipeline(_mixed_stages()))
+        fin_b, rank_b = [0.0] * n, [0] * n
+        for i in range(n):
+            piece.pump((), (), (), (), ts[i], fin_b, rank_b, True)
+            piece.pump(
+                [ts[i]], [sizes[i]], [pools[i]], [i], ts[i], fin_b, rank_b, True
+            )
+        piece.pump((), (), (), (), float("inf"), fin_b, rank_b, True)
+        assert (fin_b, rank_b, piece.seq) == (fin_a, rank_a, whole.seq)
+        assert sorted(rank_a) == list(range(n))
+        assert piece.inflight == whole.inflight == 0
+        assert sorted(i for _, i in piece.completions) == list(range(n))

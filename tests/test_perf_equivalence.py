@@ -183,20 +183,23 @@ def test_single_node_matches_reference_exactly(name, qps, seed):
     ref = sorted((st.query.query_id, st.finish_s) for st in ref_done)
 
     result = DiscreteEventServerSim(list(stages)).run(trace, warmup_s=0.0)
-    # Per-query end-to-end latencies carry the full information: query
-    # order in the result follows completion order, so re-derive the
-    # (id, finish) pairs from a second, instrumented pass.
+    # The result lists latencies in completion order, the reference's
+    # ``done`` order; the (id, finish) pairs come from a second pass
+    # through the python fleet core's global-heap Pipeline methods.
+    assert result.latencies_s.tolist() == [
+        st.finish_s - st.query.arrival_s for st in ref_done
+    ]
     new_done = _run_optimized_collect(stages, trace)
     assert new_done == ref
     assert result.completed == len(ref)
 
 
 def _run_optimized_collect(stages, trace):
-    """Run the optimized engine and collect exact (id, finish) pairs."""
+    """Drive ``Pipeline`` on a global heap; exact (id, finish) pairs."""
     from repro.sim.event_core import EventHeap, Pipeline, QueryState
     from heapq import heappop
 
-    pipeline = Pipeline(stages, track_busy=False)
+    pipeline = Pipeline(stages)
     heap = EventHeap()
     states = sorted((QueryState(q) for q in trace), key=lambda s: s.arrival_s)
     done = []

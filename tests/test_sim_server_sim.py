@@ -14,7 +14,7 @@ from repro.sim import (
     StageMode,
     simulate,
 )
-from repro.sim.server_sim import _split
+from repro.sim.event_core import _split
 
 
 class TestSplit:
@@ -114,8 +114,26 @@ class TestDiscreteEventServerSim:
         assert result.latencies_s[0] == pytest.approx(0.03)
 
     def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty trace"):
             DiscreteEventServerSim([_one_stage()]).run([])
+
+    @pytest.mark.parametrize("mode", [StageMode.SPLIT, StageMode.FUSE])
+    def test_zero_size_query_rejected(self, mode):
+        # ``_make`` skips the constructor's size check, as a recorded
+        # or hand-built trace can.
+        queries = [
+            Query(query_id=0, arrival_s=0.0, size=10),
+            Query._make((1, 0.5, 0, 1.0)),
+        ]
+        sim = DiscreteEventServerSim([_one_stage(mode=mode, fuse=64)])
+        with pytest.raises(ValueError, match="zero units never complete"):
+            sim.run(queries)
+
+    def test_no_completion_in_window_rejected(self):
+        sim = DiscreteEventServerSim([_one_stage()])
+        queries = [Query(query_id=0, arrival_s=0.0, size=10)]
+        with pytest.raises(RuntimeError, match="no queries completed"):
+            sim.run(queries, warmup_s=1.0)
 
     def test_no_stages_rejected(self):
         with pytest.raises(ValueError):

@@ -198,7 +198,7 @@ def _legacy_piecewise_stream(self, seed=0, first_id=0):
                 self.workload,
                 qps,
                 dur,
-                seed=seed + self.seed_offset + self.seed_stride * s_idx,
+                seed=seed + s_idx,
                 start_s=clock,
                 first_id=next_id,
             )
