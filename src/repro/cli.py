@@ -44,6 +44,7 @@ Installed as ``hercules-repro`` (see pyproject) or run with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections.abc import Sequence
@@ -272,8 +273,8 @@ def _distribute_fleet(total: int, types: list[str]) -> dict[str, int]:
 
 
 def _fleet_inputs(args: argparse.Namespace, target_utilization: float):
-    """Shared `fleet`/`provision-fault-aware` setup: profile the table,
-    shape the fleet, and build the arrival source.
+    """Shared `fleet`/`provision-*` setup: profile the table, shape the
+    fleet, and build the arrival source.
 
     Peak loads are explicit (``--peak-qps``) or sized so the fleet
     peaks around ``target_utilization`` of aggregate capacity.  The
@@ -521,53 +522,30 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 1 if result.total_dropped and not (args.autoscale or faults) else 0
 
 
-def _cmd_provision_fault_aware(args: argparse.Namespace) -> int:
+def _provision_inputs(args: argparse.Namespace):
+    """Shared `provision-*` setup: profile the table, shape the fleet,
+    and materialize the traffic every candidate ``R`` replays.
+
+    Returns ``(span, search)``: the replay span and the arguments both
+    library searches take, by name.
+    """
     # 50% aggregate utilization: leaves fleet headroom to grow R into.
     models, table, fleet_counts, traces, workloads, source = _fleet_inputs(
         args, target_utilization=0.5
     )
-    if args.shards > 1:
-        raise SystemExit(
-            "--shards > 1 is not supported by provision-fault-aware: its "
-            "replays are fault-injected, and fault injection couples "
-            "shards through cross-model dead domains; use --percentile-"
-            "mode sketch to bound replay memory instead"
-        )
     span = _replay_span_s(args, source)
-    # The search replays the identical traffic at every candidate R;
-    # materializing once beats re-drawing the stream a dozen times.
-    trace = list(source)
-    scheduler = HerculesClusterScheduler(table, fleet_counts)
-    peak_loads = {m: t.peak_qps for m, t in traces.items()}
-    faults = FaultSchedule.parse(args.faults)
-    chatter = sys.stderr if args.json else sys.stdout
-    if faults.is_empty:
-        print(
-            "warning: empty fault schedule -- the loop will trivially pick "
-            "the smallest R meeting the SLA",
-            file=chatter,
-        )
-    print(
-        f"Searching R in [{args.r_min:.2f}, {args.r_max:.2f}] for "
-        f"{args.target_availability * 100:.2f}% service availability "
-        f"({len(trace)} queries per replay) ...",
-        flush=True,
-        file=chatter,
-    )
-    outcome = provision_fault_aware(
-        scheduler,
-        table,
-        models,
-        workloads,
-        trace,
-        peak_loads,
-        faults,
+    search = dict(
+        scheduler=HerculesClusterScheduler(table, fleet_counts),
+        table=table,
+        models=models,
+        workloads=workloads,
+        # The search replays the identical traffic at every candidate R;
+        # materializing once beats re-drawing the stream a dozen times.
+        trace=list(source),
+        loads={m: t.peak_qps for m, t in traces.items()},
         sla_ms={name: m.sla_ms for name, m in models.items()},
         target_availability=args.target_availability,
-        baseline_r=args.baseline_r,
         policy=args.policy,
-        retries=args.retries,
-        hedge_ms=args.hedge_ms,
         seed=args.seed,
         core=args.core,
         percentile_mode=args.percentile_mode,
@@ -577,8 +555,24 @@ def _cmd_provision_fault_aware(args: argparse.Namespace) -> int:
         r_tol=args.r_tol,
         max_evals=args.max_evals,
     )
+    return span, search
+
+
+def _announce_search(args: argparse.Namespace, detail: str) -> None:
+    print(
+        f"Searching R in [{args.r_min:.2f}, {args.r_max:.2f}] for "
+        f"{args.target_availability * 100:.2f}% service availability"
+        f"{detail} ...",
+        flush=True,
+        file=sys.stderr if args.json else sys.stdout,
+    )
+
+
+def _print_provision(args: argparse.Namespace, outcome, to_doc) -> int:
+    """Shared `provision-*` tail: print the outcome as one JSON object
+    (``to_doc(outcome)``) or as tables; exit 0 when converged."""
     if args.json:
-        print(json.dumps(_provision_outcome_dict(outcome)))
+        print(json.dumps(to_doc(outcome)))
     else:
         print()
         print(outcome.format())
@@ -596,23 +590,61 @@ def _cmd_provision_fault_aware(args: argparse.Namespace) -> int:
     return 0 if outcome.converged else 1
 
 
+def _allocation_doc(allocation) -> dict:
+    """An allocation as a ``"server:model" -> replicas`` count map."""
+    return {
+        f"{srv}:{model}": count
+        for (srv, model), count in sorted(allocation.counts.items())
+    }
+
+
+def _ledger_doc(evaluations, omit: tuple[str, ...] = ()) -> list[dict]:
+    """The per-``R`` evaluation ledger, one row per point in
+    :class:`~repro.fleet.ProvisionEval` field order, less ``omit``."""
+    return [
+        {k: v for k, v in dataclasses.asdict(ev).items() if k not in omit}
+        for ev in evaluations
+    ]
+
+
+def _cmd_provision_fault_aware(args: argparse.Namespace) -> int:
+    if args.shards > 1:
+        raise SystemExit(
+            "--shards > 1 is not supported by provision-fault-aware: its "
+            "replays are fault-injected, and fault injection couples "
+            "shards through cross-model dead domains; use --percentile-"
+            "mode sketch to bound replay memory instead"
+        )
+    _, search = _provision_inputs(args)
+    faults = FaultSchedule.parse(args.faults)
+    if faults.is_empty:
+        print(
+            "warning: empty fault schedule -- the loop will trivially pick "
+            "the smallest R meeting the SLA",
+            file=sys.stderr if args.json else sys.stdout,
+        )
+    _announce_search(args, f" ({len(search['trace'])} queries per replay)")
+    outcome = provision_fault_aware(
+        faults=faults,
+        baseline_r=args.baseline_r,
+        retries=args.retries,
+        hedge_ms=args.hedge_ms,
+        **search,
+    )
+    return _print_provision(args, outcome, _provision_outcome_dict)
+
+
 def _provision_outcome_dict(outcome) -> dict:
     """JSON view of a fault-aware provisioning search outcome.
 
     Floats pass through untouched (``json.dumps`` renders them with
-    ``repr``, so values round-trip exactly); allocations flatten to
-    ``"server:model" -> replicas`` count maps.
+    ``repr``, so values round-trip exactly).  A search that did not
+    converge has no chosen allocation or result: both are ``null``.
     """
-
-    def _alloc(allocation) -> dict:
-        return {
-            f"{srv}:{model}": count
-            for (srv, model), count in sorted(allocation.counts.items())
-        }
-
+    converged = outcome.converged
     return {
         "target_availability": outcome.target_availability,
-        "converged": outcome.converged,
+        "converged": converged,
         "chosen_r": outcome.chosen_r,
         "baseline_r": outcome.baseline_r,
         "replays": outcome.replays,
@@ -620,22 +652,10 @@ def _provision_outcome_dict(outcome) -> dict:
         "baseline_power_w": outcome.baseline_power_w,
         "standby_power_w": outcome.standby_power_w,
         "power_delta_w": outcome.power_delta_w,
-        "allocation": _alloc(outcome.allocation),
-        "baseline_allocation": _alloc(outcome.baseline_allocation),
-        "evaluations": [
-            {
-                "r": ev.r,
-                "servers": ev.servers,
-                "provisioned_power_w": ev.provisioned_power_w,
-                "service_availability": ev.service_availability,
-                "uptime_availability": ev.uptime_availability,
-                "worst_violation_rate": ev.worst_violation_rate,
-                "meets_target": ev.meets_target,
-                "shortfall_qps": ev.shortfall_qps,
-            }
-            for ev in outcome.evaluations
-        ],
-        "result": outcome.result.to_dict(),
+        "allocation": _allocation_doc(outcome.allocation) if converged else None,
+        "baseline_allocation": _allocation_doc(outcome.baseline_allocation),
+        "evaluations": _ledger_doc(outcome.evaluations),
+        "result": outcome.result.to_dict() if converged else None,
         "baseline_result": outcome.baseline_result.to_dict(),
     }
 
@@ -656,88 +676,32 @@ def _cmd_provision_carbon_aware(args: argparse.Namespace) -> int:
             "size the fleet against crashes with provision-fault-aware, "
             "which takes both"
         )
-    # 50% aggregate utilization: leaves fleet headroom to grow R into.
-    models, table, fleet_counts, traces, workloads, source = _fleet_inputs(
-        args, target_utilization=0.5
-    )
-    span = _replay_span_s(args, source)
-    trace = list(source)
-    scheduler = HerculesClusterScheduler(table, fleet_counts)
-    peak_loads = {m: t.peak_qps for m, t in traces.items()}
+    span, search = _provision_inputs(args)
     carbon = load_carbon(args.carbon)
     jobs = (
         parse_deferrable(args.deferrable).build(span)
         if args.deferrable
         else ()
     )
-    chatter = sys.stderr if args.json else sys.stdout
-    print(
-        f"Searching R in [{args.r_min:.2f}, {args.r_max:.2f}] for "
-        f"{args.target_availability * 100:.2f}% service availability, "
-        f"then sweeping {len(jobs)} deferrable jobs over "
+    _announce_search(
+        args,
+        f", then sweeping {len(jobs)} deferrable jobs over "
         f"{len(args.policies)} policies x {len(args.power_caps)} caps x "
-        f"{len(args.deferral_horizons)} horizons ...",
-        flush=True,
-        file=chatter,
+        f"{len(args.deferral_horizons)} horizons",
     )
     outcome = provision_carbon_aware(
-        scheduler,
-        table,
-        models,
-        workloads,
-        trace,
-        peak_loads,
-        carbon,
-        sla_ms={name: m.sla_ms for name, m in models.items()},
+        carbon=carbon,
         jobs=jobs,
         policies=args.policies,
         power_caps=args.power_caps,
         deferral_horizons=args.deferral_horizons,
-        target_availability=args.target_availability,
-        policy=args.policy,
-        seed=args.seed,
-        core=args.core,
-        percentile_mode=args.percentile_mode,
-        warmup_s=span * 0.05,
-        r_min=args.r_min,
-        r_max=args.r_max,
-        r_tol=args.r_tol,
-        max_evals=args.max_evals,
+        **search,
     )
-    if args.json:
-        print(json.dumps(_carbon_outcome_dict(outcome)))
-    else:
-        print()
-        print(outcome.format())
-        if outcome.converged:
-            print()
-            print(
-                outcome.result.format(
-                    title=(
-                        f"fleet replay at chosen R={outcome.chosen_r:.3f} "
-                        f"({args.policy} routing, "
-                        f"{outcome.allocation.total_servers} replicas)"
-                    )
-                )
-            )
-    return 0 if outcome.converged else 1
+    return _print_provision(args, outcome, _carbon_outcome_dict)
 
 
 def _carbon_outcome_dict(outcome) -> dict:
     """JSON view of a carbon-aware provisioning search outcome."""
-
-    def _plan(pt) -> dict:
-        return {
-            "policy": pt.policy,
-            "power_cap_w": pt.power_cap_w,
-            "deferral_horizon_s": pt.deferral_horizon_s,
-            "completed": pt.completed,
-            "dropped": pt.dropped,
-            "suspended": pt.suspended,
-            "deferrable_g": pt.deferrable_g,
-            "feasible": pt.feasible,
-        }
-
     doc = {
         "target_availability": outcome.target_availability,
         "converged": outcome.converged,
@@ -747,29 +711,19 @@ def _carbon_outcome_dict(outcome) -> dict:
         "total_g": outcome.total_g,
         "no_wait_g": outcome.no_wait_g,
         "deferral_savings_g": outcome.deferral_savings_g,
-        "evaluations": [
-            {
-                "r": ev.r,
-                "servers": ev.servers,
-                "provisioned_power_w": ev.provisioned_power_w,
-                "service_availability": ev.service_availability,
-                "meets_target": ev.meets_target,
-                "shortfall_qps": ev.shortfall_qps,
-            }
-            for ev in outcome.evaluations
-        ],
-        "plan": [_plan(pt) for pt in outcome.plan],
+        "evaluations": _ledger_doc(
+            outcome.evaluations,
+            omit=("uptime_availability", "worst_violation_rate"),
+        ),
+        "plan": [dataclasses.asdict(pt) for pt in outcome.plan],
         "chosen_plan": (
-            _plan(outcome.chosen_plan)
+            dataclasses.asdict(outcome.chosen_plan)
             if outcome.chosen_plan is not None
             else None
         ),
     }
     if outcome.converged:
-        doc["allocation"] = {
-            f"{srv}:{model}": count
-            for (srv, model), count in sorted(outcome.allocation.counts.items())
-        }
+        doc["allocation"] = _allocation_doc(outcome.allocation)
         doc["result"] = outcome.result.to_dict()
     return doc
 
@@ -821,9 +775,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _add_fleet_shared_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags `fleet` and `provision-fault-aware` share.
+    """Flags `fleet` and the two `provision-*` commands share.
 
-    Both subcommands feed the common :func:`_fleet_inputs` setup, so
+    All three feed the common :func:`_fleet_inputs` setup, so
     the fleet-shape, traffic-source, and retry/hedging flags are
     declared once here; per-subcommand defaults are overridden with
     ``set_defaults`` at the subparser.
@@ -948,6 +902,47 @@ def _add_fleet_shared_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
+    """Search flags both `provision-*` commands share: the target, the
+    ``R`` bracket and budget (the library searches' arguments of the
+    same names), and ``--json``."""
+    parser.add_argument(
+        "--target-availability",
+        type=float,
+        default=0.999,
+        help="service-availability target in (0, 1] (default 0.999)",
+    )
+    parser.add_argument(
+        "--r-min", type=float, default=0.0, help="search lower bound for R"
+    )
+    parser.add_argument(
+        "--r-max", type=float, default=1.0, help="search upper bound for R"
+    )
+    parser.add_argument(
+        "--r-tol",
+        type=_positive_float,
+        default=0.02,
+        help="bisection width at which the search stops",
+    )
+    parser.add_argument(
+        "--max-evals",
+        type=_positive_int,
+        default=12,
+        help=(
+            "cap on the search's fleet replays (provision-fault-aware's "
+            "baseline replay is not counted)"
+        ),
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help=(
+            "print the search outcome as one JSON object (repr-exact "
+            "floats) on stdout; progress chatter moves to stderr"
+        ),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hercules-repro",
@@ -1001,19 +996,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--over-provision", type=float, default=0.05)
     serve.set_defaults(func=_cmd_serve)
 
-    # Flags `fleet` and `provision-fault-aware` share (they feed the
-    # common _fleet_inputs setup); each subcommand overrides defaults
-    # via set_defaults below instead of re-declaring the arguments.
-    # Built fresh per subparser: argparse's set_defaults mutates the
-    # Action objects, which ``parents=`` would otherwise share.
-    def _fleet_shared_flags() -> argparse.ArgumentParser:
-        fleet_shared = argparse.ArgumentParser(add_help=False)
-        _add_fleet_shared_arguments(fleet_shared)
-        return fleet_shared
+    # Flags `fleet` and the `provision-*` searches share (they feed the
+    # common _fleet_inputs setup), plus the search flags of the two
+    # `provision-*` commands; each subcommand overrides defaults via
+    # set_defaults below instead of re-declaring the arguments.  Built
+    # fresh per subparser: argparse's set_defaults mutates the Action
+    # objects, which ``parents=`` would otherwise share.
+    def _shared_flags(*add_arguments) -> argparse.ArgumentParser:
+        shared = argparse.ArgumentParser(add_help=False)
+        for add in add_arguments:
+            add(shared)
+        return shared
 
     fleet = sub.add_parser(
         "fleet",
-        parents=[_fleet_shared_flags()],
+        parents=[_shared_flags(_add_fleet_shared_arguments)],
         help="request-level fleet replay of a diurnal day",
         description=(
             "Provision a fleet with the Hercules LP, then replay a "
@@ -1151,7 +1148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     provision = sub.add_parser(
         "provision-fault-aware",
-        parents=[_fleet_shared_flags()],
+        parents=[
+            _shared_flags(_add_fleet_shared_arguments, _add_search_arguments)
+        ],
         help="close the availability -> over-provision-rate R loop",
         description=(
             "Iterate fault-injected fleet replays to a fixpoint: find the "
@@ -1175,42 +1174,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     provision.add_argument(
-        "--target-availability",
-        type=float,
-        default=0.999,
-        help="service-availability target in (0, 1] (default 0.999)",
-    )
-    provision.add_argument(
         "--baseline-r",
         type=float,
         default=0.05,
         help="fault-blind over-provision rate to compare against",
-    )
-    provision.add_argument(
-        "--r-min", type=float, default=0.0, help="search lower bound for R"
-    )
-    provision.add_argument(
-        "--r-max", type=float, default=1.0, help="search upper bound for R"
-    )
-    provision.add_argument(
-        "--r-tol",
-        type=_positive_float,
-        default=0.02,
-        help="bisection width at which the search stops",
-    )
-    provision.add_argument(
-        "--max-evals",
-        type=_positive_int,
-        default=12,
-        help="cap on fault-injected evaluation replays",
-    )
-    provision.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "print the search outcome as one JSON object (repr-exact "
-            "floats) on stdout; progress chatter moves to stderr"
-        ),
     )
     provision.set_defaults(func=_cmd_provision_fault_aware)
 
@@ -1233,7 +1200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     carbon_prov = sub.add_parser(
         "provision-carbon-aware",
-        parents=[_fleet_shared_flags()],
+        parents=[
+            _shared_flags(_add_fleet_shared_arguments, _add_search_arguments)
+        ],
         help="find the lowest-carbon fleet meeting an availability target",
         description=(
             "Bisect the over-provision rate R to the smallest fleet whose "
@@ -1289,38 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "slash-separated deferral horizons (seconds) to sweep; "
             "'none' = deadline-bound only (default)"
-        ),
-    )
-    carbon_prov.add_argument(
-        "--target-availability",
-        type=float,
-        default=0.999,
-        help="service-availability target in (0, 1] (default 0.999)",
-    )
-    carbon_prov.add_argument(
-        "--r-min", type=float, default=0.0, help="search lower bound for R"
-    )
-    carbon_prov.add_argument(
-        "--r-max", type=float, default=1.0, help="search upper bound for R"
-    )
-    carbon_prov.add_argument(
-        "--r-tol",
-        type=_positive_float,
-        default=0.02,
-        help="bisection width at which the search stops",
-    )
-    carbon_prov.add_argument(
-        "--max-evals",
-        type=_positive_int,
-        default=12,
-        help="cap on fleet evaluation replays",
-    )
-    carbon_prov.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "print the search outcome as one JSON object (repr-exact "
-            "floats) on stdout; progress chatter moves to stderr"
         ),
     )
     carbon_prov.set_defaults(func=_cmd_provision_carbon_aware)

@@ -57,7 +57,6 @@ from repro.fleet.routing import (
     RoutingPolicy,
     make_policy,
 )
-from repro.hardware.power import ComponentUtilization
 from repro.hardware.server import ServerType, get_server_type
 from repro.models.zoo import RecommendationModel
 from repro.scheduling.profiler import ClassificationTable
@@ -190,14 +189,7 @@ class FleetServer:
         if self.active_s <= 0.0:
             return 0.0
         items_per_s = self.items_done / self.active_s
-        server = self.server_type
-        t = self.timings
-        cpu = min(1.0, items_per_s * t.cpu_core_s_per_item / server.cpu.cores)
-        gpu = min(1.0, items_per_s * t.gpu_busy_s_per_item)
-        mem = min(1.0, items_per_s * t.mem_bytes_per_item / server.memory.peak_bw_bytes)
-        return server.power_w(
-            ComponentUtilization(cpu=cpu, memory=mem, gpu=gpu * t.gpu_power_util_scale)
-        )
+        return self.timings.power_at(self.server_type, items_per_s)[3]
 
 
 def build_fleet(

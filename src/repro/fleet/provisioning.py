@@ -36,17 +36,17 @@ Entry points: :func:`provision_fault_aware` (library),
 ``benchmarks/bench_fault_aware_provisioning.py`` (the power-vs-
 availability frontier sweep).
 
-:func:`provision_carbon_aware` reuses the same bracket-then-bisect
-core to answer the sibling question "what is the *lowest-carbon* fleet
-that still meets a target service availability?": it bisects ``R``
-down to the smallest rate whose fault-free replay meets the target
-(fewer replicas = less energy = less carbon), then -- on that fixed
-fleet's measured activation profile -- grid-sweeps the deferrable
-executor over (policy, power cap, deferral horizon) combinations and
-picks the one emitting the least gCO2 while completing every batch
-job.  The sweep prices each combination with
-:func:`~repro.carbon.run_deferrable` alone (no fleet replay), so its
-cost is O(jobs x breakpoints) per point.
+:func:`provision_carbon_aware` runs the same search routine, with no
+fault schedule and no baseline point, to answer the sibling question
+"what is the *lowest-carbon* fleet that still meets a target service
+availability?": it bisects ``R`` down to the smallest rate whose
+fault-free replay meets the target (fewer replicas = less energy =
+less carbon), then -- on that fixed fleet's measured activation
+profile -- grid-sweeps the deferrable executor over (policy, power
+cap, deferral horizon) combinations and picks the one emitting the
+least gCO2 while completing every batch job.  The sweep prices each
+combination with :func:`~repro.carbon.run_deferrable` alone (no fleet
+replay), so its cost is O(jobs x breakpoints) per point.
 """
 
 from __future__ import annotations
@@ -83,19 +83,110 @@ __all__ = [
 _FIRST_STEP = 0.1
 
 
-def _search_min_r(evaluate, searched, *, r_min, r_max, r_tol, max_evals):
-    """Bracket-then-bisect the smallest ``R`` whose evaluation passes.
+def _search_min_r(
+    scheduler, table, models, workloads, trace, loads, *, sla_ms,
+    target_availability, policy, seed, core, percentile_mode, warmup_s,
+    r_min, r_max, r_tol, max_evals, faults=None, baseline_r=None,
+    retries=0, hedge_ms=None,
+):
+    """Bracket-then-bisect the smallest ``R`` whose replay meets a target.
 
-    The shared search core of :func:`provision_fault_aware` and
-    :func:`provision_carbon_aware`.  ``evaluate(r)`` must return an
-    object with ``meets_target`` and ``shortfall_qps`` attributes (and
-    memoize, so revisiting an ``R`` is free); ``searched()`` reports
-    replays spent so far against ``max_evals``.  Stage 1+2 bracket the
-    target from below by geometric growth of ``R``; stage 3 bisects
-    the bracket down to ``r_tol``.  Returns the lowest passing ``R``,
-    or None when no evaluated rate met the target (fleet exhausted or
-    ``r_max`` reached).
+    The one search routine of :func:`provision_fault_aware` and
+    :func:`provision_carbon_aware` (arguments as theirs).  Each
+    candidate ``R`` is priced by one replay of ``trace`` over
+    ``scheduler.allocate(loads, over_provision=R)``; ``baseline_r``,
+    when given, is evaluated first and its replay does not count
+    against ``max_evals``.  Stage 1+2 bracket the target from below by
+    geometric growth of ``R`` from ``r_min``; stage 3 bisects the
+    bracket down to ``r_tol``.
+
+    A per-``R`` memo makes revisiting a rate free, and a per-allocation
+    cache replays each distinct allocation once (nearby rates often
+    integerize to the same one).  That cache keeps ``(FleetResult,
+    servers, last_horizon_s)`` -- the replicas carry the activation
+    windows carbon pricing reads -- and never the simulator, so a
+    tracked replay's per-query log dies with its evaluation.
+
+    Returns ``(chosen_r, points, evaluations, replays)``: the lowest
+    passing ``R`` (None when no evaluated rate met the target -- fleet
+    exhausted or ``r_max`` reached), the memo ``{r: (ProvisionEval,
+    Allocation, (FleetResult, servers, last_horizon_s))}``, every point
+    in evaluation order, and the replay count.
     """
+    if not 0.0 < target_availability <= 1.0:
+        raise ValueError("target_availability must be in (0, 1]")
+    if r_min < 0.0 or r_max < r_min:
+        raise ValueError("need 0 <= r_min <= r_max")
+    if r_tol <= 0.0:
+        raise ValueError("r_tol must be > 0")
+    if max_evals < 2:
+        raise ValueError("max_evals must be >= 2")
+    if isinstance(trace, Iterator):
+        # A one-shot stream cannot be replayed per candidate R;
+        # re-iterable sources (lists, FleetArrivals, RecordedTrace)
+        # pass through and are re-streamed by every evaluation.
+        trace = list(trace)
+
+    points: dict[float, tuple[ProvisionEval, Allocation, tuple]] = {}
+    replays: dict[tuple, tuple[FleetResult, list, float]] = {}
+    order: list[ProvisionEval] = []
+
+    def evaluate(r: float) -> ProvisionEval:
+        if r in points:
+            return points[r][0]
+        allocation = scheduler.allocate(loads, over_provision=r)
+        needed = 0 if faults is None else faults.min_fleet_size()
+        if allocation.total_servers < needed:
+            # Index-targeted faults (crash@T:IDX, domain:LO-HI) name
+            # concrete fleet positions, but the search sizes the fleet
+            # per R -- fail actionably instead of deep in the replay.
+            raise ValueError(
+                f"fault schedule targets replica/domain positions needing "
+                f">= {needed} replicas, but the allocation at R={r:.3f} has "
+                f"only {allocation.total_servers}; use fleet-size-adaptive "
+                "forms (domain:size=K, random:...) with the provisioning "
+                "search, or raise the offered load / r_min"
+            )
+        key = tuple(sorted(allocation.counts.items()))
+        replay = replays.get(key)
+        if replay is None:
+            sim = FleetSimulator(
+                build_fleet(allocation, table, models, workloads),
+                policy=policy,
+                sla_ms=sla_ms,
+                seed=seed,
+                faults=faults,
+                retries=retries,
+                hedge_ms=hedge_ms,
+                core=core,
+                percentile_mode=percentile_mode,
+            )
+            result = sim.run(trace, warmup_s=warmup_s)
+            replay = replays[key] = (result, sim.servers, sim.last_horizon_s)
+        result = replay[0]
+        avail = service_availability(result)
+        ev = ProvisionEval(
+            r=r,
+            servers=allocation.total_servers,
+            provisioned_power_w=allocation.provisioned_power_w(table),
+            service_availability=avail,
+            uptime_availability=result.availability,
+            worst_violation_rate=result.worst_violation_rate,
+            meets_target=avail >= target_availability,
+            shortfall_qps=sum(allocation.shortfall.values()),
+        )
+        points[r] = (ev, allocation, replay)
+        order.append(ev)
+        return ev
+
+    if baseline_r is not None:
+        evaluate(baseline_r)
+    baseline_replays = len(replays)
+
+    def searched() -> int:
+        """Replays spent on the search proper."""
+        return len(replays) - baseline_replays
+
     lo: float | None = None  # highest R known to fail
     hi: float | None = None  # lowest R known to pass
     ev = evaluate(r_min)
@@ -124,7 +215,7 @@ def _search_min_r(evaluate, searched, *, r_min, r_max, r_tol, max_evals):
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi, points, tuple(order), len(replays)
 
 
 def service_availability(result: FleetResult) -> float:
@@ -355,97 +446,25 @@ def provision_fault_aware(
         max_evals: Hard cap on fault-injected replays (excluding the
             baseline replay).
     """
-    if not 0.0 < target_availability <= 1.0:
-        raise ValueError("target_availability must be in (0, 1]")
-    if r_min < 0.0 or r_max < r_min:
-        raise ValueError("need 0 <= r_min <= r_max")
-    if r_tol <= 0.0:
-        raise ValueError("r_tol must be > 0")
-    if max_evals < 2:
-        raise ValueError("max_evals must be >= 2")
-    if isinstance(trace, Iterator):
-        # A one-shot stream cannot be replayed per candidate R;
-        # re-iterable sources (lists, FleetArrivals, RecordedTrace)
-        # pass through and are re-streamed by every evaluation.
-        trace = list(trace)
-
-    cache: dict[float, tuple[ProvisionEval, Allocation, FleetResult]] = {}
-    replay_cache: dict[tuple, FleetResult] = {}
-    order: list[ProvisionEval] = []
-
-    def evaluate(r: float) -> ProvisionEval:
-        if r in cache:
-            return cache[r][0]
-        allocation = scheduler.allocate(loads, over_provision=r)
-        needed = faults.min_fleet_size()
-        if allocation.total_servers < needed:
-            # Index-targeted faults (crash@T:IDX, domain:LO-HI) name
-            # concrete fleet positions, but the search sizes the fleet
-            # per R -- fail actionably instead of deep in the replay.
-            raise ValueError(
-                f"fault schedule targets replica/domain positions needing "
-                f">= {needed} replicas, but the allocation at R={r:.3f} has "
-                f"only {allocation.total_servers}; use fleet-size-adaptive "
-                "forms (domain:size=K, random:...) with the provisioning "
-                "search, or raise the offered load / r_min"
-            )
-        # Nearby rates often integerize to the identical allocation;
-        # its replay is deterministic, so price each allocation once.
-        key = tuple(sorted(allocation.counts.items()))
-        result = replay_cache.get(key)
-        if result is None:
-            servers = build_fleet(allocation, table, models, workloads)
-            sim = FleetSimulator(
-                servers,
-                policy=policy,
-                sla_ms=sla_ms,
-                seed=seed,
-                faults=faults,
-                retries=retries,
-                hedge_ms=hedge_ms,
-                core=core,
-                percentile_mode=percentile_mode,
-            )
-            result = sim.run(trace, warmup_s=warmup_s)
-            replay_cache[key] = result
-        avail = service_availability(result)
-        ev = ProvisionEval(
-            r=r,
-            servers=allocation.total_servers,
-            provisioned_power_w=allocation.provisioned_power_w(table),
-            service_availability=avail,
-            uptime_availability=result.availability,
-            worst_violation_rate=result.worst_violation_rate,
-            meets_target=avail >= target_availability,
-            shortfall_qps=sum(allocation.shortfall.values()),
-        )
-        cache[r] = (ev, allocation, result)
-        order.append(ev)
-        return ev
-
-    # The fault-blind point: what baseline_r actually delivers under
+    # The fault-blind point is what baseline_r actually delivers under
     # the measured fault behaviour (memoized into the search when the
     # bracketing happens to revisit it).
-    base_ev = evaluate(baseline_r)
-    _, base_alloc, base_result = cache[baseline_r]
-    baseline_replays = len(replay_cache)
-
-    def searched() -> int:
-        """Fault-injected replays spent on the search proper."""
-        return len(replay_cache) - baseline_replays
-
-    hi = _search_min_r(
-        evaluate, searched, r_min=r_min, r_max=r_max, r_tol=r_tol,
-        max_evals=max_evals,
+    hi, points, evaluations, replays = _search_min_r(
+        scheduler, table, models, workloads, trace, loads, sla_ms=sla_ms,
+        target_availability=target_availability, policy=policy, seed=seed,
+        core=core, percentile_mode=percentile_mode, warmup_s=warmup_s,
+        r_min=r_min, r_max=r_max, r_tol=r_tol, max_evals=max_evals,
+        faults=faults, baseline_r=baseline_r, retries=retries,
+        hedge_ms=hedge_ms,
     )
-
+    base_ev, base_alloc, (base_result, _, _) = points[baseline_r]
     converged = hi is not None
     chosen_alloc = chosen_result = None
     chosen_power = 0.0
     standby_w = 0.0
     if converged:
-        _, chosen_alloc, chosen_result = cache[hi]
-        chosen_power = cache[hi][0].provisioned_power_w
+        chosen_ev, chosen_alloc, (chosen_result, _, _) = points[hi]
+        chosen_power = chosen_ev.provisioned_power_w
         standby_w = standby_power_w(chosen_alloc, base_alloc, table)
     return FaultAwareProvisioning(
         target_availability=target_availability,
@@ -456,8 +475,8 @@ def provision_fault_aware(
         baseline_r=baseline_r,
         baseline_allocation=base_alloc,
         baseline_result=base_result,
-        evaluations=tuple(order),
-        replays=len(replay_cache),
+        evaluations=evaluations,
+        replays=replays,
         provisioned_power_w=chosen_power,
         baseline_power_w=base_ev.provisioned_power_w,
         standby_power_w=standby_w,
@@ -654,9 +673,10 @@ def provision_carbon_aware(
 
     Two nested searches share one deterministic replay budget:
 
-    1. **Fleet size.**  The :func:`provision_fault_aware` bracket-then-
-       bisect core finds the smallest over-provision rate ``R`` whose
-       fault-free replay meets ``target_availability`` -- the smallest
+    1. **Fleet size.**  The search routine of
+       :func:`provision_fault_aware` finds the smallest over-provision
+       rate ``R`` whose fault-free replay meets ``target_availability``
+       (no baseline point, no retries or hedging) -- the smallest
        fleet is the lowest-carbon fleet, because every additional
        replica burns energy at the same grid intensity.
     2. **Deferrable plan.**  On the chosen fleet's *measured*
@@ -690,60 +710,12 @@ def provision_carbon_aware(
                 f"unknown deferrable policy {name!r}; one of "
                 f"{', '.join(DEFERRABLE_POLICIES)}"
             )
-    if not 0.0 < target_availability <= 1.0:
-        raise ValueError("target_availability must be in (0, 1]")
-    if r_min < 0.0 or r_max < r_min:
-        raise ValueError("need 0 <= r_min <= r_max")
-    if r_tol <= 0.0:
-        raise ValueError("r_tol must be > 0")
-    if max_evals < 2:
-        raise ValueError("max_evals must be >= 2")
-    if isinstance(trace, Iterator):
-        trace = list(trace)
-
-    cache: dict[float, tuple[ProvisionEval, Allocation, FleetResult]] = {}
-    replay_cache: dict[tuple, tuple[FleetResult, FleetSimulator]] = {}
-    order: list[ProvisionEval] = []
-
-    def evaluate(r: float) -> ProvisionEval:
-        if r in cache:
-            return cache[r][0]
-        allocation = scheduler.allocate(loads, over_provision=r)
-        key = tuple(sorted(allocation.counts.items()))
-        entry = replay_cache.get(key)
-        if entry is None:
-            servers = build_fleet(allocation, table, models, workloads)
-            sim = FleetSimulator(
-                servers,
-                policy=policy,
-                sla_ms=sla_ms,
-                seed=seed,
-                core=core,
-                percentile_mode=percentile_mode,
-            )
-            entry = (sim.run(trace, warmup_s=warmup_s), sim)
-            replay_cache[key] = entry
-        result = entry[0]
-        avail = service_availability(result)
-        ev = ProvisionEval(
-            r=r,
-            servers=allocation.total_servers,
-            provisioned_power_w=allocation.provisioned_power_w(table),
-            service_availability=avail,
-            uptime_availability=result.availability,
-            worst_violation_rate=result.worst_violation_rate,
-            meets_target=avail >= target_availability,
-            shortfall_qps=sum(allocation.shortfall.values()),
-        )
-        cache[r] = (ev, allocation, result)
-        order.append(ev)
-        return ev
-
-    hi = _search_min_r(
-        evaluate, lambda: len(replay_cache), r_min=r_min, r_max=r_max,
-        r_tol=r_tol, max_evals=max_evals,
+    hi, points, evaluations, replays = _search_min_r(
+        scheduler, table, models, workloads, trace, loads, sla_ms=sla_ms,
+        target_availability=target_availability, policy=policy, seed=seed,
+        core=core, percentile_mode=percentile_mode, warmup_s=warmup_s,
+        r_min=r_min, r_max=r_max, r_tol=r_tol, max_evals=max_evals,
     )
-
     converged = hi is not None
     chosen_alloc = chosen_result = None
     chosen_power = 0.0
@@ -751,13 +723,11 @@ def provision_carbon_aware(
     chosen_plan: CarbonPlanPoint | None = None
     no_wait_g = 0.0
     if converged:
-        chosen_ev, chosen_alloc, chosen_result = cache[hi]
+        chosen_ev, chosen_alloc, (chosen_result, servers, horizon) = points[hi]
         chosen_power = chosen_ev.provisioned_power_w
-        sim = replay_cache[tuple(sorted(chosen_alloc.counts.items()))][1]
-        horizon = sim.last_horizon_s
         best_report = None
         if jobs:
-            profile = realtime_power_profile(sim.servers)
+            profile = realtime_power_profile(servers)
             baseline = run_deferrable(
                 jobs, carbon, policy="no-wait", horizon_s=horizon,
                 realtime_profile=profile,
@@ -791,7 +761,7 @@ def provision_carbon_aware(
         # Price the chosen replay once, with the winning plan (if any),
         # so result.carbon reports the full operating point.
         chosen_result = attach_carbon(
-            chosen_result, sim.servers, carbon, horizon, best_report
+            chosen_result, servers, carbon, horizon, best_report
         )
     return CarbonAwareProvisioning(
         target_availability=target_availability,
@@ -799,10 +769,10 @@ def provision_carbon_aware(
         chosen_r=hi,
         allocation=chosen_alloc,
         result=chosen_result,
-        evaluations=tuple(order),
+        evaluations=evaluations,
         plan=tuple(plan),
         chosen_plan=chosen_plan,
         no_wait_g=no_wait_g,
-        replays=len(replay_cache),
+        replays=replays,
         provisioned_power_w=chosen_power,
     )

@@ -306,7 +306,6 @@ def run_fleet_sharded(
     warmup_s: float = 0.0,
     standby=None,
     core: str = "auto",
-    max_workers: int | None = None,
 ) -> FleetResult:
     """Replay a fleet sharded by model across a process pool.
 
@@ -337,7 +336,8 @@ def run_fleet_sharded(
             ``"sketch"`` (O(models) report memory; see the engine).
         core: Each worker's ``FleetSimulator(core=...)``; the
             ``"auto"`` fallback is logged once, here.
-        max_workers: Pool size cap (defaults to ``min(shards, cpus)``).
+
+    The pool runs ``min(shards, cpus)`` workers.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -416,7 +416,7 @@ def run_fleet_sharded(
 
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(len(tasks), max_workers or os.cpu_count() or 1)
+    workers = min(len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         if horizon is None:
             lasts = list(pool.map(_scan_shard_task, [t[5] for t in tasks]))

@@ -27,7 +27,6 @@ import json
 
 import numpy as np
 
-from repro.hardware.power import ComponentUtilization
 from repro.obs.sketch import QuantileSketch
 
 __all__ = ["FleetProbe", "MetricsRegistry", "METRIC_FIELDS"]
@@ -368,19 +367,7 @@ class FleetProbe:
             if not s.active:
                 continue
             active += 1
-            items_per_s = delta * inv_w
-            st = s.server_type
-            t = s.timings
-            cpu = min(1.0, items_per_s * t.cpu_core_s_per_item / st.cpu.cores)
-            gpu = min(1.0, items_per_s * t.gpu_busy_s_per_item)
-            mem = min(
-                1.0, items_per_s * t.mem_bytes_per_item / st.memory.peak_bw_bytes
-            )
-            power_w += st.power_w(
-                ComponentUtilization(
-                    cpu=cpu, memory=mem, gpu=gpu * t.gpu_power_util_scale
-                )
-            )
+            power_w += s.timings.power_at(s.server_type, delta * inv_w)[3]
         return queue_depth, active, power_w
 
     def _build_control_log(self, result) -> list[dict]:

@@ -162,6 +162,30 @@ class PlanTimings:
         """End-to-end service time of one query (no queueing)."""
         return sum(s.span_s(query_size) for s in self.stages)
 
+    def power_at(
+        self, server: ServerType, items_per_s: float
+    ) -> tuple[float, float, float, float]:
+        """Utilization and wall power of ``server`` serving ``items_per_s``.
+
+        The one power-at-rate model: the closed-form evaluator prices
+        an offered rate with it, and the single-node DES, each fleet
+        replica and the telemetry probe a measured one.  Returns
+        ``(cpu_util, gpu_util, mem_util, power_w)``, each utilization
+        clamped at 1; the GPU's power term is its busy fraction scaled
+        by ``gpu_power_util_scale``.
+        """
+        cpu = min(1.0, items_per_s * self.cpu_core_s_per_item / server.cpu.cores)
+        gpu = min(1.0, items_per_s * self.gpu_busy_s_per_item)
+        mem = min(
+            1.0, items_per_s * self.mem_bytes_per_item / server.memory.peak_bw_bytes
+        )
+        power = server.power_w(
+            ComponentUtilization(
+                cpu=cpu, memory=mem, gpu=gpu * self.gpu_power_util_scale
+            )
+        )
+        return cpu, gpu, mem, power
+
 
 class ServerEvaluator:
     """Evaluates execution plans for one server type.
@@ -423,22 +447,8 @@ class ServerEvaluator:
             mean_ms=(wait_mean + fill_s + vals[3]) * 1e3,
         )
 
-        cpu_util = min(
-            1.0, arrival_items * timings.cpu_core_s_per_item / self.server.cpu.cores
-        )
-        gpu_util = min(1.0, arrival_items * timings.gpu_busy_s_per_item)
-        mem_util = min(
-            1.0,
-            arrival_items
-            * timings.mem_bytes_per_item
-            / self.server.memory.peak_bw_bytes,
-        )
-        power = self.server.power_w(
-            ComponentUtilization(
-                cpu=cpu_util,
-                memory=mem_util,
-                gpu=gpu_util * timings.gpu_power_util_scale,
-            )
+        cpu_util, gpu_util, mem_util, power = timings.power_at(
+            self.server, arrival_items
         )
         if power_budget_w is not None and power > power_budget_w:
             return ServerPerformance.infeasible(

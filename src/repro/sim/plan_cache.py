@@ -16,8 +16,7 @@ Three layers live here:
   round-trips, so the cache stays valid under
   ``ProcessPoolExecutor`` fan-out -- unlike the previous
   ``id(partitioned)`` scheme, where a child process could never hit on
-  entries keyed by the parent's object identities.  An optional
-  ``max_entries`` bound evicts oldest-first.
+  entries keyed by the parent's object identities.
 - A module-level registry keyed by the same content keys --
   ``shared_evaluator``, ``partitioned_for``, ``timings_for``,
   ``stages_for`` and ``serviced_stages_for`` -- used by the fleet
@@ -111,17 +110,10 @@ class PlanTimingsCache:
     Keys combine :func:`partition_key` with the (hashable) workload and
     plan.  Only successful evaluations are cached -- infeasible plans
     re-raise their ``ValueError`` so error messages stay exact.
-
-    Args:
-        max_entries: Optional bound; inserting past it evicts the
-            oldest entries (insertion order) first.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
+    def __init__(self) -> None:
         self._data: dict[tuple, Any] = {}
-        self.max_entries = max_entries
         self.stats = CacheStats()
 
     @staticmethod
@@ -152,11 +144,7 @@ class PlanTimingsCache:
         plan: "ExecutionPlan",
         timings: "PlanTimings",
     ) -> None:
-        data = self._data
-        data[self.key(partitioned, workload, plan)] = timings
-        if self.max_entries is not None:
-            while len(data) > self.max_entries:
-                del data[next(iter(data))]  # oldest-first (insertion order)
+        self._data[self.key(partitioned, workload, plan)] = timings
 
     def __len__(self) -> int:
         return len(self._data)

@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hardware.power import ComponentUtilization
 from repro.models.partition import PartitionedModel
 from repro.plans import ExecutionPlan
 from repro.sim.evaluator import ServerEvaluator
@@ -54,8 +53,10 @@ class SimResult:
 
     Attributes:
         latencies_s: Per-completed-query end-to-end latency.
-        completed: Number of completed queries in the measured window.
-        duration_s: Measured window length.
+        completed: Number of completed queries in the measured window
+            (every query that arrived after warmup).
+        duration_s: Measured window length: from the end of warmup to
+            the last measured completion.
         items_served: Total items completed.
         events: Events processed (arrivals + batch completions).
     """
@@ -124,19 +125,19 @@ class DiscreteEventServerSim:
             float("inf"), finish, rank, False,
         )
 
-        horizon = arrivals[-1]
         t = np.array(arrivals)
         fin = np.array(finish)
         order = np.argsort(rank)
-        measured = order[
-            (t[order] >= warmup_s) & (fin[order] <= horizon + 1e9)
-        ]
+        measured = order[t[order] >= warmup_s]
         if not measured.size:
             raise RuntimeError("no queries completed in the measured window")
         return SimResult(
             latencies_s=fin[measured] - t[measured],
             completed=len(measured),
-            duration_s=max(horizon - warmup_s, 1e-9),
+            # The window ends at the last measured completion: an
+            # overloaded server drains its backlog past the last
+            # arrival, and throughput must count that time.
+            duration_s=max(float(fin[measured].max()) - warmup_s, 1e-9),
             items_served=int(np.array(sizes)[measured].sum()),
             events=n + loop.seq,
         )
@@ -229,18 +230,8 @@ def simulate(
     result = sim.run(trace, warmup_s=duration_s * 0.1)
 
     items_per_s = result.items_served / result.duration_s
-    server = evaluator.server
-    cpu_util = min(1.0, items_per_s * timings.cpu_core_s_per_item / server.cpu.cores)
-    gpu_util = min(1.0, items_per_s * timings.gpu_busy_s_per_item)
-    mem_util = min(
-        1.0, items_per_s * timings.mem_bytes_per_item / server.memory.peak_bw_bytes
-    )
-    power = server.power_w(
-        ComponentUtilization(
-            cpu=cpu_util,
-            memory=mem_util,
-            gpu=gpu_util * timings.gpu_power_util_scale,
-        )
+    cpu_util, gpu_util, mem_util, power = timings.power_at(
+        evaluator.server, items_per_s
     )
     return ServerPerformance(
         qps=result.qps,

@@ -309,6 +309,47 @@ class TestObservabilityCLI:
         assert all(":" in key for key in payload["allocation"])
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_provision_fault_aware_json_without_convergence(self, capsys):
+        """A search that never meets its target still prints its
+        document: the chosen allocation and result are null."""
+        import json
+
+        code = main(
+            [
+                "provision-fault-aware",
+                "--servers", "6",
+                "--server-types", "T2",
+                "--models", "DLRM-RMC1",
+                "--duration", "2",
+                "--faults", "random:crash_mtbf=1,mttr=5",
+                "--retries", "0",
+                "--r-max", "0.2",
+                "--max-evals", "2",
+                "--json",
+            ]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert payload["chosen_r"] is None
+        assert payload["allocation"] is None and payload["result"] is None
+        assert payload["baseline_allocation"]
+        assert "per_model" in payload["baseline_result"]
+
+    def test_provision_fault_aware_refuses_shards_before_profiling(self, capsys):
+        with pytest.raises(SystemExit, match="shards"):
+            main(
+                [
+                    "provision-fault-aware",
+                    "--servers", "4",
+                    "--server-types", "T2",
+                    "--models", "DLRM-RMC1",
+                    "--faults", "random:crash_mtbf=5",
+                    "--shards", "2",
+                ]
+            )
+        assert "Profiling" not in capsys.readouterr().out
+
 
 class TestCarbonCLI:
     FLEET = [

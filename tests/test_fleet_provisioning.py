@@ -274,3 +274,118 @@ class TestReporting:
                 small_table, rmc1_models, rmc1_workloads, provisioning_inputs,
                 faults=schedule, max_evals=1,
             )
+
+
+class TestCarbonAwareSearch:
+    """The carbon search sizes the fleet with the fault-aware search's
+    replay: a fault-free ledger, the same ``R`` trajectory, the same
+    argument checks.  A 6 ms SLA makes the saturated R=0 fleet miss a
+    99.9% target, so the search has to bracket and bisect."""
+
+    SLA_MS = 6.0
+    TARGET = 0.999
+
+    def _carbon(self, small_table, rmc1_models, rmc1_workloads,
+                provisioning_inputs, **kw):
+        from repro.carbon import CarbonTrace, parse_deferrable
+        from repro.fleet import provision_carbon_aware
+
+        scheduler, loads, trace = provisioning_inputs
+        kwargs = dict(
+            sla_ms={MODEL: self.SLA_MS},
+            jobs=parse_deferrable(
+                "jobs:count=2,duration=0.4,power=800,slack=2"
+            ).build(DURATION_S),
+            power_caps=(None, 9000.0),
+            target_availability=self.TARGET,
+            policy="least",
+            seed=SEED,
+            warmup_s=0.1,
+            r_tol=0.05,
+            max_evals=12,
+        )
+        kwargs.update(kw)
+        return provision_carbon_aware(
+            scheduler,
+            small_table,
+            rmc1_models,
+            rmc1_workloads,
+            trace,
+            loads,
+            CarbonTrace.diurnal(base=350.0, swing=150.0),
+            **kwargs,
+        )
+
+    def test_ledger_matches_fault_free_fault_aware_search(
+        self, small_table, rmc1_models, rmc1_workloads, provisioning_inputs
+    ):
+        carbon = self._carbon(
+            small_table, rmc1_models, rmc1_workloads, provisioning_inputs
+        )
+        fault = _provision(
+            small_table, rmc1_models, rmc1_workloads, provisioning_inputs,
+            faults=FaultSchedule(), retries=0, sla_ms={MODEL: self.SLA_MS},
+            target_availability=self.TARGET, max_evals=12,
+        )
+        assert not carbon.evaluations[0].meets_target, (
+            "the scenario must make R=0 miss the target"
+        )
+        assert carbon.converged and fault.converged
+        assert carbon.chosen_r == fault.chosen_r
+        # max_evals does not bind: both searches stop on r_tol.
+        assert carbon.replays < 12
+        by_r = {ev.r: ev for ev in fault.evaluations}
+        shared = [ev for ev in carbon.evaluations if ev.r in by_r]
+        assert len(shared) == len(carbon.evaluations)
+        for ev in shared:
+            assert ev == by_r[ev.r]
+        assert carbon.allocation == fault.allocation
+        assert carbon.result.per_model == fault.result.per_model
+        assert carbon.result.carbon is not None and carbon.plan
+
+    def test_deterministic(
+        self, small_table, rmc1_models, rmc1_workloads, provisioning_inputs
+    ):
+        a = self._carbon(
+            small_table, rmc1_models, rmc1_workloads, provisioning_inputs
+        )
+        b = self._carbon(
+            small_table, rmc1_models, rmc1_workloads, provisioning_inputs
+        )
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            (dict(target_availability=1.5), "target_availability"),
+            (dict(target_availability=0.0), "target_availability"),
+            (dict(r_min=0.5, r_max=0.1), "r_min"),
+            (dict(r_min=-0.1), "r_min"),
+            (dict(r_tol=0.0), "r_tol"),
+            (dict(max_evals=1), "max_evals"),
+        ],
+    )
+    def test_input_validation_matches_fault_aware(
+        self, small_table, rmc1_models, rmc1_workloads, provisioning_inputs,
+        kw, match,
+    ):
+        with pytest.raises(ValueError, match=match) as fault:
+            _provision(
+                small_table, rmc1_models, rmc1_workloads, provisioning_inputs,
+                faults=FaultSchedule(), **kw,
+            )
+        with pytest.raises(ValueError, match=match) as carbon:
+            self._carbon(
+                small_table, rmc1_models, rmc1_workloads, provisioning_inputs,
+                **kw,
+            )
+        assert str(carbon.value) == str(fault.value)
+
+    def test_unknown_deferrable_policy_refused(
+        self, small_table, rmc1_models, rmc1_workloads, provisioning_inputs
+    ):
+        with pytest.raises(ValueError, match="unknown deferrable policy"):
+            self._carbon(
+                small_table, rmc1_models, rmc1_workloads, provisioning_inputs,
+                policies=("no-wait", "bogus"),
+            )

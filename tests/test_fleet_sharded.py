@@ -108,7 +108,6 @@ def _run(
         warmup_s=0.1,
         standby=standby,
         core=core,
-        max_workers=2,
     )
 
 

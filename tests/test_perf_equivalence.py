@@ -1035,7 +1035,7 @@ def test_carbon_attached_matches_sharded_realtime(small_table):
     sharded = run_fleet_sharded(
         allocation, small_table, models, workloads, source(),
         shards=2, policy="rr", sla_ms=sla, seed=0, warmup_s=0.1,
-        core="python", max_workers=2,
+        core="python",
     )
     assert priced.per_model == base.per_model == sharded.per_model
     assert priced.avg_power_w == base.avg_power_w == sharded.avg_power_w

@@ -144,26 +144,6 @@ class TestSharedRegistry:
 
 
 class TestEvictionAndForkSafety:
-    def test_eviction_bounds_the_table(self, rmc1_model, workload):
-        from repro.sim.plan_cache import PlanTimingsCache
-
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        evaluator.timings_cache = PlanTimingsCache(max_entries=2)
-        partitioned = partition_model(rmc1_model)
-        for d in (32, 64, 128, 256):
-            evaluator.plan_timings(partitioned, workload, PLAN.with_(batch_size=d))
-        assert len(evaluator.timings_cache) == 2
-        # Oldest entries were evicted: re-requesting recomputes (a miss).
-        before = evaluator.timings_cache.stats.misses
-        evaluator.plan_timings(partitioned, workload, PLAN.with_(batch_size=32))
-        assert evaluator.timings_cache.stats.misses == before + 1
-
-    def test_max_entries_validated(self):
-        from repro.sim.plan_cache import PlanTimingsCache
-
-        with pytest.raises(ValueError, match="max_entries"):
-            PlanTimingsCache(max_entries=0)
-
     def test_keys_survive_pickle_round_trip(self, rmc1_model, workload):
         """Explicit content keys, not object identity: a partitioned
         model that crossed a process boundary (pickle round-trip, as in

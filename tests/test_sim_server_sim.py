@@ -51,6 +51,14 @@ class TestDiscreteEventServerSim:
         assert result.completed == 1
         assert result.latencies_s[0] == pytest.approx(0.02)
 
+    def test_single_query_throughput_is_finite(self):
+        # The measured window ends at the query's completion, not at
+        # its arrival (a zero-length window read 1e9 qps).
+        sim = DiscreteEventServerSim([_one_stage(service=0.02)])
+        result = sim.run([Query(query_id=0, arrival_s=0.0, size=50)])
+        assert result.duration_s == pytest.approx(0.02)
+        assert result.qps == pytest.approx(50.0)
+
     def test_split_query_uses_parallel_units(self):
         # 200 items -> 2 chunks on 2 units: one service time total.
         sim = DiscreteEventServerSim([_one_stage(units=2, chunk=100, service=0.05)])
@@ -167,6 +175,29 @@ class TestDesVsAnalytical:
         assert des.latency.p99_ms < 2.5 * analytic.latency.p99_ms
         assert analytic.latency.p99_ms < 4.0 * des.latency.p99_ms
         assert des.power_w == pytest.approx(analytic.power_w, rel=0.15)
+
+    def test_overload_throughput_stays_below_capacity(
+        self, t2_evaluator, rmc1_partitioned, rmc1_workload
+    ):
+        """Offered 3x its capacity, the server reports what it completed
+        (its backlog drains past the last arrival), not the offered
+        load."""
+        plan = ExecutionPlan(
+            Placement.CPU_MODEL_BASED, threads=10, cores_per_thread=2, batch_size=256
+        )
+        timings = t2_evaluator.plan_timings(rmc1_partitioned, rmc1_workload, plan)
+        capacity = timings.capacity_items_s / rmc1_workload.mean_size
+        des = simulate(
+            t2_evaluator,
+            rmc1_partitioned,
+            rmc1_workload,
+            plan,
+            arrival_qps=3.0 * capacity,
+            duration_s=5.0,
+            seed=2,
+        )
+        assert des.qps < capacity
+        assert des.cpu_util < 1.0
 
     def test_gpu_fusion_des_runs(self, t7_evaluator):
         model = build_model("DLRM-RMC3", ModelVariant.SMALL)
