@@ -6,10 +6,10 @@ duplicate keys raise naming the offending section, and the full
 reference lives in ``docs/cli.md``.
 
 ``--carbon`` describes the grid's carbon-intensity series.  A value
-ending in ``.csv``/``.jsonl`` is read as a recorded trace file
-(:func:`~repro.carbon.read_carbon_trace`); otherwise it is a synthetic
-spec whose sections *superpose additively* (intensities sum, sharing
-every breakpoint):
+with a row-file extension (:mod:`repro.rowfile`) is read as a recorded
+trace file (:func:`~repro.carbon.read_carbon_trace`); otherwise it is
+a synthetic spec whose sections *superpose additively* (intensities
+sum, sharing every breakpoint):
 
 - ``constant:intensity=400`` -- a flat grid at 400 gCO2/kWh.
 - ``diurnal:base=350,swing=150,period=86400,trough_at=0.5,steps=24,days=1``
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.carbon.deferrable import DeferrableJob
 from repro.carbon.trace import CarbonTrace, read_carbon_trace
+from repro.rowfile import extension_format
 from repro.spec import floats, parse_kv
 
 __all__ = [
@@ -104,8 +105,9 @@ def parse_carbon(spec: str) -> CarbonSpec:
     """Parse the synthetic ``--carbon`` mini-language.
 
     Raises :class:`ValueError` naming the offending section or key.
-    Trace *files* are not handled here -- the CLI routes values ending
-    in ``.csv``/``.jsonl`` to :func:`~repro.carbon.read_carbon_trace`.
+    Trace *files* are not handled here -- :func:`load_carbon` routes
+    values with a row-file extension to
+    :func:`~repro.carbon.read_carbon_trace`.
     """
     spec = spec.strip()
     if not spec:
@@ -136,7 +138,7 @@ def parse_carbon(spec: str) -> CarbonSpec:
 
 def load_carbon(value: str) -> CarbonTrace:
     """Resolve a ``--carbon`` flag value: trace file or synthetic spec."""
-    if value.strip().lower().endswith((".csv", ".jsonl", ".ndjson")):
+    if extension_format(value.strip()):
         return read_carbon_trace(value.strip())
     return parse_carbon(value).build()
 

@@ -2,19 +2,18 @@
 
 A :class:`CarbonTrace` is the :class:`~repro.traces.RecordedTrace`
 sibling for the grid signal: a step-function time series of carbon
-intensity (gCO2 per kWh) the fleet's energy is priced against.  The
-on-disk formats mirror the arrival-trace conventions exactly:
+intensity (gCO2 per kWh) the fleet's energy is priced against.  On
+disk it is a row file (:mod:`repro.rowfile`: extensions, ``repr``-exact
+floats, ``{path}:{line}:`` errors) with one breakpoint per row:
 
-- **CSV**: header ``time_s,gco2_per_kwh``, one breakpoint per row.
-- **JSONL**: one object per line with keys ``t``, ``gco2_per_kwh``.
+- **CSV**: header ``time_s,gco2_per_kwh``.
+- **JSONL**: keys ``t``, ``gco2_per_kwh``.
 
-Floats are written with ``repr`` so a write/read round trip is exact
-(bit-identical breakpoints -- pinned by the hypothesis lane in
-``tests/test_carbon.py``), malformed rows raise ``"{path}:{line}: ..."``
-errors, and the format comes from the extension unless forced.  Unlike
-arrival traces, a carbon series is small (hourly grid data: dozens to
-thousands of points), so the trace is held in memory and offers exact
-step-function integration, which the deferrable-job planner needs.
+The exact round trip is pinned by the hypothesis lane in
+``tests/test_carbon.py``.  Unlike arrival traces, a carbon series is
+small (hourly grid data: dozens to thousands of points), so the trace
+is held in memory and offers exact step-function integration, which
+the deferrable-job planner needs.
 
 Synthetic constructors cover the two shapes the carbon-aware-computing
 literature leans on: a **diurnal** sinusoid (solar dip midday, fossil
@@ -25,32 +24,14 @@ explicit **step** schedule.
 from __future__ import annotations
 
 import bisect
-import json
 import math
-import os
 from typing import Sequence
+
+from repro.rowfile import Column, read_rows, row_format, write_rows
 
 __all__ = ["CarbonTrace", "save_carbon_trace", "read_carbon_trace"]
 
-_CSV_FIELDS = ("time_s", "gco2_per_kwh")
-
-
-def _format_for(path: str, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "jsonl"):
-            raise ValueError(
-                f"unknown carbon trace format {fmt!r}; use 'csv' or 'jsonl'"
-            )
-        return fmt
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".csv":
-        return "csv"
-    if ext in (".jsonl", ".ndjson"):
-        return "jsonl"
-    raise ValueError(
-        f"cannot infer carbon trace format from {path!r}; use a .csv or "
-        ".jsonl extension or pass fmt="
-    )
+_COLUMNS = (Column("time_s", "t"), Column("gco2_per_kwh", "gco2_per_kwh"))
 
 
 def save_carbon_trace(path: str, trace: "CarbonTrace", fmt: str | None = None) -> int:
@@ -59,19 +40,8 @@ def save_carbon_trace(path: str, trace: "CarbonTrace", fmt: str | None = None) -
     Floats go out via ``repr``, so reading the file back reproduces the
     trace bit-for-bit (same convention as the arrival-trace writer).
     """
-    fmt = _format_for(path, fmt)
-    count = 0
-    with open(path, "w") as fh:
-        if fmt == "csv":
-            fh.write(",".join(_CSV_FIELDS) + "\n")
-            for t, g in zip(trace.times, trace.intensities):
-                fh.write(f"{t!r},{g!r}\n")
-                count += 1
-        else:
-            for t, g in zip(trace.times, trace.intensities):
-                fh.write(json.dumps({"t": t, "gco2_per_kwh": g}) + "\n")
-                count += 1
-    return count
+    fmt = row_format(path, fmt, "carbon trace")
+    return write_rows(path, fmt, _COLUMNS, zip(trace.times, trace.intensities))
 
 
 def read_carbon_trace(
@@ -83,78 +53,41 @@ def read_carbon_trace(
     ``"{path}:{line}:"`` naming the offending line, matching the
     arrival-trace reader's convention.
     """
-    fmt = _format_for(path, fmt)
+    fmt = row_format(path, fmt, "carbon trace")
     times: list[float] = []
     intensities: list[float] = []
-
-    def add(line_no: int, t, g) -> None:
+    for line_no, (t, g) in read_rows(path, fmt, _COLUMNS, "carbon trace"):
         try:
-            t = float(t)
-            g = float(g)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}:{line_no}: breakpoint is not numeric "
-                f"(time={t!r}, intensity={g!r})"
-            )
-        # Negated comparisons so NaN fails them too.
-        if not -math.inf < t < math.inf:
-            raise ValueError(
-                f"{path}:{line_no}: breakpoint time must be finite, got {t!r}"
-            )
-        if not 0.0 <= g < math.inf:
-            raise ValueError(
-                f"{path}:{line_no}: carbon intensity must be finite and "
-                f">= 0, got {g!r}"
-            )
-        if times and t <= times[-1]:
-            raise ValueError(
-                f"{path}:{line_no}: breakpoint times must strictly "
-                f"increase (t={t!r} after t={times[-1]!r})"
-            )
+            t, g = _breakpoint(t, g, times[-1] if times else None)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
         times.append(t)
         intensities.append(g)
-
-    with open(path) as fh:
-        if fmt == "csv":
-            header = fh.readline().strip()
-            fields = [f.strip() for f in header.split(",")]
-            if "time_s" not in fields or "gco2_per_kwh" not in fields:
-                raise ValueError(
-                    f"{path}: carbon CSV needs time_s and gco2_per_kwh "
-                    f"columns (header was {header!r})"
-                )
-            idx = {name: fields.index(name) for name in fields}
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) < len(fields):
-                    raise ValueError(
-                        f"{path}:{line_no}: row has {len(parts)} columns "
-                        f"but the header names {len(fields)} ({line!r})"
-                    )
-                add(line_no, parts[idx["time_s"]], parts[idx["gco2_per_kwh"]])
-        else:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{path}:{line_no}: invalid JSON ({exc.msg})"
-                    )
-                if "t" not in rec or "gco2_per_kwh" not in rec:
-                    raise ValueError(
-                        f"{path}:{line_no}: record needs keys t and "
-                        f"gco2_per_kwh ({line!r})"
-                    )
-                add(line_no, rec["t"], rec["gco2_per_kwh"])
     if not times:
         raise ValueError(f"{path}: empty carbon trace file")
     return CarbonTrace(times, intensities)
+
+
+def _breakpoint(t, g, prev: float | None) -> tuple[float, float]:
+    """``(t, g)`` as floats; a value that is not numeric, a non-finite
+    time, a time not after ``prev`` and a non-finite or negative
+    intensity raise."""
+    try:
+        t, g = float(t), float(g)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"breakpoint is not numeric (time={t!r}, intensity={g!r})"
+        ) from None
+    # Negated comparisons so NaN fails them too.
+    if not -math.inf < t < math.inf:
+        raise ValueError(f"breakpoint time must be finite, got {t!r}")
+    if prev is not None and t <= prev:
+        raise ValueError(
+            f"breakpoint times must strictly increase (t={t!r} after t={prev!r})"
+        )
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"carbon intensity must be finite and >= 0, got {g!r}")
+    return t, g
 
 
 class CarbonTrace:
@@ -183,21 +116,9 @@ class CarbonTrace:
         self.times = tuple(float(t) for t in times)
         self.intensities = tuple(float(g) for g in intensities)
         prev = None
-        for t in self.times:
-            # Negated comparisons so NaN fails them too.
-            if not -math.inf < t < math.inf:
-                raise ValueError(f"breakpoint time must be finite, got {t!r}")
-            if prev is not None and t <= prev:
-                raise ValueError(
-                    f"breakpoint times must strictly increase "
-                    f"(t={t!r} after t={prev!r})"
-                )
+        for t, g in zip(self.times, self.intensities):
+            _breakpoint(t, g, prev)
             prev = t
-        for g in self.intensities:
-            if not 0.0 <= g < math.inf:
-                raise ValueError(
-                    f"carbon intensity must be finite and >= 0, got {g!r}"
-                )
 
     # -- constructors ---------------------------------------------------
 

@@ -291,6 +291,10 @@ def _fleet_inputs(args: argparse.Namespace, target_utilization: float):
             "--trace needs --peak-qps (the recorded file fixes the arrival "
             "rates, but provisioning still sizes the fleet from the peak)"
         )
+    # Check the trace's format and parse the arrival spec before the
+    # profile, so a malformed value fails fast.
+    recorded = RecordedTrace(args.trace) if getattr(args, "trace", None) else None
+    spec = parse_arrivals(args.arrivals) if getattr(args, "arrivals", None) else None
     server_types = [SERVER_TYPES[s] for s in args.server_types]
     models = {name: build_model(name) for name in args.models}
     print(
@@ -318,10 +322,9 @@ def _fleet_inputs(args: argparse.Namespace, target_utilization: float):
         name: QueryWorkload.for_model(m.config.mean_query_size)
         for name, m in models.items()
     }
-    if getattr(args, "trace", None):
-        source = RecordedTrace(args.trace)
-    elif getattr(args, "arrivals", None):
-        spec = parse_arrivals(args.arrivals)
+    if recorded is not None:
+        source = recorded
+    elif spec is not None:
         source = FleetArrivals(
             {
                 name: spec.build(workloads[name], peaks[name], args.duration)
@@ -354,6 +357,22 @@ def _replay_span_s(args: argparse.Namespace, source) -> float:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    # Every spec is parsed before the profile, so a malformed one fails fast.
+    faults = FaultSchedule.parse(args.faults) if args.faults else None
+    carbon = load_carbon(args.carbon) if args.carbon else None
+    deferrable = None
+    if args.deferrable:
+        if carbon is None:
+            raise SystemExit("--deferrable needs --carbon (jobs are "
+                             "scheduled against the grid's intensity)")
+        deferrable = parse_deferrable(args.deferrable)
+    if not args.deferrable and (
+        args.power_cap is not None or args.deferral_horizon is not None
+    ):
+        raise SystemExit(
+            "--power-cap/--deferral-horizon shape the deferrable plan; "
+            "they need --carbon and --deferrable"
+        )
     # 60% aggregate utilization: the regime where routing quality shows.
     models, table, fleet_counts, traces, workloads, source = _fleet_inputs(
         args, target_utilization=0.6
@@ -385,21 +404,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if peak_allocation.has_shortfall:
         print("warning: fleet cannot cover the requested peak load", file=chatter)
 
-    faults = FaultSchedule.parse(args.faults) if args.faults else None
-    carbon = load_carbon(args.carbon) if args.carbon else None
-    deferrable_jobs = ()
-    if args.deferrable:
-        if carbon is None:
-            raise SystemExit("--deferrable needs --carbon (jobs are "
-                             "scheduled against the grid's intensity)")
-        deferrable_jobs = parse_deferrable(args.deferrable).build(span)
-    if not args.deferrable and (
-        args.power_cap is not None or args.deferral_horizon is not None
-    ):
-        raise SystemExit(
-            "--power-cap/--deferral-horizon shape the deferrable plan; "
-            "they need --carbon and --deferrable"
-        )
+    deferrable_jobs = deferrable.build(span) if deferrable is not None else ()
     probe = None
     if args.metrics_out or args.trace_out:
         from repro.obs import FleetProbe
@@ -615,8 +620,8 @@ def _cmd_provision_fault_aware(args: argparse.Namespace) -> int:
             "shards through cross-model dead domains; use --percentile-"
             "mode sketch to bound replay memory instead"
         )
-    _, search = _provision_inputs(args)
     faults = FaultSchedule.parse(args.faults)
+    _, search = _provision_inputs(args)
     if faults.is_empty:
         print(
             "warning: empty fault schedule -- the loop will trivially pick "
@@ -676,13 +681,10 @@ def _cmd_provision_carbon_aware(args: argparse.Namespace) -> int:
             "size the fleet against crashes with provision-fault-aware, "
             "which takes both"
         )
-    span, search = _provision_inputs(args)
     carbon = load_carbon(args.carbon)
-    jobs = (
-        parse_deferrable(args.deferrable).build(span)
-        if args.deferrable
-        else ()
-    )
+    deferrable = parse_deferrable(args.deferrable) if args.deferrable else None
+    span, search = _provision_inputs(args)
+    jobs = deferrable.build(span) if deferrable is not None else ()
     _announce_search(
         args,
         f", then sweeping {len(jobs)} deferrable jobs over "

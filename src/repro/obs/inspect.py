@@ -4,9 +4,13 @@ Three file shapes are sniffed by extension and content:
 
 - ``*.csv`` -- a windowed metrics series (:data:`repro.obs.probe.
   METRIC_FIELDS` columns);
-- ``*.jsonl`` -- either a metrics series (one row object per line) or
-  a tagged trace (``type`` = ``meta``/``span``/``control``);
+- ``*.jsonl`` (or ``*.ndjson``) -- either a metrics series (one row
+  object per line) or a tagged trace (``type`` =
+  ``meta``/``span``/``control``);
 - ``*.json`` -- a Chrome trace-event document.
+
+The first two are row files (:mod:`repro.rowfile`), so every bad line
+raises naming ``{path}:{line}``.
 
 Every summary is a plain dict (printable with :func:`format_summary`,
 or emitted as JSON by the CLI); summaries of the same family can be
@@ -19,8 +23,9 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.probe import METRIC_FIELDS
+from repro.obs.probe import METRIC_COLUMNS, METRIC_FIELDS
 from repro.obs.trace import read_trace_jsonl
+from repro.rowfile import extension_format, read_jsonl, read_rows
 
 __all__ = [
     "sniff_format",
@@ -34,66 +39,49 @@ _INT_FIELDS = {
     "arrivals", "completed", "dropped", "failed", "violations",
     "queue_depth", "active_replicas",
 }
-_STR_FIELDS = {"model"}
+#: Each metric field's type, in field order.
+_KINDS = tuple(
+    str if name == "model" else int if name in _INT_FIELDS else float
+    for name in METRIC_FIELDS
+)
 
 
 def sniff_format(path: str) -> str:
     """Classify a telemetry file: metrics-csv / metrics-jsonl /
     trace-jsonl / chrome-trace."""
-    if path.endswith(".csv"):
-        return "metrics-csv"
-    if path.endswith(".jsonl"):
-        with open(path) as fh:
-            first = fh.readline().strip()
-        if not first:
-            raise ValueError(f"{path} is empty")
-        obj = json.loads(first)
-        return "trace-jsonl" if "type" in obj else "metrics-jsonl"
     if path.endswith(".json"):
         with open(path) as fh:
             doc = json.load(fh)
         if "traceEvents" in doc:
             return "chrome-trace"
         raise ValueError(f"{path} is JSON but not a Chrome trace (no traceEvents)")
-    raise ValueError(f"cannot classify {path!r} (expect .csv, .jsonl, or .json)")
+    fmt = extension_format(path)
+    if fmt is None:
+        raise ValueError(
+            f"cannot classify {path!r} (expect .csv, .jsonl, .ndjson or .json)"
+        )
+    if fmt == "csv":
+        return "metrics-csv"
+    first = next(read_jsonl(path), None)
+    if first is None:
+        raise ValueError(f"{path} is empty")
+    return "trace-jsonl" if "type" in first[1] else "metrics-jsonl"
 
 
-# ----------------------------------------------------------------------
-# Readers
-# ----------------------------------------------------------------------
-
-
-def _read_metrics_csv(path: str) -> list[dict]:
+def _read_metrics(path: str, fmt: str) -> list[dict]:
+    """The series' rows, each value converted to its field's type."""
     rows: list[dict] = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        missing = set(METRIC_FIELDS) - set(header)
-        if missing:
-            raise ValueError(f"{path} misses metric columns {sorted(missing)}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            row: dict = {}
-            for name, cell in zip(header, cells):
-                if name in _STR_FIELDS:
-                    row[name] = cell
-                elif name in _INT_FIELDS:
-                    row[name] = int(cell)
-                else:
-                    row[name] = float(cell)
-            rows.append(row)
-    return rows
-
-
-def _read_metrics_jsonl(path: str) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    for line_no, values in read_rows(path, fmt, METRIC_COLUMNS, "metrics"):
+        row: dict = {}
+        for name, kind, value in zip(METRIC_FIELDS, _KINDS, values):
+            try:
+                row[name] = kind(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{path}:{line_no}: {name} must be {kind.__name__}, "
+                    f"got {value!r}"
+                ) from None
+        rows.append(row)
     return rows
 
 
@@ -106,9 +94,9 @@ def summarize_file(path: str) -> dict:
     """Summarize one exported telemetry file into a plain dict."""
     fmt = sniff_format(path)
     if fmt == "metrics-csv":
-        return _summarize_metrics(path, fmt, _read_metrics_csv(path))
+        return _summarize_metrics(path, fmt, _read_metrics(path, "csv"))
     if fmt == "metrics-jsonl":
-        return _summarize_metrics(path, fmt, _read_metrics_jsonl(path))
+        return _summarize_metrics(path, fmt, _read_metrics(path, "jsonl"))
     if fmt == "trace-jsonl":
         return _summarize_trace_jsonl(path)
     return _summarize_chrome(path)

@@ -24,10 +24,12 @@ skip work, never change it.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 import numpy as np
 
 from repro.obs.sketch import QuantileSketch
+from repro.rowfile import Column, extension_format, write_rows
 
 __all__ = ["FleetProbe", "MetricsRegistry", "METRIC_FIELDS"]
 
@@ -49,6 +51,8 @@ METRIC_FIELDS = (
     "active_replicas",
     "power_w",
 )
+#: The row-file columns of the series: every field, required.
+METRIC_COLUMNS = tuple(Column(name, name) for name in METRIC_FIELDS)
 
 
 class MetricsRegistry:
@@ -399,42 +403,32 @@ class FleetProbe:
     # -- export --------------------------------------------------------
 
     def export_metrics(self, path: str) -> None:
-        """Write the windowed series as CSV or JSONL (by extension).
-
-        Floats are written with ``repr`` so the files round-trip
-        exactly, matching the recorded-trace convention.
-        """
+        """Write the windowed series as a CSV or JSONL row file (by
+        extension; see :mod:`repro.rowfile`), floats via ``repr`` so the
+        files round-trip exactly."""
         if not self.metrics:
             raise ValueError("probe was built with metrics=False")
-        if path.endswith(".csv"):
-            with open(path, "w") as fh:
-                fh.write(",".join(METRIC_FIELDS) + "\n")
-                for row in self.metrics_rows:
-                    fh.write(
-                        ",".join(_cell(row[field]) for field in METRIC_FIELDS)
-                        + "\n"
-                    )
-        elif path.endswith(".jsonl"):
-            with open(path, "w") as fh:
-                for row in self.metrics_rows:
-                    fh.write(json.dumps(row) + "\n")
-        else:
+        fmt = extension_format(path)
+        if fmt is None:
             raise ValueError(
                 f"metrics path must end in .csv or .jsonl, got {path!r}"
             )
+        rows = map(itemgetter(*METRIC_FIELDS), self.metrics_rows)
+        write_rows(path, fmt, METRIC_COLUMNS, rows)
 
     def export_trace(self, path: str) -> None:
         """Write spans + control timeline as JSONL, or Chrome JSON.
 
-        ``.jsonl`` gets one tagged object per line (``type`` is
-        ``span``, ``control``, or ``meta``); ``.json`` gets a Chrome
-        trace-event file loadable in Perfetto / ``chrome://tracing``.
+        A JSONL path (``.jsonl``/``.ndjson``) gets one tagged object per
+        line (``type`` is ``meta``, ``span``, or ``control``); ``.json``
+        gets a Chrome trace-event file loadable in Perfetto /
+        ``chrome://tracing``.
         """
         if not self.trace:
             raise ValueError("probe was built with trace=False")
         from repro.obs.trace import chrome_trace, write_trace_jsonl
 
-        if path.endswith(".json") and not path.endswith(".jsonl"):
+        if path.endswith(".json"):
             doc = chrome_trace(
                 self.spans,
                 self.control_events,
@@ -443,7 +437,7 @@ class FleetProbe:
             )
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-        elif path.endswith(".jsonl"):
+        elif extension_format(path) == "jsonl":
             write_trace_jsonl(
                 path,
                 self.spans,
@@ -455,10 +449,3 @@ class FleetProbe:
             raise ValueError(
                 f"trace path must end in .json or .jsonl, got {path!r}"
             )
-
-
-def _cell(value) -> str:
-    """One CSV cell: repr for floats (exact round-trip), str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

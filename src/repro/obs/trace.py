@@ -22,7 +22,9 @@ ran during a straggler episode of their replica).  Two export shapes:
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+
+from repro.rowfile import read_jsonl, write_jsonl
 
 __all__ = [
     "build_spans",
@@ -290,23 +292,21 @@ def write_trace_jsonl(
     path: str, spans, control_events, warmup_s: float, horizon: float
 ) -> None:
     """Write the tagged-JSONL trace: one meta line, spans, control."""
-    with open(path, "w") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "type": "meta",
-                    "warmup_s": warmup_s,
-                    "horizon_s": horizon,
-                    "spans": len(spans),
-                    "control_events": len(control_events),
-                }
-            )
-            + "\n"
-        )
-        for span in spans:
-            fh.write(json.dumps({"type": "span", **span}) + "\n")
-        for ev in control_events:
-            fh.write(json.dumps({"type": "control", **ev}) + "\n")
+    meta = {
+        "type": "meta",
+        "warmup_s": warmup_s,
+        "horizon_s": horizon,
+        "spans": len(spans),
+        "control_events": len(control_events),
+    }
+    write_jsonl(
+        path,
+        chain(
+            (meta,),
+            ({"type": "span", **span} for span in spans),
+            ({"type": "control", **ev} for ev in control_events),
+        ),
+    )
 
 
 def read_trace_jsonl(path: str) -> tuple[dict, list[dict], list[dict]]:
@@ -314,19 +314,14 @@ def read_trace_jsonl(path: str) -> tuple[dict, list[dict], list[dict]]:
     meta: dict = {}
     spans: list[dict] = []
     control: list[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj.pop("type", None)
-            if kind == "meta":
-                meta = obj
-            elif kind == "span":
-                spans.append(obj)
-            elif kind == "control":
-                control.append(obj)
-            else:
-                raise ValueError(f"unknown trace line type {kind!r} in {path}")
+    for line_no, obj in read_jsonl(path):
+        kind = obj.pop("type", None)
+        if kind == "meta":
+            meta = obj
+        elif kind == "span":
+            spans.append(obj)
+        elif kind == "control":
+            control.append(obj)
+        else:
+            raise ValueError(f"{path}:{line_no}: unknown trace line type {kind!r}")
     return meta, spans, control

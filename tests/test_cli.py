@@ -157,6 +157,54 @@ class TestCommands:
             )
 
 
+_SLICE = ["--servers", "4", "--server-types", "T2", "--models", "DLRM-RMC1"]
+
+
+class TestFailFast:
+    """A malformed spec fails before the table is profiled, with the
+    same error it raised after profiling."""
+
+    @pytest.mark.parametrize(
+        "argv, error, match",
+        [
+            (["provision-fault-aware", *_SLICE, "--faults", "bogus@1:0"],
+             ValueError, "bad fault entry"),
+            (["provision-carbon-aware", *_SLICE, "--carbon", "sawtooth:x=1"],
+             ValueError, "unknown carbon shape"),
+            (["provision-carbon-aware", *_SLICE, "--carbon", "constant:intensity=1",
+              "--deferrable", "jobs:bogus=1"],
+             ValueError, "bad --deferrable parameter"),
+            (["fleet", *_SLICE, "--faults", "bogus@1:0"],
+             ValueError, "bad fault entry"),
+            (["fleet", *_SLICE, "--arrivals", "sawtooth:x=1"],
+             ValueError, "unknown arrival shape"),
+            (["fleet", *_SLICE, "--carbon", "constant:intensity=300",
+              "--deferrable", "jobs:bogus=1"],
+             ValueError, "bad --deferrable parameter"),
+            (["fleet", *_SLICE, "--carbon", "no-such-grid.csv"],
+             FileNotFoundError, "no-such-grid.csv"),
+            (["fleet", *_SLICE, "--deferrable", "jobs:duration=1,power=1"],
+             SystemExit, "--deferrable needs --carbon"),
+            (["fleet", *_SLICE, "--power-cap", "500"],
+             SystemExit, "--carbon and --deferrable"),
+            (["fleet", *_SLICE, "--trace", "t.txt", "--peak-qps", "100"],
+             ValueError, "cannot infer trace format"),
+        ],
+    )
+    def test_bad_spec_fails_before_profiling(
+        self, monkeypatch, capsys, argv, error, match
+    ):
+        from repro.scheduling import OfflineProfiler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("profiled before the specs were checked")
+
+        monkeypatch.setattr(OfflineProfiler, "profile", refuse)
+        with pytest.raises(error, match=match):
+            main(argv)
+        assert "Profiling" not in capsys.readouterr().out
+
+
 class TestBench:
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench"])

@@ -502,6 +502,19 @@ class TestChromeTrace:
         assert meta["control_events"] == len(control)
         assert spans == probe.spans
 
+    @pytest.mark.parametrize("ext", [".JSONL", ".ndjson"])
+    def test_trace_jsonl_extensions(self, small_fleet, tmp_path, ext):
+        """The tagged export takes the row-file JSONL extensions, in any
+        case, and ``observe`` reads them back; a CSV path is refused."""
+        probe = FleetProbe(trace=True)
+        small_fleet(probe)
+        path = str(tmp_path / f"trace{ext}")
+        probe.export_trace(path)
+        assert read_trace_jsonl(path)[1] == probe.spans
+        assert summarize_file(path)["format"] == "trace-jsonl"
+        with pytest.raises(ValueError, match="trace path"):
+            probe.export_trace(str(tmp_path / "trace.csv"))
+
     def test_export_requires_trace(self, small_fleet, tmp_path):
         probe = FleetProbe(metrics=True, trace=False)
         small_fleet(probe)
