@@ -101,10 +101,11 @@ def _gc_paused():
 class FleetServer:
     """One provisioned replica: a stage pipeline plus runtime state.
 
-    The stage tuple and timings are shared (read-only) across every
-    replica of the same (server type, model, plan); queues, free-unit
-    counts, and counters are per-replica.  Single-stage SPLIT pipelines
-    additionally get a :class:`DirectStage` fast path (``direct``).
+    The stage tuple (with its memo tables) and timings are shared
+    across every replica of the same (server type, model, plan);
+    queues, free-unit counts, and counters are per-replica.
+    Single-stage SPLIT pipelines additionally get a
+    :class:`DirectStage` fast path (``direct``).
     """
 
     __slots__ = (
@@ -219,9 +220,7 @@ def build_fleet(
                 model_name
             ) or QueryWorkload.for_model(model.config.mean_query_size)
             server_type = get_server_type(srv_name)
-            stages = plan_cache.serviced_stages_for(
-                server_type, model, workload, tup.plan
-            )
+            stages = plan_cache.stages_for(server_type, model, workload, tup.plan)
             timings = plan_cache.timings_for(server_type, model, workload, tup.plan)
             for _ in range(count):
                 servers.append(

@@ -1040,13 +1040,9 @@ def run_fault_loop(
         query = tracked.query
         direct = server.direct
         if direct is not None:
-            factor = server.slow_factor
-            if factor == 1.0:
-                done = direct.completion_time(now, query.size, query.pooling_scale)
-            else:
-                done = direct.completion_time_slowed(
-                    now, query.size, query.pooling_scale, factor
-                )
+            done = direct.completion_time(
+                now, query.size, query.pooling_scale, server.slow_factor
+            )
             # Inlined heap.push: this is the per-arrival hot path.
             seq = heap.seq
             heap.seq = seq + 1
@@ -1433,15 +1429,9 @@ def _run_light_loop(
                     window_arrivals[model] += 1
                 direct = server.direct
                 if direct is not None:
-                    factor = server.slow_factor
-                    if factor == 1.0:
-                        done = direct.completion_time(
-                            now, query.size, query.pooling_scale
-                        )
-                    else:
-                        done = direct.completion_time_slowed(
-                            now, query.size, query.pooling_scale, factor
-                        )
+                    done = direct.completion_time(
+                        now, query.size, query.pooling_scale, server.slow_factor
+                    )
                     seq = heap.seq
                     heap.seq = seq + 1
                     heappush(events, (done, seq, server, -1, (model, query)))

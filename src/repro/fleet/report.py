@@ -540,7 +540,8 @@ class FleetResult:
                 round(m.qps),
                 round(m.p50_ms, 1),
                 round(m.p99_ms, 1),
-                round(m.sla_ms),
+                # A model the fleet does not serve has no SLA (inf).
+                "-" if m.sla_ms == float("inf") else round(m.sla_ms),
                 f"{m.violation_rate * 100:.2f}%",
             ]
             if faulty:

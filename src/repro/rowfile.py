@@ -9,11 +9,13 @@ and how fast), so a cell may hold no comma or newline; whitespace
 around a cell is ignored.  A JSONL line is one object keyed by column.
 Blank lines are skipped, floats are written with ``repr`` (exact round
 trips), ``None`` is an empty cell or an omitted key, and every error
-about a line starts ``"{path}:{line}:"``.  See docs/cli.md, "Row files".
+about a line starts ``"{path}:{line}:"``.  A write that fails or
+refuses a row leaves the path as it was.  See docs/cli.md, "Row files".
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from operator import itemgetter
@@ -149,10 +151,28 @@ def _jsonl_rows(path, columns):
         yield line_no, values
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Open a sibling temporary file that replaces ``path`` on success.
+
+    Any exception removes the temporary file and leaves ``path`` as it
+    was.  Plain ``open`` keeps the new file's mode the umask's.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
     """Write one JSON object per line; returns the number written."""
     count = 0
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
             count += 1
@@ -163,7 +183,8 @@ def write_rows(
     path: str, fmt: str, columns: Sequence[Column], rows: Iterable[Sequence]
 ) -> int:
     """Write ``rows`` (values in ``columns`` order); returns the number
-    written.  A CSV cell with a comma or newline raises."""
+    written.  A CSV cell with a comma or newline raises, and leaves
+    ``path`` as it was."""
     if fmt == "jsonl":
         keys = [c.key for c in columns]
         return write_jsonl(
@@ -171,7 +192,7 @@ def write_rows(
         )
     commas = len(columns) - 1
     count = 0
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(c.name for c in columns) + "\n")
         for row in rows:
             cells = [

@@ -2,7 +2,7 @@
 
 from repro.sim import plan_cache
 from repro.sim.evaluator import PlanTimings, ServerEvaluator, Stage
-from repro.sim.loadgen import PoissonLoadGenerator, generate_trace
+from repro.sim.loadgen import generate_trace
 from repro.sim.plan_cache import PlanTimingsCache
 from repro.sim.metrics import LatencyStats, ServerPerformance, percentile
 from repro.sim.queries import (
@@ -26,7 +26,6 @@ __all__ = [
     "PlanTimingsCache",
     "ServerEvaluator",
     "Stage",
-    "PoissonLoadGenerator",
     "generate_trace",
     "LatencyStats",
     "ServerPerformance",

@@ -4,16 +4,13 @@ Both simulators play query traces through stage pipelines; this module
 owns the semantics (batch formation, unit accounting, service timing)
 and the performance machinery so the two engines cannot drift apart:
 
-- :class:`SimStage` / :class:`StageMode` -- the immutable stage *spec*
-  (public; consumed by tests and :func:`~repro.sim.server_sim.build_stages`).
-- :func:`enqueue_units` / :func:`form_batch` -- the reference batch
-  semantics on a plain FIFO, shared since PR 1.
-- :class:`ServicedStage` -- a stage spec plus quantized memo tables:
-  per-``items`` base service times and per-``size`` split chunkings are
-  computed once and shared by every replica of the same plan (the memo
-  lives with the stage, which :mod:`repro.sim.plan_cache` shares across
-  a fleet).  The memoized results are bit-identical to calling
-  ``SimStage.service_s`` / ``_split`` directly.
+- :class:`SimStage` / :class:`StageMode` -- the one stage record: an
+  immutable spec (public; built by
+  :func:`~repro.sim.server_sim.build_stages`) plus ``items -> base
+  service`` and ``size -> chunks`` memo tables, which hold exactly
+  what ``latency_fn`` / ``_split`` returned.
+  :mod:`repro.sim.plan_cache` shares one stage tuple per (server
+  type, model, plan), so the tables fill once per fleet.
 - :class:`QueryState` -- per-query runtime record (``__slots__``).
 - :class:`EventHeap` -- the python fleet loops' global event heap:
   flat ``(time, seq, owner, stage_idx, payload)`` tuples, a monotone
@@ -44,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
@@ -52,13 +49,10 @@ __all__ = [
     "StageMode",
     "SimStage",
     "QueryState",
-    "ServicedStage",
     "DirectStage",
     "EventHeap",
     "Pipeline",
     "ReplicaLoop",
-    "enqueue_units",
-    "form_batch",
 ]
 
 
@@ -72,9 +66,18 @@ class StageMode(enum.Enum):
     """Merge whole queued queries into one batch up to ``fuse_items``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimStage:
     """One pipeline stage of a simulated server.
+
+    The seven spec fields below define the stage; they alone take part
+    in ``==`` and ``hash``.  The record also carries two memo tables,
+    ``items -> base service`` and ``size -> chunks``, filled on demand
+    by :meth:`form_and_time`, :meth:`chunks_for` and
+    :class:`DirectStage`.  A memo holds exactly what ``latency_fn`` or
+    ``_split`` returned, so memoized timings are bit-identical to
+    :meth:`service_s` and ``_split``; one tuple of stages shared by
+    every replica of a plan fills its tables once.
 
     Attributes:
         name: Stage label (matches the evaluator's stage names).
@@ -97,6 +100,16 @@ class SimStage:
     fuse_items: int
     latency_fn: Callable[[int], float]
     pooling_sensitivity: float = 0.0
+    is_fuse: bool = field(init=False, repr=False, compare=False)
+    _base_s: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _chunks: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_fuse", self.mode is StageMode.FUSE)
 
     def service_s(self, items: int, pooling_scale: float) -> float:
         """Batch service time including the pooling-variance component."""
@@ -109,149 +122,6 @@ class SimStage:
         )
         return base * scale
 
-
-def _split(size: int, chunk: int) -> list[int]:
-    """Sub-batch sizes for one query (last chunk may be partial)."""
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    full, rem = divmod(size, chunk)
-    return [chunk] * full + ([rem] if rem else [])
-
-
-def enqueue_units(stage, queue: deque, state, size: int) -> None:
-    """Append one query's work units for a stage to its FIFO.
-
-    SPLIT stages chop the query into ``chunk_items`` sub-batches; FUSE
-    stages enqueue the whole query as one unit.  Sets the state's
-    ``pending_units`` counter.  Shared by the single-node and fleet
-    simulators so batch-formation semantics cannot drift apart.
-
-    Raises:
-        ValueError: On empty queries (``size < 1``); a zero-size query
-            would produce zero units and never complete.
-    """
-    if size < 1:
-        raise ValueError("query size must be >= 1 (zero units never complete)")
-    if stage.mode is StageMode.SPLIT:
-        chunks = _split(size, stage.chunk_items)
-        state.pending_units = len(chunks)
-        queue.extend((state, chunk) for chunk in chunks)
-    else:
-        state.pending_units = 1
-        queue.append((state, size))
-
-
-def form_batch(stage, queue: deque) -> tuple[list, int, float]:
-    """Pop one service batch from a stage FIFO.
-
-    FUSE stages accumulate whole queued queries up to the fusion limit;
-    SPLIT stages serve one sub-batch per dispatch.  Returns the batch
-    units, total items, and the item-weighted mean pooling factor.
-    """
-    batch = [queue.popleft()]
-    if stage.mode is StageMode.FUSE and stage.fuse_items > 0:
-        total = batch[0][1]
-        limit = stage.fuse_items
-        while queue and total + queue[0][1] <= limit:
-            unit = queue.popleft()
-            total += unit[1]
-            batch.append(unit)
-    items = sum(it for _, it in batch)
-    pooling = sum(st.pooling * it for st, it in batch) / max(items, 1)
-    return batch, items, pooling
-
-
-class QueryState:
-    """Runtime record of one in-flight query on a :class:`Pipeline`.
-
-    ``arrival_s``/``size``/``pooling`` mirror the immutable
-    :class:`~repro.sim.queries.Query` so the hot loops never chase the
-    extra attribute hop; ``server``/``model`` name where it runs.
-    """
-
-    __slots__ = (
-        "query",
-        "model",
-        "server",
-        "arrival_s",
-        "size",
-        "pooling",
-        "pending_units",
-    )
-
-    def __init__(self, query, model: str | None = None) -> None:
-        self.query = query
-        self.model = model
-        self.server = None
-        self.arrival_s = query.arrival_s
-        self.size = query.size
-        self.pooling = query.pooling_scale
-        self.pending_units = 0
-
-
-class ServicedStage:
-    """A stage spec plus quantized service/chunking memo tables.
-
-    One instance is shared by every replica of the same (server type,
-    model, plan) -- see :func:`repro.sim.plan_cache.serviced_stages_for`
-    -- so the ``items -> base service`` and ``size -> chunks`` tables
-    fill once per fleet, not once per replica.  All lookups reproduce
-    ``SimStage.service_s`` / ``_split`` bit-for-bit: the memo stores the
-    exact value the underlying ``latency_fn`` returned.
-    """
-
-    __slots__ = (
-        "name",
-        "units",
-        "mode",
-        "chunk_items",
-        "fuse_items",
-        "latency_fn",
-        "pooling_sensitivity",
-        "is_fuse",
-        "_base_s",
-        "_chunks",
-    )
-
-    def __init__(self, spec) -> None:
-        self.name = spec.name
-        self.units = spec.units
-        self.mode = spec.mode
-        self.chunk_items = spec.chunk_items
-        self.fuse_items = spec.fuse_items
-        self.latency_fn = spec.latency_fn
-        self.pooling_sensitivity = spec.pooling_sensitivity
-        self.is_fuse = spec.mode is StageMode.FUSE
-        self._base_s: dict[int, float] = {}
-        self._chunks: dict[int, tuple[int, ...]] = {}
-
-    # -- memoized primitives ------------------------------------------
-
-    def base_service_s(self, items: int) -> float:
-        """``latency_fn(items)``, memoized per item count."""
-        base = self._base_s.get(items)
-        if base is None:
-            base = self.latency_fn(items)
-            self._base_s[items] = base
-        return base
-
-    def service_s(self, items: int, pooling_scale: float) -> float:
-        """Memoized equivalent of :meth:`SimStage.service_s`."""
-        base = self.base_service_s(items)
-        ps = self.pooling_sensitivity
-        if ps <= 0.0:
-            return base
-        return base * (1.0 - ps + ps * pooling_scale)
-
-    def unit_service_s(self, items: int, pooling_scale: float) -> float:
-        """Service time of a single-unit batch (the SPLIT dispatch case).
-
-        The item-weighted mean pooling of a one-unit batch is
-        ``(scale * items) / items`` -- kept literally (not simplified to
-        ``scale``) to remain bit-identical to :func:`form_batch`.
-        """
-        return self.service_s(items, (pooling_scale * items) / max(items, 1))
-
     def chunks_for(self, size: int) -> tuple[int, ...]:
         """``_split(size, chunk_items)``, memoized per query size."""
         chunks = self._chunks.get(size)
@@ -260,33 +130,17 @@ class ServicedStage:
             self._chunks[size] = chunks
         return chunks
 
-    # -- queue operations ---------------------------------------------
-
-    def enqueue(self, queue: deque, state, size: int) -> None:
-        """Memoized equivalent of :func:`enqueue_units`."""
-        if size < 1:
-            raise ValueError(
-                "query size must be >= 1 (zero units never complete)"
-            )
-        if self.is_fuse:
-            state.pending_units = 1
-            queue.append((state, size))
-        else:
-            chunks = self.chunks_for(size)
-            state.pending_units = len(chunks)
-            append = queue.append
-            for chunk in chunks:
-                append((state, chunk))
-
     def form_and_time(self, queue: deque) -> tuple[list, float]:
-        """Pop one batch and return it with its service time.
+        """Pop one batch from a stage FIFO; return it and its service time.
 
-        Fast-path equivalent of ``form_batch`` + ``service_s``: the
-        overwhelmingly common single-unit batch skips the generic
-        item/pooling reductions, and the memo/scale lookups are inlined
-        (while computing the identical floats).  Work units carry at
-        least one item (enforced at enqueue), so ``max(items, 1)``
-        simplifies to ``items``.
+        FUSE stages accumulate whole queued queries up to the fusion
+        limit (a zero limit serves one query per batch); SPLIT stages
+        serve one sub-batch per dispatch.  The service time equals
+        :meth:`service_s` at the batch's items and item-weighted mean
+        pooling, a single-unit batch's pooling kept as
+        ``(pooling * items) / items`` rather than simplified.  Work
+        units carry at least one item (enforced at enqueue), so no
+        ``max(items, 1)`` guard is needed.
         """
         unit = queue.popleft()
         items = unit[1]
@@ -319,6 +173,42 @@ class ServicedStage:
         return batch, base * (1.0 - ps + ps * pooling)
 
 
+def _split(size: int, chunk: int) -> list[int]:
+    """Sub-batch sizes for one query (last chunk may be partial)."""
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    full, rem = divmod(size, chunk)
+    return [chunk] * full + ([rem] if rem else [])
+
+
+class QueryState:
+    """Runtime record of one in-flight query on a :class:`Pipeline`.
+
+    ``arrival_s``/``size``/``pooling`` mirror the immutable
+    :class:`~repro.sim.queries.Query` so the hot loops never chase the
+    extra attribute hop; ``server``/``model`` name where it runs.
+    """
+
+    __slots__ = (
+        "query",
+        "model",
+        "server",
+        "arrival_s",
+        "size",
+        "pooling",
+        "pending_units",
+    )
+
+    def __init__(self, query, model: str | None = None) -> None:
+        self.query = query
+        self.model = model
+        self.server = None
+        self.arrival_s = query.arrival_s
+        self.size = query.size
+        self.pooling = query.pooling_scale
+        self.pending_units = 0
+
+
 class DirectStage:
     """Exact arrival-driven execution of a single-stage SPLIT pipeline.
 
@@ -337,17 +227,21 @@ class DirectStage:
 
     __slots__ = ("stage", "avail")
 
-    def __init__(self, stage: ServicedStage) -> None:
+    def __init__(self, stage: SimStage) -> None:
         if stage.is_fuse:
             raise ValueError("DirectStage requires a SPLIT stage")
         self.stage = stage
         self.avail = [0.0] * stage.units
 
-    def completion_time(self, now: float, size: int, pooling_scale: float) -> float:
+    def completion_time(
+        self, now: float, size: int, pooling_scale: float, factor: float
+    ) -> float:
         """Completion time of a query arriving at ``now`` (claims units).
 
-        Inlined equivalent of per-chunk ``unit_service_s``; chunk sizes
-        are >= 1, so ``max(chunk, 1)`` simplifies to ``chunk``.
+        Each chunk is timed as :meth:`SimStage.form_and_time` times a
+        single-unit batch (chunk sizes are >= 1), then multiplied by the
+        replica's straggler ``factor``; at 1.0 the multiply is skipped,
+        so fault-free floats are those of the event pipeline.
         """
         stage = self.stage
         avail = self.avail
@@ -363,6 +257,8 @@ class DirectStage:
                 base_memo[size] = base
             if ps > 0.0:
                 base = base * (1.0 - ps + ps * ((pooling_scale * size) / size))
+            if factor != 1.0:
+                base *= factor
             t_free = avail[0]
             start = t_free if t_free > now else now
             done = start + base
@@ -376,32 +272,8 @@ class DirectStage:
                 base_memo[chunk] = base
             if ps > 0.0:
                 base = base * (1.0 - ps + ps * ((pooling_scale * chunk) / chunk))
-            t_free = avail[0]
-            start = t_free if t_free > now else now
-            done = start + base
-            heapreplace(avail, done)
-            if done > finish:
-                finish = done
-        return finish
-
-    def completion_time_slowed(
-        self, now: float, size: int, pooling_scale: float, factor: float
-    ) -> float:
-        """Completion time while the replica is a straggler.
-
-        Identical recurrence to :meth:`completion_time` with every chunk
-        service time multiplied by ``factor``; a separate method so the
-        fault-free path keeps its exact float sequence.
-        """
-        stage = self.stage
-        avail = self.avail
-        ps = stage.pooling_sensitivity
-        finish = now
-        for chunk in stage.chunks_for(size):
-            base = stage.base_service_s(chunk)
-            if ps > 0.0:
-                base = base * (1.0 - ps + ps * ((pooling_scale * chunk) / chunk))
-            base *= factor
+            if factor != 1.0:
+                base *= factor
             t_free = avail[0]
             start = t_free if t_free > now else now
             done = start + base
@@ -452,13 +324,10 @@ class Pipeline:
 
     __slots__ = ("stages", "queues", "free", "owner", "last", "service_scale")
 
-    def __init__(self, stages: Sequence, owner=None) -> None:
+    def __init__(self, stages: Sequence[SimStage], owner=None) -> None:
         if not stages:
             raise ValueError("need at least one stage")
-        self.stages: tuple[ServicedStage, ...] = tuple(
-            s if isinstance(s, ServicedStage) else ServicedStage(s)
-            for s in stages
-        )
+        self.stages: tuple[SimStage, ...] = tuple(stages)
         self.queues: list[deque] = [deque() for _ in self.stages]
         self.free: list[int] = [s.units for s in self.stages]
         self.owner = owner if owner is not None else self
@@ -507,8 +376,10 @@ class Pipeline:
     def enqueue(self, idx: int, state, size: int, now: float, heap: EventHeap) -> None:
         """Admit one query's units at a stage and try to start them.
 
-        Inlined body of :meth:`ServicedStage.enqueue` (this runs once
-        per query per stage).
+        SPLIT stages enqueue the query's ``chunk_items`` sub-batches,
+        FUSE stages the whole query as one unit; either way the state's
+        ``pending_units`` counts them.  A query with no items would
+        never complete, so ``size < 1`` raises.
         """
         stage = self.stages[idx]
         queue = self.queues[idx]

@@ -62,8 +62,8 @@ from repro.sim.event_core import ReplicaLoop
 
 __all__ = ["run_vectorized"]
 
-#: Per-ServicedStage dense service tables, shared across replicas (the
-#: stage objects themselves are shared via plan_cache).  Keyed by id()
+#: Per-stage dense service tables, shared across replicas (the stage
+#: objects themselves are shared via plan_cache).  Keyed by id()
 #: with the stage kept referenced so a recycled id cannot alias.
 _SERVICE_TABLES: dict[int, tuple[object, int, np.ndarray]] = {}
 
@@ -323,8 +323,7 @@ def _direct_batch(server, ts, szs, pls) -> np.ndarray:
     rep_svc = np.repeat(svc_full, nch)
     rep_svc[ends[has_rem] - 1] = svc_rem[has_rem]
     if server.slow_factor != 1.0:
-        # A straggler: the per-chunk multiply of
-        # DirectStage.completion_time_slowed.
+        # A straggler: DirectStage.completion_time's per-chunk multiply.
         rep_svc *= server.slow_factor
     starts_q = np.concatenate(([0], ends[:-1]))
     avail = server.direct.avail
@@ -533,11 +532,7 @@ def run_vectorized(
                 else:
                     while h and h[0] < t:
                         pop(h)
-                    f = slows[i]
-                    if f == 1.0:
-                        d = directs[i].completion_time(t, sz, pl)
-                    else:
-                        d = directs[i].completion_time_slowed(t, sz, pl, f)
+                    d = directs[i].completion_time(t, sz, pl, slows[i])
                     push(h, d)
                     d_idx_add(gi)
                     d_fin_add(d)
@@ -627,11 +622,7 @@ def run_vectorized(
                 p = order[(m & -m).bit_length() - 1]
                 runner = runs[p]
                 if runner is None:
-                    f = slows[p]
-                    if f == 1.0:
-                        d = directs[p].completion_time(t, sz, pl)
-                    else:
-                        d = directs[p].completion_time_slowed(t, sz, pl, f)
+                    d = directs[p].completion_time(t, sz, pl, slows[p])
                     push(pending, (d, p))
                     d_idx_add(gi)
                     d_fin_add(d)

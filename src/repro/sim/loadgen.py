@@ -11,11 +11,9 @@ historical draw sequence bit-for-bit (pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.queries import Query, QueryWorkload
 
-__all__ = ["generate_trace", "PoissonLoadGenerator"]
+__all__ = ["generate_trace"]
 
 
 def generate_trace(
@@ -52,40 +50,3 @@ def generate_trace(
         start_s=start_s,
         first_id=first_id,
     )
-
-
-@dataclass
-class PoissonLoadGenerator:
-    """Stateful generator for chaining variable-rate trace segments.
-
-    Used by the cluster manager to replay a diurnal day: each
-    provisioning interval generates a segment at the interval's rate.
-    Segment ``k`` draws with seed ``seed + k`` -- the same schedule
-    :class:`repro.traces.PiecewisePoissonProcess` uses, so a chain of
-    ``next_segment`` calls equals one streamed process.
-    """
-
-    workload: QueryWorkload
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self._next_id = 0
-        self._clock_s = 0.0
-        self._segment = 0
-
-    def next_segment(self, arrival_rate_qps: float, duration_s: float) -> list[Query]:
-        """Generate the next contiguous segment of the trace."""
-        from repro.traces.arrivals import poisson_segment
-
-        queries = poisson_segment(
-            self.workload,
-            arrival_rate_qps,
-            duration_s,
-            seed=self.seed + self._segment,
-            start_s=self._clock_s,
-            first_id=self._next_id,
-        )
-        self._segment += 1
-        self._clock_s += duration_s
-        self._next_id += len(queries)
-        return queries

@@ -8,7 +8,7 @@ those reduce to :meth:`ServerEvaluator.plan_timings`, which is a pure
 function of ``(partitioned model, workload, plan)`` -- so the results
 can be computed once and shared everywhere.
 
-Three layers live here:
+Two layers live here:
 
 - :class:`PlanTimingsCache` -- a per-evaluator memo table keyed by an
   *explicit content key* (:func:`partition_key` plus the hashable
@@ -18,14 +18,12 @@ Three layers live here:
   ``id(partitioned)`` scheme, where a child process could never hit on
   entries keyed by the parent's object identities.
 - A module-level registry keyed by the same content keys --
-  ``shared_evaluator``, ``partitioned_for``, ``timings_for``,
-  ``stages_for`` and ``serviced_stages_for`` -- used by the fleet
-  builder and the cluster provisioner so that fifty replicas of
-  (T2, DLRM-RMC1, plan) cost one evaluation, not fifty.
-- Quantized span memos -- ``span_for`` caches
-  :meth:`PlanTimings.service_span_s` per (timings, query size); the
-  latency-bounded bisection hits the same four percentile sizes dozens
-  of times per candidate plan.
+  ``shared_evaluator``, ``partitioned_for``, ``timings_for`` and
+  ``stages_for`` -- used by ``build_fleet`` and the cluster
+  provisioner so that fifty replicas of (T2, DLRM-RMC1, plan) cost one
+  evaluation, not fifty.  ``stages_for`` hands every replica the same
+  :class:`~repro.sim.event_core.SimStage` tuple, so the stages'
+  service and chunk memo tables fill once per fleet.
 
 ``clear_shared_caches()`` resets everything (tests use it to measure
 hit rates deterministically).
@@ -53,8 +51,6 @@ __all__ = [
     "partitioned_for",
     "timings_for",
     "stages_for",
-    "serviced_stages_for",
-    "span_for",
     "shared_cache_stats",
     "clear_shared_caches",
 ]
@@ -161,9 +157,7 @@ class PlanTimingsCache:
 _EVALUATORS: dict[str, "ServerEvaluator"] = {}
 _PARTITIONS: dict[tuple, "PartitionedModel"] = {}
 _STAGES: dict[tuple, tuple] = {}
-_RUNTIME: dict[tuple, tuple] = {}
 _STATS = CacheStats()
-_SPAN_STATS = CacheStats()
 
 
 def shared_evaluator(server: "ServerType") -> "ServerEvaluator":
@@ -229,11 +223,12 @@ def stages_for(
     workload: "QueryWorkload",
     plan: "ExecutionPlan",
 ) -> tuple:
-    """DES stage-spec pipeline for a triple, memoized across replicas.
+    """DES stage pipeline for a triple, memoized across replicas.
 
-    Stage specs are immutable (per-replica queue state lives in the
-    engines), so one tuple is safely shared by every replica of the
-    same (server type, model, plan).
+    A stage's spec is immutable and its memo tables hold pure functions
+    of the spec (per-replica queue state lives in the engines), so one
+    tuple is safely shared by every replica of the same (server type,
+    model, plan), and its memo tables fill once per fleet.
     """
     from repro.sim.server_sim import build_stages
 
@@ -250,66 +245,18 @@ def stages_for(
     return stages
 
 
-def serviced_stages_for(
-    server: "ServerType",
-    model: "RecommendationModel",
-    workload: "QueryWorkload",
-    plan: "ExecutionPlan",
-) -> tuple:
-    """Runtime :class:`~repro.sim.event_core.ServicedStage` pipeline.
-
-    Wraps :func:`stages_for` in the event core's memoizing stage
-    records; because the tuple is shared across every replica of the
-    triple, the quantized ``items -> service`` and ``size -> chunks``
-    tables fill once per fleet rather than once per replica.
-    """
-    from repro.sim.event_core import ServicedStage
-
-    key = (server.name, model_key(model), workload, plan)
-    stages = _RUNTIME.get(key)
-    if stages is None:
-        stages = tuple(
-            ServicedStage(spec) for spec in stages_for(server, model, workload, plan)
-        )
-        _RUNTIME[key] = stages
-    return stages
-
-
-def span_for(timings: "PlanTimings", query_size: int) -> float:
-    """Memoized :meth:`PlanTimings.service_span_s`.
-
-    The latency-bounded bisection evaluates the span of the same four
-    percentile sizes for every probed arrival rate; quantizing on
-    (timings, size) turns ~35 ceil-loops per candidate into dict hits.
-    The table lives on the timings instance (int keys, no re-hash of
-    the stage tuple), so it is shared with the evaluator's inlined hot
-    path and garbage-collects with the timings object.
-    """
-    cache = timings.span_cache()
-    span = cache.get(query_size)
-    if span is None:
-        _SPAN_STATS.misses += 1
-        span = timings.service_span_s(query_size)
-        cache[query_size] = span
-    else:
-        _SPAN_STATS.hits += 1
-    return span
-
-
 def shared_cache_stats() -> dict[str, CacheStats]:
     """Stats for the shared registries and each evaluator's memo."""
-    out = {"stages": _STATS, "spans": _SPAN_STATS}
+    out = {"stages": _STATS}
     for name, evaluator in _EVALUATORS.items():
         out[f"timings:{name}"] = evaluator.timings_cache.stats
     return out
 
 
 def clear_shared_caches() -> None:
-    """Reset the registry (evaluators, partitions, stages, spans, stats)."""
-    global _STATS, _SPAN_STATS
+    """Reset the registry (evaluators, partitions, stages, stats)."""
+    global _STATS
     _EVALUATORS.clear()
     _PARTITIONS.clear()
     _STAGES.clear()
-    _RUNTIME.clear()
     _STATS = CacheStats()
-    _SPAN_STATS = CacheStats()

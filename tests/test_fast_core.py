@@ -668,7 +668,7 @@ class TestExactP2C:
         stage = build_fleet(
             allocation, small_table, models, workloads
         )[0].direct.stage
-        finish = DirectStage(stage).completion_time(0.0, 40, 1.0)
+        finish = DirectStage(stage).completion_time(0.0, 40, 1.0, 1.0)
         after = float(np.nextafter(finish, np.inf))
         return {
             core: [run(core, finish), run(core, after)]

@@ -26,7 +26,7 @@ from repro.fleet import (
     diurnal_segments,
 )
 from repro.models import build_model
-from repro.sim import QueryWorkload
+from repro.sim import Query, QueryWorkload
 from repro.sim.server_sim import DiscreteEventServerSim, build_stages
 from repro.sim import plan_cache
 
@@ -254,6 +254,28 @@ class TestEngineBehaviour:
         text = result.format()
         assert "DLRM-RMC1" in text
         assert "fleet power" in text
+
+    def test_report_format_renders_an_unserved_model(
+        self, small_table, rmc1_models, rmc1_only_workloads
+    ):
+        """A model the trace names but the fleet does not serve has no
+        SLA (``inf``): its table row shows ``-`` there, and every one
+        of its arrivals as a drop."""
+        servers = _uniform_fleet(small_table, rmc1_models, rmc1_only_workloads, 4)
+        models = ("DLRM-RMC1", "web,burst")
+        trace = [
+            (models[i % 2], Query(i // 2, 0.005 * i, 20, 1.0)) for i in range(400)
+        ]
+        result = FleetSimulator(servers, sla_ms={"DLRM-RMC1": 20.0}).run(trace)
+        assert result.per_model["web,burst"].sla_ms == float("inf")
+        row = next(
+            line for line in result.format().splitlines()
+            if line.startswith("web,burst")
+        )
+        # model, served, dropped, QPS, p50 ms, p99 ms, SLA ms, viol
+        assert row.split() == [
+            "web,burst", "0", "200", "0", "inf", "inf", "-", "100.00%"
+        ]
 
     def test_diurnal_segments_compress_the_day(self):
         traces = synchronous_traces({"DLRM-RMC1": 1000.0})

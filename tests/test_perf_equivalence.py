@@ -25,7 +25,7 @@ import pytest
 from repro.cluster.state import Allocation
 from repro.fleet import FleetSimulator, build_fleet, build_fleet_trace
 from repro.sim import QueryWorkload
-from repro.sim.event_core import DirectStage, ServicedStage
+from repro.sim.event_core import DirectStage
 from repro.sim.loadgen import generate_trace
 from repro.sim.queries import QuerySizeDistribution
 from repro.sim.server_sim import (
@@ -240,9 +240,9 @@ def test_direct_recurrence_matches_reference_exactly(seed):
     ref_done = _ReferenceDES([spec]).run(trace)
     ref = sorted((st.query.query_id, st.finish_s) for st in ref_done)
 
-    direct = DirectStage(ServicedStage(spec))
+    direct = DirectStage(spec)
     got = sorted(
-        (q.query_id, direct.completion_time(q.arrival_s, q.size, q.pooling_scale))
+        (q.query_id, direct.completion_time(q.arrival_s, q.size, q.pooling_scale, 1.0))
         for q in trace
     )
     assert got == ref

@@ -165,22 +165,33 @@ class TestEvictionAndForkSafety:
         assert evaluator.plan_timings(clone, workload, PLAN) is not None
         assert evaluator.timings_cache.stats.hits == 1
 
-    def test_serviced_stages_shared_across_replicas(self, rmc1_model, workload):
-        server = SERVER_TYPES["T2"]
-        a = plan_cache.serviced_stages_for(server, rmc1_model, workload, PLAN)
-        b = plan_cache.serviced_stages_for(server, rmc1_model, workload, PLAN)
-        assert a is b  # one memoized service table per fleet, not per replica
-        from repro.sim.event_core import ServicedStage
+    def test_serviced_stages_shared_across_replicas(self, small_table):
+        """``build_fleet`` hands every replica of one (server type,
+        model, plan) the same stage records, so their memo tables fill
+        once per fleet, not once per replica -- and a rebuilt fleet (a
+        provisioning search builds one per candidate) keeps them."""
+        from repro.cluster.state import Allocation
+        from repro.fleet import build_fleet
 
-        assert all(isinstance(s, ServicedStage) for s in a)
-
-    def test_span_for_memoizes_per_timings(self, rmc1_model, workload):
-        partitioned = partition_model(rmc1_model)
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        timings = evaluator.plan_timings(partitioned, workload, PLAN)
-        first = plan_cache.span_for(timings, 100)
-        assert first == timings.service_span_s(100)
-        stats = plan_cache.shared_cache_stats()["spans"]
-        hits = stats.hits
-        assert plan_cache.span_for(timings, 100) == first
-        assert stats.hits == hits + 1
+        models = {m: build_model(m) for m in ("DLRM-RMC1", "DLRM-RMC2")}
+        allocation = Allocation()
+        allocation.add("T2", "DLRM-RMC1", 3)
+        allocation.add("T7", "DLRM-RMC1", 2)
+        allocation.add("T2", "DLRM-RMC2", 2)
+        servers = build_fleet(allocation, small_table, models)
+        cells: dict[tuple, list] = {}
+        for server in servers:
+            key = (server.server_type.name, server.model_name)
+            cells.setdefault(key, []).append(server.stages)
+        assert len(cells) == 3
+        for replicas in cells.values():
+            assert len(replicas) > 1
+            for stages in replicas[1:]:
+                assert all(a is b for a, b in zip(stages, replicas[0]))
+        assert plan_cache.shared_cache_stats()["stages"].misses == 3
+        rebuilt = build_fleet(allocation, small_table, models)
+        assert all(
+            a is b
+            for old, new in zip(servers, rebuilt)
+            for a, b in zip(old.stages, new.stages)
+        )

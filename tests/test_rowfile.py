@@ -15,6 +15,7 @@ import pytest
 
 from repro.carbon import CarbonTrace, load_carbon, read_carbon_trace, save_carbon_trace
 from repro.obs import METRIC_FIELDS, FleetProbe, read_trace_jsonl, summarize_file
+from repro.rowfile import Column, write_jsonl, write_rows
 from repro.sim.queries import Query
 from repro.traces import RecordedTrace, save_trace
 
@@ -188,6 +189,39 @@ def test_extension_table(tmp_path, ext, fmt):
     path = str(tmp_path / f"metrics{ext}")
     probe.export_metrics(path)
     assert summarize_file(path)["format"] == f"metrics-{fmt}"
+
+
+def _refused_writes():
+    """One call per writer that refuses or fails on its second row,
+    keyed by the file name it writes."""
+    good = ("A", Query(0, 0.25, 3, 1.5))
+    probe = FleetProbe()
+    probe.metrics_rows = [_metric_row(), _metric_row(model="web,burst")]
+    columns = (Column("a", "a"), Column("b", "b"))
+    return {
+        "trace.csv": lambda p: save_trace(p, [good, ("web,burst", good[1])]),
+        "trace.jsonl": lambda p: save_trace(p, [good, (b"A", good[1])]),
+        "metrics.csv": probe.export_metrics,
+        "rows.csv": lambda p: write_rows(p, "csv", columns, [(1, 2), ("x,y", 3)]),
+        "rows.jsonl": lambda p: write_rows(p, "jsonl", columns, [(1, 2), ({1}, 3)]),
+        "records.jsonl": lambda p: write_jsonl(p, [{"a": 1}, {"a": {1}}]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_refused_writes()))
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_refused_write_leaves_the_path_as_it_was(tmp_path, name, existing):
+    """A writer that refuses a row (or fails on one) leaves no new file,
+    an existing file byte for byte, and no temporary file behind."""
+    path = tmp_path / name
+    if existing:
+        path.write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises((ValueError, TypeError)):
+        _refused_writes()[name](str(path))
+    assert sorted(tmp_path.iterdir()) == before
+    if existing:
+        assert path.read_text() == "kept\n"
 
 
 def test_writers_keep_their_bytes(tmp_path):

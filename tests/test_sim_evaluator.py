@@ -149,6 +149,21 @@ class TestLatencyBounded:
         assert capped.qps < free.qps
         assert capped.power_w <= free.power_w * 0.9 + 1e-6
 
+    def test_span_memo_holds_unmemoized_spans(
+        self, t2_evaluator, rmc1_partitioned, rmc1_workload
+    ):
+        """The per-timings span table that the bisection and ``perf_at``
+        fill holds exactly ``service_span_s`` of each query size."""
+        plan = cpu_plan(batch=128)
+        t2_evaluator.latency_bounded(
+            rmc1_partitioned, rmc1_workload, plan, sla_ms=64.0
+        )
+        timings = t2_evaluator.plan_timings(rmc1_partitioned, rmc1_workload, plan)
+        spans = timings.span_cache()
+        assert len(spans) >= 4  # p50, p95, p99 and mean sizes
+        for size, span in spans.items():
+            assert span == timings.service_span_s(size)
+
 
 class TestNmpServer:
     def test_nmp_speeds_up_multi_hot_models(

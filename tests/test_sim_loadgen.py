@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim import PoissonLoadGenerator, QueryWorkload, generate_trace
+from repro.sim import QueryWorkload, generate_trace
 
 WL = QueryWorkload.for_model(100)
 
@@ -48,18 +48,3 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         generate_trace(WL, 100, 0)
 
-
-class TestPoissonLoadGenerator:
-    def test_segments_chain_continuously(self):
-        gen = PoissonLoadGenerator(WL, seed=3)
-        seg1 = gen.next_segment(500, 2.0)
-        seg2 = gen.next_segment(800, 2.0)
-        assert all(q.arrival_s < 2.0 for q in seg1)
-        assert all(2.0 <= q.arrival_s < 4.0 for q in seg2)
-        assert seg2[0].query_id == seg1[-1].query_id + 1
-
-    def test_segment_rates_differ(self):
-        gen = PoissonLoadGenerator(WL, seed=4)
-        low = gen.next_segment(100, 10.0)
-        high = gen.next_segment(1000, 10.0)
-        assert len(high) > 5 * len(low)
