@@ -82,6 +82,7 @@ from repro.fleet import (
 from repro.fleet.engine import FLEET_CORES
 from repro.hardware import SERVER_AVAILABILITY, SERVER_TYPES
 from repro.models import MODEL_NAMES, build_model
+from repro.rowfile import csv_cell_refusal
 from repro.scheduling import (
     BaselineTaskScheduler,
     HerculesTaskScheduler,
@@ -295,6 +296,7 @@ def _fleet_inputs(args: argparse.Namespace, target_utilization: float):
     # profile, so a malformed value fails fast.
     recorded = RecordedTrace(args.trace) if getattr(args, "trace", None) else None
     spec = parse_arrivals(args.arrivals) if getattr(args, "arrivals", None) else None
+    _check_exports(args, recorded)
     server_types = [SERVER_TYPES[s] for s in args.server_types]
     models = {name: build_model(name) for name in args.models}
     print(
@@ -345,6 +347,30 @@ def _fleet_inputs(args: argparse.Namespace, target_utilization: float):
             seed=args.seed,
         )
     return models, table, fleet_counts, traces, workloads, source
+
+
+def _check_exports(args: argparse.Namespace, recorded: RecordedTrace | None) -> None:
+    """Refuse, before the profile, an output file the replay could not
+    write: a ``--metrics-out``/``--trace-out`` extension the probe does
+    not write, or a CSV ``--metrics-out`` that a recorded trace's model
+    names would corrupt (read from the scan ``end_s`` makes anyway)."""
+    metrics_out = getattr(args, "metrics_out", None)
+    trace_out = getattr(args, "trace_out", None)
+    if not (metrics_out or trace_out):
+        return
+    from repro.obs import FleetProbe
+
+    try:
+        metrics_fmt = FleetProbe.metrics_format(metrics_out) if metrics_out else None
+        if trace_out:
+            FleetProbe.trace_format(trace_out)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    if metrics_fmt == "csv" and recorded is not None:
+        for name in recorded.models():
+            refusal = csv_cell_refusal("model", name)
+            if refusal is not None:
+                raise SystemExit(f"{metrics_out}: {refusal}")
 
 
 def _replay_span_s(args: argparse.Namespace, source) -> float:

@@ -84,9 +84,6 @@ class EvolutionResult:
     def peak_power_series(self) -> list[float]:
         return [d.peak_power_w for d in self.days]
 
-    def average_power_series(self) -> list[float]:
-        return [d.average_power_w for d in self.days]
-
     def peak_server_series(self) -> list[int]:
         return [d.peak_servers for d in self.days]
 

@@ -113,9 +113,6 @@ class DaySummary:
     def power_series(self) -> list[tuple[float, float]]:
         return [(r.hour, r.provisioned_power_w) for r in self.records]
 
-    def server_series(self) -> list[tuple[float, int]]:
-        return [(r.hour, r.activated_servers) for r in self.records]
-
 
 class ClusterManager:
     """Drives one scheduling policy through a diurnal day.

@@ -92,12 +92,6 @@ class ModelStats:
     def meets_sla(self) -> bool:
         return self.p99_ms <= self.sla_ms
 
-    @property
-    def goodput_fraction(self) -> float:
-        """Fraction of demand that completed (vs failed or dropped)."""
-        demand = self.completed + self.failed + self.dropped
-        return self.completed / demand if demand else 1.0
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

@@ -118,24 +118,6 @@ class Graph:
             sub.add(Node(op=node.op, deps=kept_deps))
         return sub
 
-    # -- critical path -----------------------------------------------------
-
-    def critical_path_length(self, weights: dict[str, float]) -> float:
-        """Longest weighted path through the DAG.
-
-        Args:
-            weights: Per-node execution cost (e.g. latency in seconds).
-
-        Returns:
-            The makespan lower bound with unlimited parallel workers --
-            the quantity that bounds op-parallelism speedup (Fig. 5).
-        """
-        finish: dict[str, float] = {}
-        for node in self._nodes.values():
-            start = max((finish[d] for d in node.deps), default=0.0)
-            finish[node.name] = start + weights[node.name]
-        return max(finish.values(), default=0.0)
-
     # -- cost roll-ups -----------------------------------------------------
 
     def total_flops(self, items: int) -> float:

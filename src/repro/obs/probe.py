@@ -402,17 +402,34 @@ class FleetProbe:
 
     # -- export --------------------------------------------------------
 
+    @staticmethod
+    def metrics_format(path: str) -> str:
+        """``"csv"`` or ``"jsonl"``, the format :meth:`export_metrics`
+        writes to ``path``; any other extension raises."""
+        fmt = extension_format(path)
+        if fmt is None:
+            raise ValueError(
+                f"metrics path must end in .csv or .jsonl, got {path!r}"
+            )
+        return fmt
+
+    @staticmethod
+    def trace_format(path: str) -> str:
+        """``"json"`` or ``"jsonl"``, the format :meth:`export_trace`
+        writes to ``path``; any other extension raises."""
+        if path.endswith(".json"):
+            return "json"
+        if extension_format(path) == "jsonl":
+            return "jsonl"
+        raise ValueError(f"trace path must end in .json or .jsonl, got {path!r}")
+
     def export_metrics(self, path: str) -> None:
         """Write the windowed series as a CSV or JSONL row file (by
         extension; see :mod:`repro.rowfile`), floats via ``repr`` so the
         files round-trip exactly."""
         if not self.metrics:
             raise ValueError("probe was built with metrics=False")
-        fmt = extension_format(path)
-        if fmt is None:
-            raise ValueError(
-                f"metrics path must end in .csv or .jsonl, got {path!r}"
-            )
+        fmt = self.metrics_format(path)
         rows = map(itemgetter(*METRIC_FIELDS), self.metrics_rows)
         write_rows(path, fmt, METRIC_COLUMNS, rows)
 
@@ -428,7 +445,7 @@ class FleetProbe:
             raise ValueError("probe was built with trace=False")
         from repro.obs.trace import chrome_trace, write_trace_jsonl
 
-        if path.endswith(".json"):
+        if self.trace_format(path) == "json":
             doc = chrome_trace(
                 self.spans,
                 self.control_events,
@@ -437,15 +454,11 @@ class FleetProbe:
             )
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-        elif extension_format(path) == "jsonl":
+        else:
             write_trace_jsonl(
                 path,
                 self.spans,
                 self.control_events,
                 warmup_s=self.warmup_s,
                 horizon=self.horizon,
-            )
-        else:
-            raise ValueError(
-                f"trace path must end in .json or .jsonl, got {path!r}"
             )

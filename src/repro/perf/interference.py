@@ -61,13 +61,3 @@ class InterferenceModel:
             raise ValueError("co_located_threads must be >= 1")
         penalty = self.llc_penalty_per_thread * (co_located_threads - 1)
         return 1.0 + min(penalty, self.max_llc_penalty)
-
-    def memory_time_scale(
-        self,
-        co_located_threads: int,
-        demand_bytes_per_s: float,
-        peak_bytes_per_s: float,
-    ) -> float:
-        """Combined multiplier on a thread's memory time under co-location."""
-        fraction = self.bandwidth_fraction(demand_bytes_per_s, peak_bytes_per_s)
-        return self.llc_inflation(co_located_threads) / fraction

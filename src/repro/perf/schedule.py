@@ -57,13 +57,6 @@ class ScheduleResult:
             return 0.0
         return 1.0 - self.busy_s / total
 
-    @property
-    def speedup_vs_serial(self) -> float:
-        """Makespan improvement over single-worker execution."""
-        if self.makespan_s == 0:
-            return 1.0
-        return self.busy_s / self.makespan_s
-
 
 def list_schedule(
     graph: Graph, latencies: dict[str, float], workers: int

@@ -151,19 +151,22 @@ def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
     return time.perf_counter() - start, out
 
 
-def _max_rss_kb() -> int | None:
+def _max_rss_kb(children: bool = False) -> int | None:
     """Process RSS high-water mark in KiB (None where unsupported).
 
     ``ru_maxrss`` is monotone over the process lifetime, so the value
     recorded after each scenario is a running peak: the scenario whose
     reading jumps is the one that grew it.  A cheap OS counter is used
     instead of ``tracemalloc`` so the wall-time numbers stay honest.
+    ``children=True`` reads the largest reaped child process instead
+    (pool workers, once their pool has closed).
     """
     try:
         import resource
     except ImportError:  # non-POSIX platform
         return None
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    rss = resource.getrusage(who).ru_maxrss
     # Linux reports KiB; macOS reports bytes.
     return rss // 1024 if platform.system() == "Darwin" else rss
 
@@ -367,6 +370,7 @@ def _scenario_profile_table(ctx: _Context) -> dict[str, Any]:
         lambda: OfflineProfiler().profile(servers, models, jobs=ctx.jobs)
     )
     ctx.tables.append(table)  # reused by the fleets it covers
+    pooled = (ctx.jobs or os.cpu_count() or 1) > 1 and len(servers) > 1
     pairs = len(table.entries)
     evaluations = sum(t.evaluations for t in table.entries.values())
     return {
@@ -377,6 +381,9 @@ def _scenario_profile_table(ctx: _Context) -> dict[str, Any]:
         "evals_per_s": evaluations / wall if wall > 0 else 0.0,
         "feasible_pairs": sum(1 for t in table.entries.values() if t.feasible),
         "jobs": ctx.jobs,
+        # A pooled search runs in the workers, which RUSAGE_SELF does
+        # not see; None when the profile ran in this process.
+        "workers_max_rss_kb": _max_rss_kb(children=True) if pooled else None,
     }
 
 

@@ -22,7 +22,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = ["REQUIRED", "Column", "extension_format", "row_format",
-           "read_rows", "read_jsonl", "write_rows", "write_jsonl"]
+           "csv_cell_refusal", "read_rows", "read_jsonl", "write_rows",
+           "write_jsonl"]
 
 _EXTENSIONS = {".csv": "csv", ".jsonl": "jsonl", ".ndjson": "jsonl"}
 
@@ -57,6 +58,18 @@ def row_format(path: str, fmt: str | None = None, what: str = "trace") -> str:
     elif fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown {what} format {fmt!r}; use 'csv' or 'jsonl'")
     return fmt
+
+
+def csv_cell_refusal(column: str, cell: str) -> str | None:
+    """Why ``cell`` cannot be a CSV cell of ``column``, or ``None``:
+    the rule :func:`write_rows` applies, for callers that check names
+    before they produce rows."""
+    if "," in cell or "\n" in cell or "\r" in cell:
+        return (
+            f"{column} {cell!r} contains a comma or newline, which would "
+            "corrupt the CSV file; rename it or save as .jsonl"
+        )
+    return None
 
 
 def _listed(names: Sequence[str]) -> str:
@@ -201,15 +214,11 @@ def write_rows(
             ]
             line = ",".join(cells)
             if line.count(",") != commas or "\n" in line or "\r" in line:
-                name, cell = next(
-                    (c.name, cell) for c, cell in zip(columns, cells)
-                    if "," in cell or "\n" in cell or "\r" in cell
+                refusal = next(
+                    refusal for c, cell in zip(columns, cells)
+                    if (refusal := csv_cell_refusal(c.name, cell))
                 )
-                raise ValueError(
-                    f"{path}:{count + 2}: {name} {cell!r} contains a comma or "
-                    "newline, which would corrupt the CSV file; rename it or "
-                    "save as .jsonl"
-                )
+                raise ValueError(f"{path}:{count + 2}: {refusal}")
             fh.write(line + "\n")
             count += 1
     return count

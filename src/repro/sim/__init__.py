@@ -3,7 +3,6 @@
 from repro.sim import plan_cache
 from repro.sim.evaluator import PlanTimings, ServerEvaluator, Stage
 from repro.sim.loadgen import generate_trace
-from repro.sim.plan_cache import PlanTimingsCache
 from repro.sim.metrics import LatencyStats, ServerPerformance, percentile
 from repro.sim.queries import (
     PoolingFactorDistribution,
@@ -23,7 +22,6 @@ from repro.sim.server_sim import (
 __all__ = [
     "plan_cache",
     "PlanTimings",
-    "PlanTimingsCache",
     "ServerEvaluator",
     "Stage",
     "generate_trace",

@@ -35,7 +35,7 @@ from repro.perf.opmodel import CPU_DISPATCH_OVERHEAD_S
 from repro.perf.schedule import list_makespan
 from repro.plans import ExecutionPlan, Placement
 from repro.sim.metrics import LatencyStats, ServerPerformance
-from repro.sim.plan_cache import PlanTimingsCache, model_key
+from repro.sim.plan_cache import model_key
 from repro.sim.queries import QueryWorkload
 
 __all__ = ["ServerEvaluator", "PlanTimings", "Stage"]
@@ -220,10 +220,11 @@ class ServerEvaluator:
             else None
         )
         self.sparse_transfer_efficiency = sparse_transfer_efficiency
-        self.timings_cache = PlanTimingsCache()
         # Per-(graph, items) hoisted op components for the contention
-        # fixpoint; id-keyed with pinning (process-local by design).
+        # fixpoint, and sink output bytes; id-keyed with pinning
+        # (process-local by design).
         self._graph_profiles: dict[tuple, tuple] = {}
+        self._output_bytes: dict[tuple, float] = {}
         self._pinned_graphs: dict[int, Graph] = {}
         # Per-model weight bytes for the host-memory fit check, keyed by
         # content (``model_key``): every CPU plan of a search re-checks it.
@@ -239,25 +240,14 @@ class ServerEvaluator:
         workload: QueryWorkload,
         plan: ExecutionPlan,
     ) -> PlanTimings:
-        """Load-independent timing profile of ``plan`` (memoized).
+        """Load-independent timing profile of ``plan``.
 
-        Timings are a pure function of the arguments, so each distinct
-        (partitioned model, workload, plan) triple is computed once per
-        evaluator and served from :attr:`timings_cache` afterwards.
+        A pure function of the arguments, computed on every call: the
+        search scores each plan once and keeps only its operating
+        point.  Callers that re-read the timings of a plan they run
+        (fleet replicas, provisioning) share
+        :func:`repro.sim.plan_cache.timings_for`'s memo.
         """
-        cached = self.timings_cache.get(partitioned, workload, plan)
-        if cached is not None:
-            return cached
-        timings = self._compute_plan_timings(partitioned, workload, plan)
-        self.timings_cache.put(partitioned, workload, plan, timings)
-        return timings
-
-    def _compute_plan_timings(
-        self,
-        partitioned: PartitionedModel,
-        workload: QueryWorkload,
-        plan: ExecutionPlan,
-    ) -> PlanTimings:
         if not plan.fits(self.server):
             raise ValueError(
                 f"plan {plan.describe()} does not fit server {self.server.name}"
@@ -579,9 +569,6 @@ class ServerEvaluator:
         host_bytes = mem_bytes - nmp_bytes
         inflation = self.interference.llc_inflation(co_located_threads)
 
-        def span_at(f: float) -> float:
-            return list_makespan(deps, latencies(f), workers)[0]
-
         # Rank-side NMP traffic contends against the rank-parallel
         # gather-reduce bandwidth; everything else against the host
         # gather bandwidth.  One share throttles all memory ops, so the
@@ -590,6 +577,16 @@ class ServerEvaluator:
         # thrashing) -- the effect that makes 10x2 beat 20x1 on
         # memory-dominated models (Fig. 4).
         f_max = 1.0 / inflation
+        # Both share searches open at the full share, and an uncontended
+        # batch runs at it: the schedule is a pure function of the
+        # share, so it is computed once.
+        full = list_makespan(deps, latencies(f_max), workers)
+
+        def span_at(f: float) -> float:
+            if f == f_max:
+                return full[0]
+            return list_makespan(deps, latencies(f), workers)[0]
+
         memory = self.server.memory
         effective = min(
             _saturating_share(
@@ -605,8 +602,21 @@ class ServerEvaluator:
                 f_max,
             ),
         )
-        makespan, busy = list_makespan(deps, latencies(effective), workers)
+        if effective == f_max:
+            makespan, busy = full
+        else:
+            makespan, busy = list_makespan(deps, latencies(effective), workers)
         return makespan, busy, mem_bytes
+
+    def _sink_output_bytes(self, graph: Graph, items: int) -> float:
+        """:meth:`Graph.total_output_bytes`, memoized per (graph, items)
+        like :meth:`_graph_profile` (every plan of a search re-reads it)."""
+        key = (id(graph), items)
+        out = self._output_bytes.get(key)
+        if out is None:
+            out = self._output_bytes[key] = graph.total_output_bytes(items)
+            self._pinned_graphs[id(graph)] = graph
+        return out
 
     def _cpu_model_based(
         self,
@@ -647,7 +657,7 @@ class ServerEvaluator:
             partitioned.dense, d, 1, total_threads
         )
         # Pooled sparse output crosses a host-side queue.
-        queue_bytes = partitioned.sparse.total_output_bytes(d)
+        queue_bytes = self._sink_output_bytes(partitioned.sparse, d)
         queue_s = queue_bytes / self.server.memory.peak_bw_bytes
         stages = (
             Stage("sparse", sparse_span, plan.sparse_threads, d),
@@ -694,7 +704,7 @@ class ServerEvaluator:
         )
         b = int(self._fused_batch_items(workload, plan))
         # Pooled sparse vectors + dense features transit PCIe.
-        payload = partitioned.sparse.total_output_bytes(b)
+        payload = self._sink_output_bytes(partitioned.sparse, b)
         payload += b * partitioned.model.config.dense_in * 4.0
         load_s = self.pcie.transfer_s(payload, sharers=g)
         infer_s = self._gpu_graph_time(partitioned.dense, b, g)
@@ -755,7 +765,7 @@ class ServerEvaluator:
         index_bytes = partitioned.sparse.total_input_bytes(b) * hit
         payload = index_bytes / self.sparse_transfer_efficiency
         if miss > 0:
-            payload += partitioned.sparse.total_output_bytes(b)
+            payload += self._sink_output_bytes(partitioned.sparse, b)
         payload += b * partitioned.model.config.dense_in * 4.0
         load_s = self.pcie.transfer_s(payload, sharers=g)
 

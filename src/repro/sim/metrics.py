@@ -90,12 +90,6 @@ class ServerPerformance:
             return 0.0
         return self.qps / self.power_w
 
-    @property
-    def energy_per_query_j(self) -> float:
-        if self.qps <= 0:
-            return math.inf
-        return self.power_w / self.qps
-
     @staticmethod
     def infeasible(reason: str, power_w: float = 0.0) -> "ServerPerformance":
         """A sentinel for configurations that violate a constraint."""

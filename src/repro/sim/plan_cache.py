@@ -5,25 +5,20 @@ re-times hundreds of candidate plans per (model, server) pair, the
 offline profiler runs that search for every pair, and the fleet
 simulator builds one stage pipeline per provisioned server.  All of
 those reduce to :meth:`ServerEvaluator.plan_timings`, which is a pure
-function of ``(partitioned model, workload, plan)`` -- so the results
-can be computed once and shared everywhere.
+function of ``(partitioned model, workload, plan)``.
 
-Two layers live here:
-
-- :class:`PlanTimingsCache` -- a per-evaluator memo table keyed by an
-  *explicit content key* (:func:`partition_key` plus the hashable
-  workload/plan).  Content keys survive ``pickle``/``fork``
-  round-trips, so the cache stays valid under
-  ``ProcessPoolExecutor`` fan-out -- unlike the previous
-  ``id(partitioned)`` scheme, where a child process could never hit on
-  entries keyed by the parent's object identities.
-- A module-level registry keyed by the same content keys --
-  ``shared_evaluator``, ``partitioned_for``, ``timings_for`` and
-  ``stages_for`` -- used by ``build_fleet`` and the cluster
-  provisioner so that fifty replicas of (T2, DLRM-RMC1, plan) cost one
-  evaluation, not fifty.  ``stages_for`` hands every replica the same
-  :class:`~repro.sim.event_core.SimStage` tuple, so the stages'
-  service and chunk memo tables fill once per fleet.
+The search keeps none of them: it scores each plan once, caches only
+the plan's operating point, and a :class:`ServerEvaluator` holds no
+plan-timings memo.  The one memo lives here, in a module-level
+registry keyed by *content* -- :func:`model_key` and
+:func:`partition_key` rather than object identity, so keys computed in
+different processes agree.  ``shared_evaluator``, ``partitioned_for``,
+``timings_for`` and ``stages_for`` serve ``build_fleet``, the cluster
+provisioner's power pricing and the provisioning searches, which re-read
+the same (server type, model, plan) triples: fifty replicas cost one
+evaluation, not fifty.  ``stages_for`` hands every replica the same
+:class:`~repro.sim.event_core.SimStage` tuple, so the stages' service
+and chunk memo tables fill once per fleet.
 
 ``clear_shared_caches()`` resets everything (tests use it to measure
 hit rates deterministically).
@@ -32,7 +27,7 @@ hit rates deterministically).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid import cycles
     from repro.hardware.server import ServerType
@@ -44,7 +39,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid import cycles
 
 __all__ = [
     "CacheStats",
-    "PlanTimingsCache",
     "partition_key",
     "model_key",
     "shared_evaluator",
@@ -100,71 +94,23 @@ def partition_key(partitioned: "PartitionedModel") -> tuple:
     )
 
 
-class PlanTimingsCache:
-    """Memo table for :meth:`ServerEvaluator.plan_timings`.
-
-    Keys combine :func:`partition_key` with the (hashable) workload and
-    plan.  Only successful evaluations are cached -- infeasible plans
-    re-raise their ``ValueError`` so error messages stay exact.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[tuple, Any] = {}
-        self.stats = CacheStats()
-
-    @staticmethod
-    def key(
-        partitioned: "PartitionedModel",
-        workload: "QueryWorkload",
-        plan: "ExecutionPlan",
-    ) -> tuple:
-        return (partition_key(partitioned), workload, plan)
-
-    def get(
-        self,
-        partitioned: "PartitionedModel",
-        workload: "QueryWorkload",
-        plan: "ExecutionPlan",
-    ) -> "PlanTimings | None":
-        timings = self._data.get(self.key(partitioned, workload, plan))
-        if timings is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return timings
-
-    def put(
-        self,
-        partitioned: "PartitionedModel",
-        workload: "QueryWorkload",
-        plan: "ExecutionPlan",
-        timings: "PlanTimings",
-    ) -> None:
-        self._data[self.key(partitioned, workload, plan)] = timings
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.stats = CacheStats()
-
-
 # ----------------------------------------------------------------------
 # Content-keyed shared registry (fleet + provisioning)
 # ----------------------------------------------------------------------
 
 _EVALUATORS: dict[str, "ServerEvaluator"] = {}
 _PARTITIONS: dict[tuple, "PartitionedModel"] = {}
+_TIMINGS: dict[tuple, "PlanTimings"] = {}
 _STAGES: dict[tuple, tuple] = {}
+_TIMINGS_STATS = CacheStats()
 _STATS = CacheStats()
 
 
 def shared_evaluator(server: "ServerType") -> "ServerEvaluator":
     """One default-configured evaluator per server type.
 
-    Sharing the evaluator shares its :class:`PlanTimingsCache`, so every
-    consumer of (server type, model, plan) timings hits the same memo.
+    Sharing the evaluator shares its per-graph tables (hoisted op
+    profiles, the NMP LUT) across every fleet and provisioning call.
     """
     from repro.sim.evaluator import ServerEvaluator
 
@@ -211,10 +157,21 @@ def timings_for(
     workload: "QueryWorkload",
     plan: "ExecutionPlan",
 ) -> "PlanTimings":
-    """Closed-form timings for a (server type, model, plan) triple."""
-    evaluator = shared_evaluator(server)
+    """Closed-form timings for a (server type, model, plan) triple.
+
+    Memoized by content; only successful evaluations are stored, so an
+    infeasible plan re-raises its exact ``ValueError`` every call.
+    """
     partitioned = partitioned_for(server, model, plan)
-    return evaluator.plan_timings(partitioned, workload, plan)
+    key = (server.name, partition_key(partitioned), workload, plan)
+    timings = _TIMINGS.get(key)
+    if timings is None:
+        _TIMINGS_STATS.misses += 1
+        timings = shared_evaluator(server).plan_timings(partitioned, workload, plan)
+        _TIMINGS[key] = timings
+    else:
+        _TIMINGS_STATS.hits += 1
+    return timings
 
 
 def stages_for(
@@ -246,17 +203,16 @@ def stages_for(
 
 
 def shared_cache_stats() -> dict[str, CacheStats]:
-    """Stats for the shared registries and each evaluator's memo."""
-    out = {"stages": _STATS}
-    for name, evaluator in _EVALUATORS.items():
-        out[f"timings:{name}"] = evaluator.timings_cache.stats
-    return out
+    """Hit/miss counters of the ``stages`` and ``timings`` memos."""
+    return {"stages": _STATS, "timings": _TIMINGS_STATS}
 
 
 def clear_shared_caches() -> None:
-    """Reset the registry (evaluators, partitions, stages, stats)."""
-    global _STATS
+    """Reset the registry (evaluators, partitions, timings, stages, stats)."""
+    global _STATS, _TIMINGS_STATS
     _EVALUATORS.clear()
     _PARTITIONS.clear()
+    _TIMINGS.clear()
     _STAGES.clear()
     _STATS = CacheStats()
+    _TIMINGS_STATS = CacheStats()

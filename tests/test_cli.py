@@ -204,6 +204,57 @@ class TestFailFast:
             main(argv)
         assert "Profiling" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, name, match",
+        [
+            ("--metrics-out", "m.txt", "metrics path must end in .csv or .jsonl"),
+            ("--trace-out", "t.txt", "trace path must end in .json or .jsonl"),
+        ],
+    )
+    def test_bad_output_path_exits_before_profiling(
+        self, monkeypatch, capsys, tmp_path, flag, name, match
+    ):
+        """An output extension the probe cannot write ends the command
+        with its message before the profile and the replay."""
+        from repro.scheduling import OfflineProfiler
+
+        monkeypatch.setattr(OfflineProfiler, "profile", _refuse_profile)
+        out = tmp_path / name
+        with pytest.raises(SystemExit, match=match):
+            main(["fleet", *_SLICE, "--duration", "2", flag, str(out)])
+        assert not out.exists()
+        assert "Profiling" not in capsys.readouterr().out
+
+    def test_csv_metrics_refuse_a_traced_model_before_profiling(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """A recorded trace that names a model a CSV cell cannot hold
+        refuses ``--metrics-out x.csv`` with the row writer's message,
+        before the profile; ``.jsonl`` metrics are not refused."""
+        import json
+
+        from repro.scheduling import OfflineProfiler
+
+        trace = tmp_path / "unserved.jsonl"
+        trace.write_text("".join(
+            json.dumps({"model": "DLRM-RMC1" if i % 2 == 0 else "web,burst",
+                        "t": 0.005 * i, "size": 20}) + "\n"
+            for i in range(40)
+        ))
+        monkeypatch.setattr(OfflineProfiler, "profile", _refuse_profile)
+        argv = ["fleet", "--trace", str(trace), "--peak-qps", "200", *_SLICE]
+        out = tmp_path / "unserved.csv"
+        with pytest.raises(SystemExit, match="model 'web,burst' contains a comma"):
+            main([*argv, "--metrics-out", str(out)])
+        assert not out.exists()
+        assert "Profiling" not in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="profiled"):
+            main([*argv, "--metrics-out", str(tmp_path / "metrics.jsonl")])
+
+
+def _refuse_profile(*args, **kwargs):
+    raise AssertionError("profiled before the output paths were checked")
+
 
 class TestBench:
     def test_bench_defaults(self):

@@ -65,12 +65,6 @@ def test_subgraph_drops_cross_edges():
         g.subgraph("bad", ["nope"])
 
 
-def test_critical_path_of_diamond():
-    g = _diamond()
-    weights = {"bottom": 1.0, "left": 2.0, "right": 5.0, "top": 1.0}
-    assert g.critical_path_length(weights) == pytest.approx(7.0)
-
-
 def test_cost_rollups_sum_over_nodes():
     g = _diamond()
     items = 32
@@ -103,5 +97,4 @@ def test_sparse_dense_split_views():
 def test_empty_graph_behaviour():
     g = Graph("empty")
     assert len(g) == 0
-    assert g.critical_path_length({}) == 0.0
     assert g.sinks() == ()

@@ -53,11 +53,6 @@ class TestInterferenceModel:
     def test_single_thread_no_inflation(self):
         assert InterferenceModel().llc_inflation(1) == 1.0
 
-    def test_memory_time_scale_combines_both_effects(self):
-        model = InterferenceModel(llc_penalty_per_thread=0.1)
-        scale = model.memory_time_scale(3, demand_bytes_per_s=68e9, peak_bytes_per_s=34e9)
-        assert scale == pytest.approx(1.2 / 0.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             InterferenceModel(llc_penalty_per_thread=-0.1)

@@ -32,58 +32,66 @@ PLAN = ExecutionPlan(Placement.CPU_MODEL_BASED, threads=4, cores_per_thread=2, b
 
 
 class TestEvaluatorMemo:
+    """The one plan-timings memo, behind ``timings_for``; a
+    :class:`ServerEvaluator` recomputes on every call."""
+
     def test_plan_timings_served_from_cache(self, rmc1_model, workload):
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        partitioned = partition_model(rmc1_model)
-        first = evaluator.plan_timings(partitioned, workload, PLAN)
-        second = evaluator.plan_timings(partitioned, workload, PLAN)
+        server = SERVER_TYPES["T2"]
+        first = plan_cache.timings_for(server, rmc1_model, workload, PLAN)
+        second = plan_cache.timings_for(server, rmc1_model, workload, PLAN)
         assert second is first
-        assert evaluator.timings_cache.stats.hits == 1
-        assert evaluator.timings_cache.stats.misses == 1
+        stats = plan_cache.shared_cache_stats()["timings"]
+        assert (stats.hits, stats.misses) == (1, 1)
+        evaluator = ServerEvaluator(server)
+        partitioned = partition_model(rmc1_model)
+        direct = evaluator.plan_timings(partitioned, workload, PLAN)
+        assert direct == first and direct is not first
+        assert evaluator.plan_timings(partitioned, workload, PLAN) is not direct
 
     def test_distinct_plans_miss(self, rmc1_model, workload):
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        partitioned = partition_model(rmc1_model)
-        evaluator.plan_timings(partitioned, workload, PLAN)
-        evaluator.plan_timings(partitioned, workload, PLAN.with_(batch_size=128))
-        assert evaluator.timings_cache.stats.misses == 2
-        assert len(evaluator.timings_cache) == 2
+        server = SERVER_TYPES["T2"]
+        plan_cache.timings_for(server, rmc1_model, workload, PLAN)
+        plan_cache.timings_for(server, rmc1_model, workload, PLAN.with_(batch_size=128))
+        plan_cache.timings_for(SERVER_TYPES["T3"], rmc1_model, workload, PLAN)
+        stats = plan_cache.shared_cache_stats()["timings"]
+        assert (stats.hits, stats.misses) == (0, 3)
 
     def test_infeasible_plans_not_cached(self, rmc1_model, workload):
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        partitioned = partition_model(rmc1_model)
-        cores = SERVER_TYPES["T2"].cpu.cores
+        server = SERVER_TYPES["T2"]
         bad = ExecutionPlan(
-            Placement.CPU_MODEL_BASED, threads=cores + 1, cores_per_thread=2
+            Placement.CPU_MODEL_BASED, threads=server.cpu.cores + 1, cores_per_thread=2
         )
         for _ in range(2):
             with pytest.raises(ValueError, match="does not fit"):
-                evaluator.plan_timings(partitioned, workload, bad)
-        assert len(evaluator.timings_cache) == 0
+                plan_cache.timings_for(server, rmc1_model, workload, bad)
+        stats = plan_cache.shared_cache_stats()["timings"]
+        assert (stats.hits, stats.misses) == (0, 2)
 
     def test_content_keyed_partitions_share_entries(self, rmc1_model, workload):
-        """Structurally equal partitions hash to the same explicit key.
+        """Structurally equal models hash to the same explicit key.
 
-        Content keys (not object identity) are what keeps the cache
-        valid across ``pickle``/``fork`` boundaries in the parallel
-        profiler.
+        Content keys (not object identity) are what keeps the memo
+        valid across ``pickle``/``fork`` boundaries: a model built
+        twice, or one that crossed a process pool, hits the entry.
         """
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        a = partition_model(rmc1_model)
-        b = partition_model(rmc1_model)
-        ta = evaluator.plan_timings(a, workload, PLAN)
-        tb = evaluator.plan_timings(b, workload, PLAN)
+        server = SERVER_TYPES["T2"]
+        twin = build_model("DLRM-RMC1")
+        assert twin is not rmc1_model
+        ta = plan_cache.timings_for(server, rmc1_model, workload, PLAN)
+        tb = plan_cache.timings_for(server, twin, workload, PLAN)
         assert tb is ta
-        assert evaluator.timings_cache.stats.hits == 1
-        assert plan_cache.partition_key(a) == plan_cache.partition_key(b)
+        assert plan_cache.shared_cache_stats()["timings"].hits == 1
+        assert plan_cache.partition_key(
+            partition_model(rmc1_model)
+        ) == plan_cache.partition_key(partition_model(twin))
 
     def test_clear_resets_stats(self, rmc1_model, workload):
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        partitioned = partition_model(rmc1_model)
-        evaluator.plan_timings(partitioned, workload, PLAN)
-        evaluator.timings_cache.clear()
-        assert len(evaluator.timings_cache) == 0
-        assert evaluator.timings_cache.stats.lookups == 0
+        server = SERVER_TYPES["T2"]
+        first = plan_cache.timings_for(server, rmc1_model, workload, PLAN)
+        plan_cache.clear_shared_caches()
+        assert plan_cache.shared_cache_stats()["timings"].lookups == 0
+        assert plan_cache.timings_for(server, rmc1_model, workload, PLAN) is not first
+        assert plan_cache.shared_cache_stats()["timings"].misses == 1
 
 
 class TestSharedRegistry:
@@ -105,12 +113,17 @@ class TestSharedRegistry:
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_timings_for_shares_the_evaluator_memo(self, rmc1_model, workload):
+        """``build_fleet`` and ``allocation_drawn_power_w`` re-read one
+        triple's timings from the registry's memo, priced by the shared
+        evaluator."""
         server = SERVER_TYPES["T2"]
         first = plan_cache.timings_for(server, rmc1_model, workload, PLAN)
         second = plan_cache.timings_for(server, rmc1_model, workload, PLAN)
         assert second is first
+        assert plan_cache.shared_cache_stats()["timings"].hits == 1
         evaluator = plan_cache.shared_evaluator(server)
-        assert evaluator.timings_cache.stats.hits >= 1
+        partitioned = plan_cache.partitioned_for(server, rmc1_model, PLAN)
+        assert evaluator.plan_timings(partitioned, workload, PLAN) == first
 
     def test_gpu_model_based_partition_keyed_by_colocation(self, rmc1_model):
         server = SERVER_TYPES["T7"]
@@ -156,14 +169,15 @@ class TestEvictionAndForkSafety:
         assert plan_cache.partition_key(clone) == plan_cache.partition_key(
             partitioned
         )
-        key_a = plan_cache.PlanTimingsCache.key(partitioned, workload, PLAN)
-        key_b = plan_cache.PlanTimingsCache.key(clone, workload, PLAN)
+        key_a = plan_cache.partition_key(partitioned)
+        key_b = plan_cache.partition_key(clone)
         assert key_a == key_b and hash(key_a) == hash(key_b)
 
-        evaluator = ServerEvaluator(SERVER_TYPES["T2"])
-        evaluator.plan_timings(partitioned, workload, PLAN)
-        assert evaluator.plan_timings(clone, workload, PLAN) is not None
-        assert evaluator.timings_cache.stats.hits == 1
+        server = SERVER_TYPES["T2"]
+        model_clone = pickle.loads(pickle.dumps(rmc1_model))
+        first = plan_cache.timings_for(server, rmc1_model, workload, PLAN)
+        assert plan_cache.timings_for(server, model_clone, workload, PLAN) is first
+        assert plan_cache.shared_cache_stats()["timings"].hits == 1
 
     def test_serviced_stages_shared_across_replicas(self, small_table):
         """``build_fleet`` hands every replica of one (server type,

@@ -152,13 +152,15 @@ class TestLatencyBounded:
     def test_span_memo_holds_unmemoized_spans(
         self, t2_evaluator, rmc1_partitioned, rmc1_workload
     ):
-        """The per-timings span table that the bisection and ``perf_at``
-        fill holds exactly ``service_span_s`` of each query size."""
+        """The per-timings span table that the bisection's probe and
+        ``perf_at`` fill holds exactly ``service_span_s`` of each query
+        size."""
         plan = cpu_plan(batch=128)
-        t2_evaluator.latency_bounded(
-            rmc1_partitioned, rmc1_workload, plan, sla_ms=64.0
-        )
         timings = t2_evaluator.plan_timings(rmc1_partitioned, rmc1_workload, plan)
+        capacity_qps = timings.capacity_items_s / rmc1_workload.mean_size
+        meets_sla = t2_evaluator._sla_probe(timings, rmc1_workload, 64.0, None)
+        meets_sla(0.5 * capacity_qps)
+        t2_evaluator.perf_at(timings, rmc1_workload, 0.5 * capacity_qps)
         spans = timings.span_cache()
         assert len(spans) >= 4  # p50, p95, p99 and mean sizes
         for size, span in spans.items():

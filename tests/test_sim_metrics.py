@@ -51,7 +51,6 @@ class TestServerPerformance:
     def test_efficiency_metrics(self):
         perf = self._perf(qps=100, power=200)
         assert perf.qps_per_watt == pytest.approx(0.5)
-        assert perf.energy_per_query_j == pytest.approx(2.0)
 
     def test_infeasible_sentinel(self):
         bad = ServerPerformance.infeasible("over budget", power_w=50.0)
@@ -59,5 +58,4 @@ class TestServerPerformance:
         assert bad.qps == 0.0
         assert bad.qps_per_watt == 0.0
         assert math.isinf(bad.latency.p99_ms)
-        assert math.isinf(bad.energy_per_query_j)
         assert "over budget" in bad.infeasible_reason
