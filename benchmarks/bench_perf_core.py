@@ -53,9 +53,14 @@ def test_perf_core_scenarios(benchmark, show, record):
     scenarios = doc["scenarios"]
     assert tuple(scenarios) == SCENARIOS
     # compare_bench only SKIPs a gated metric that goes missing, so a
-    # renamed or dropped one must fail here instead.
+    # renamed or dropped one must fail here instead; so must a gate
+    # whose legs are no longer timed in interleaved rounds.
     for scenario, metric, *_ in BENCH_GATES:
         assert isinstance(scenarios[scenario][metric], float), (scenario, metric)
+        rounds = scenarios[scenario][f"{metric}_rounds"]
+        assert rounds and all(isinstance(r, float) for r in rounds), (
+            scenario, metric,
+        )
     assert all(m["wall_s"] > 0 for m in scenarios.values())
     assert scenarios["fleet_replay"]["completed"] > 0
     assert scenarios["fleet_replay"]["events"] > scenarios["fleet_replay"]["queries"]

@@ -399,6 +399,27 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             "--power-cap/--deferral-horizon shape the deferrable plan; "
             "they need --carbon and --deferrable"
         )
+    if args.shards > 1:
+        if faults is not None or args.retries or args.hedge_ms is not None:
+            raise SystemExit(
+                "--shards > 1 supports fault-free replays only: fault "
+                "injection couples shards through cross-model dead "
+                "domains; drop --faults/--retries/--hedge-ms or run "
+                "--shards 1 (add --percentile-mode sketch for the "
+                "memory ceiling)"
+            )
+        if args.metrics_out or args.trace_out:
+            raise SystemExit(
+                "--shards > 1 cannot export observability (the probe "
+                "needs the single-process loop); drop "
+                "--metrics-out/--trace-out or run --shards 1"
+            )
+        if carbon is not None:
+            raise SystemExit(
+                "--shards > 1 cannot account carbon (activation windows "
+                "live in the worker processes); drop --carbon or run "
+                "--shards 1"
+            )
     # 60% aggregate utilization: the regime where routing quality shows.
     models, table, fleet_counts, traces, workloads, source = _fleet_inputs(
         args, target_utilization=0.6
@@ -441,26 +462,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             trace=args.trace_out is not None,
         )
     if args.shards > 1:
-        if faults is not None or args.retries or args.hedge_ms is not None:
-            raise SystemExit(
-                "--shards > 1 supports fault-free replays only: fault "
-                "injection couples shards through cross-model dead "
-                "domains; drop --faults/--retries/--hedge-ms or run "
-                "--shards 1 (add --percentile-mode sketch for the "
-                "memory ceiling)"
-            )
-        if probe is not None:
-            raise SystemExit(
-                "--shards > 1 cannot export observability (the probe "
-                "needs the single-process loop); drop "
-                "--metrics-out/--trace-out or run --shards 1"
-            )
-        if carbon is not None:
-            raise SystemExit(
-                "--shards > 1 cannot account carbon (activation windows "
-                "live in the worker processes); drop --carbon or run "
-                "--shards 1"
-            )
         from repro.fleet.sharded import run_fleet_sharded
 
         result = run_fleet_sharded(

@@ -11,37 +11,37 @@ repo's hot paths, one scenario each (in registry order):
 - ``loadgen``       -- Poisson trace synthesis;
 - ``single_node_des`` -- the single-server discrete-event simulation
   (best of three runs);
-- ``fleet_replay``  -- the request-level fleet replay (50 servers x
-  100k queries in the full configuration);
-- ``fleet_replay_fastcore`` -- the same replay under round-robin
-  routing through the vectorized batch core vs the per-event python
-  core (CI gates ``speedup_vector_vs_python`` > 3.0 on the full
-  configuration), asserting both cores agree on every per-model
-  statistic;
-- ``fleet_replay_queueaware`` -- one model fleet-wide under ``least``
-  and under p2c, each on the python core vs the vector core's exact
-  per-arrival router (CI gates ``speedup_vector_least_vs_python``
-  > 2.0 on the full configuration), asserting equal reports;
-- ``fleet_replay_streaming`` -- the same replay fed by a lazily
-  streamed arrival process instead of the materialized list, reporting
-  the wall-time ratio against the list path (CI bounds it at < 1.1)
-  and asserting both agree exactly, once under p2c on the python
-  core and once under rr on the vector core (streamed source vs its
-  pre-built list, also bounded at < 1.1);
-- ``fleet_replay_faultpath`` -- the same replay with an empty fault
-  schedule (asserting it equals no schedule) and through the tracked
-  loop, then a scripted schedule on the python core vs the vectorized
-  core (CI gates ``speedup_vector_fault_vs_python`` > 2.5 on the full
-  configuration).
-- ``fleet_replay_carbonpath`` -- the same replay priced in gCO2
-  after the run vs the bare replay, reporting the ratio CI bounds at
-  < 1.1x and asserting the realtime report agrees float-for-float; a
-  third leg adds deferrable jobs for trend inspection.
-- ``fleet_replay_observed`` -- the same replay on the python core
-  with the observability probe off vs plain construction (CI bounds
-  the dormant-guard ratio at < 1.05x), with per-query tracing vs the
-  tracked loop it rides on (< 1.5x), and with streaming metrics vs
-  the dark loop (< 1.6x), asserting every leg agrees float-for-float.
+- seven fleet-replay scenarios, each a row of ``_REPLAY_SCENARIOS``
+  that times legs of ``_LEGS`` (one replay configuration each) and
+  checks their reports ``==``:
+
+  - ``fleet_replay`` -- the request-level fleet replay on the python
+    core (50 servers x 100k queries in the full configuration);
+  - ``fleet_replay_fastcore`` -- round-robin routing on the vectorized
+    batch core vs the per-event python core (CI gates
+    ``speedup_vector_vs_python`` > 3.0 on the full configuration);
+  - ``fleet_replay_queueaware`` -- one model fleet-wide under ``least``
+    and under p2c, each on the python core vs the vector core's exact
+    per-arrival router (``speedup_vector_least_vs_python`` > 2.0 on
+    the full configuration);
+  - ``fleet_replay_streaming`` -- a lazily streamed arrival process vs
+    the materialized list, under p2c on the python core and under rr
+    on the vector core (both ratios bounded at < 1.1);
+  - ``fleet_replay_faultpath`` -- an empty fault schedule vs none, the
+    tracked loop, and a scripted schedule on the python core vs the
+    vectorized core (``speedup_vector_fault_vs_python`` > 2.5 on the
+    full configuration);
+  - ``fleet_replay_carbonpath`` -- gCO2 pricing after the run vs the
+    bare replay (< 1.1), and a third leg that adds deferrable jobs;
+  - ``fleet_replay_observed`` -- observer off vs plain construction
+    (< 1.05; the same code, so an A/A), per-query tracing vs the
+    tracked loop it rides on (< 1.5) and streaming metrics vs the dark
+    loop (< 1.6).
+
+  Each round runs every leg of a scenario once, reversing the order
+  every other round; a leg's wall is its best over the rounds, a ratio
+  the quotient of best walls (what ``BENCH_GATES`` reads) and
+  ``<ratio>_rounds`` its per-round quotients.
 - ``fleet_replay_sharded`` -- a four-model fleet replayed in four
   worker processes vs one, asserting the merged report is equal
   (``speedup_shards`` recorded ungated).
@@ -69,7 +69,8 @@ import json
 import os
 import platform
 import time
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "SCENARIOS",
@@ -149,6 +150,21 @@ def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
     start = time.perf_counter()
     out = fn()
     return time.perf_counter() - start, out
+
+
+def _per(num: float, den: float) -> float | None:
+    return num / den if den > 0 else None
+
+
+def _replay_rates(result: Any, wall: float, queries: int) -> dict[str, Any]:
+    """The rate fields of every fleet-replay block."""
+    return {
+        "queries": queries,
+        "queries_per_s": _per(queries, wall),
+        "events": result.events,
+        "events_per_s": _per(result.events, wall),
+        "completed": result.total_completed,
+    }
 
 
 def _max_rss_kb(children: bool = False) -> int | None:
@@ -264,50 +280,35 @@ class _Fleet:
 
         return build_fleet(self.allocation, self.table, self.models, self.workloads)
 
-    def replay(
-        self,
-        reps: int,
-        source: Callable[[], Any],
-        make_probe: Callable[[], Any] | None = None,
-        price: Callable[[Any, Any], Any] | None = None,
-        **kwargs: Any,
-    ) -> tuple[float, Any, Any]:
-        """Best wall of ``reps`` timed ``sim.run(source())`` calls.
+    def time_leg(self, leg: dict[str, Any], trace: list) -> tuple[float, Any, Any]:
+        """Time one ``sim.run`` of ``leg`` (a :data:`_LEGS` entry).
 
-        Each run gets a fresh simulator over fresh replicas, built with
-        ``kwargs`` (plus ``observer=make_probe()`` when given).
-        ``source()`` runs inside the timer, so a leg that materializes
-        its traffic pays for it; so does ``price(sim, result)``, whose
-        return value replaces the run's result.  The ratio legs feed CI
-        gates, so they take several runs to keep single-sample
-        scheduler noise out.  Returns the best wall and the last run's
-        result and probe.
+        Fresh replicas, the simulator and the probe are built before the
+        timer; the leg's source and pricing pass run inside it.  Returns
+        the wall, the report and the probe (None without one).
         """
         from repro.fleet import FleetSimulator
 
-        best = probe = None
-        for _ in range(reps):
-            if make_probe is not None:
-                probe = kwargs["observer"] = make_probe()
-            sim = FleetSimulator(
-                self.make_servers(), sla_ms=self.sla, seed=self.seed, **kwargs
-            )
+        kwargs = {"seed": self.seed, **leg}
+        source = {
+            "list": lambda: trace,
+            "materialize": lambda: list(self.stream),
+            "stream": lambda: self.stream,
+        }[kwargs.pop("source", "list")]
+        if "faults" in kwargs:
+            kwargs["faults"] = _fault_schedule(kwargs["faults"], self)
+        probe = None
+        if "probe" in kwargs:
+            probe = kwargs["observer"] = _probe(kwargs.pop("probe"), self)
+        price = _pricer(kwargs.pop("price"), self) if "price" in kwargs else None
+        sim = FleetSimulator(self.make_servers(), sla_ms=self.sla, **kwargs)
 
-            def run():
-                result = sim.run(source(), warmup_s=self.duration * 0.1)
-                return result if price is None else price(sim, result)
+        def run():
+            result = sim.run(source(), warmup_s=self.duration * 0.1)
+            return result if price is None else price(sim, result)
 
-            wall, result = _timed(run)
-            best = wall if best is None else min(best, wall)
-        return best, result, probe
-
-
-def _two_model_fleet(ctx: _Context) -> tuple[_Fleet, list]:
-    """The fleet-replay scenarios' fleet and its materialized trace."""
-    fleet = _Fleet(
-        ctx, _TWO_MODEL_SHARES, ctx.cfg["fleet_servers"], ctx.cfg["fleet_queries"]
-    )
-    return fleet, list(fleet.stream)
+        wall, result = _timed(run)
+        return wall, result, probe
 
 
 def _scale_out_fleet(ctx: _Context, queries: int) -> _Fleet:
@@ -428,8 +429,8 @@ def _scenario_single_node_des(ctx: _Context) -> dict[str, Any]:
     trace = generate_trace(workload, qps, duration, seed=ctx.seed + 1)
 
     sim = DiscreteEventServerSim(list(stages))
-    # Best of three runs, as _Fleet.replay takes: one timed run spans
-    # too much scheduler noise to resolve a change to the DES loop.
+    # Best of three runs: one timed run spans too much scheduler noise
+    # to resolve a change to the DES loop.
     wall, result = min(
         (_timed(lambda: sim.run(trace, warmup_s=duration * 0.1)) for _ in range(3)),
         key=lambda timed: timed[0],
@@ -445,234 +446,74 @@ def _scenario_single_node_des(ctx: _Context) -> dict[str, Any]:
     }
 
 
-def _scenario_fleet_replay(ctx: _Context) -> dict[str, Any]:
-    fleet, trace = _two_model_fleet(ctx)
-    # Pinned to the python core so this scenario's trajectory keeps
-    # measuring the per-event loop ("auto" would route p2c on the
-    # vector core).
-    wall, result, _ = fleet.replay(
-        1, lambda: trace, policy="p2c", core="python"
-    )
-    events = result.events
-    return {
-        "wall_s": wall,
-        "servers": fleet.servers,
-        "queries": len(trace),
-        "queries_per_s": len(trace) / wall if wall > 0 else 0.0,
-        "events": events,
-        "events_per_s": (events / wall) if (events and wall > 0) else None,
-        "completed": result.total_completed,
-    }
+#: Timed replay configurations ("legs"), each written once however many
+#: scenarios time it.  Keys are ``FleetSimulator`` keywords (``seed``
+#: defaults to the run's) except four that :meth:`_Fleet.time_leg`
+#: resolves against the fleet: ``source`` (``"list"``, the trace built
+#: before the timer, by default; ``"materialize"``, ``list(stream)``
+#: inside it; ``"stream"``, the lazy source), ``faults`` (``"empty"`` or
+#: ``"scripted"``), ``probe`` (a ``"metrics"`` or ``"trace"`` observer)
+#: and ``price`` (gCO2 pricing after the run; ``"deferrable"`` first
+#: plans and runs four jobs).
+_LEGS: dict[str, dict[str, Any]] = {
+    "p2c_python": {"policy": "p2c", "core": "python"},
+    # observer=None is FleetSimulator's default, so this leg runs the
+    # same code as p2c_python: their ratio is the harness's A/A null.
+    "p2c_python_observer_off": {"policy": "p2c", "core": "python", "observer": None},
+    "p2c_python_materialize": {
+        "policy": "p2c", "core": "python", "source": "materialize",
+    },
+    "p2c_python_stream": {"policy": "p2c", "core": "python", "source": "stream"},
+    "p2c_python_empty_faults": {"policy": "p2c", "core": "python", "faults": "empty"},
+    # A retry budget buys per-query attempt records: the tracked loop,
+    # which tracing rides on.
+    "p2c_python_tracked": {
+        "policy": "p2c", "core": "python", "faults": "empty", "retries": 2,
+    },
+    "p2c_python_metrics": {"policy": "p2c", "core": "python", "probe": "metrics"},
+    "p2c_python_traced": {"policy": "p2c", "core": "python", "probe": "trace"},
+    # "auto" routes p2c and least exactly per arrival on the vector core.
+    "p2c_auto": {"policy": "p2c", "core": "auto"},
+    "p2c_auto_carbon": {"policy": "p2c", "core": "auto", "price": "carbon"},
+    "p2c_auto_deferrable": {"policy": "p2c", "core": "auto", "price": "deferrable"},
+    "least_python": {"policy": "least", "core": "python"},
+    "least_auto": {"policy": "least", "core": "auto"},
+    "rr_python": {"policy": "rr", "core": "python"},
+    "rr_vector": {"policy": "rr", "core": "vector"},
+    "rr_vector_stream": {"policy": "rr", "core": "vector", "source": "stream"},
+    "rr_python_scripted": {"policy": "rr", "core": "python", "faults": "scripted"},
+    "rr_vector_scripted": {"policy": "rr", "core": "vector", "faults": "scripted"},
+}
 
 
-def _scenario_fleet_replay_fastcore(ctx: _Context) -> dict[str, Any]:
-    """Vectorized batch core vs the exact per-event core, same traffic.
-
-    Replays the identical fleet/trace under round-robin routing (the
-    measurement configuration the vectorized core targets) through
-    both cores.  ``speedup_vector_vs_python`` is the number CI's
-    perf-smoke job gates at > 3.0 on the full configuration, and the
-    two replays must agree on every per-model statistic -- a built-in
-    differential smoke check of the batched delivery.  Best-of-three
-    walls per side keep single-sample scheduler noise out of the gate
-    (one repetition more than the ratio scenarios: this gate is the
-    tightest in CI).
-    """
-    fleet, trace = _two_model_fleet(ctx)
-    wall_py, result_py, _ = fleet.replay(
-        3, lambda: trace, policy="rr", core="python"
-    )
-    wall_vec, result_vec, _ = fleet.replay(
-        3, lambda: trace, policy="rr", core="vector"
-    )
-    if result_vec.per_model != result_py.per_model:
-        raise AssertionError(
-            "vectorized core diverged from the python core on per-model stats"
-        )
-    if result_vec.events != result_py.events:
-        raise AssertionError(
-            "vectorized core event count diverged from the python core"
-        )
-
-    events = result_vec.events
-    return {
-        "wall_s": wall_vec,
-        "wall_python_s": wall_py,
-        "speedup_vector_vs_python": wall_py / wall_vec if wall_vec > 0 else None,
-        "servers": fleet.servers,
-        "queries": len(trace),
-        "queries_per_s": len(trace) / wall_vec if wall_vec > 0 else 0.0,
-        "events": events,
-        "events_per_s": (events / wall_vec) if (events and wall_vec > 0) else None,
-        "completed": result_vec.total_completed,
-    }
-
-
-def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
-    """Queue-aware routing: the exact per-arrival routers vs python.
-
-    One model spread fleet-wide -- the configuration where the python
-    core's least-outstanding scan pays O(replicas) per arrival.  The
-    same fleet and trace replay under ``least`` and under p2c, each on
-    the python core and on ``core='auto'``, which routes both exactly
-    per arrival on the vector core; each pair of reports must be
-    ``==``.  ``speedup_vector_least_vs_python`` is the number CI gates
-    at > 2.0 on the full configuration, best-of-three walls per side;
-    ``speedup_vector_p2c_vs_python`` (also best of three) is recorded
-    ungated.
-    """
-    fleet = _Fleet(
-        ctx, _ONE_MODEL_SHARES, ctx.cfg["queueaware_servers"],
-        ctx.cfg["queueaware_queries"],
-    )
-    trace = list(fleet.stream)
-    legs = {}
-    for policy in ("least", "p2c"):
-        wall_py, result_py, _ = fleet.replay(
-            3, lambda: trace, policy=policy, core="python"
-        )
-        wall_vec, result_vec, _ = fleet.replay(
-            3, lambda: trace, policy=policy, core="auto"
-        )
-        if result_vec.to_dict() != result_py.to_dict():
-            raise AssertionError(
-                f"exact {policy} routing on the vector core diverged from "
-                "the python core"
-            )
-        legs[policy] = wall_py, wall_vec, result_vec
-
-    (model,) = _ONE_MODEL_SHARES
-    wall_py, wall_vec, result = legs["least"]
-    wall_p2c_py, wall_p2c_vec, _ = legs["p2c"]
-    stats = result.per_model[model]
-    return {
-        "wall_s": wall_vec,
-        "wall_python_s": wall_py,
-        "speedup_vector_least_vs_python": (
-            wall_py / wall_vec if wall_vec > 0 else None
-        ),
-        "servers": fleet.servers,
-        "queries": len(trace),
-        "queries_per_s": len(trace) / wall_vec if wall_vec > 0 else 0.0,
-        "p50_ms": stats.p50_ms,
-        "p99_ms": stats.p99_ms,
-        "completed": stats.completed,
-        "wall_p2c_python_s": wall_p2c_py,
-        "wall_p2c_vector_s": wall_p2c_vec,
-        "speedup_vector_p2c_vs_python": (
-            wall_p2c_py / wall_p2c_vec if wall_p2c_vec > 0 else None
-        ),
-    }
-
-
-def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
-    """Fault machinery engaged but idle, and a scripted schedule.
-
-    Replays the identical fleet/trace three ways: no schedule; an
-    empty schedule (both run the light loop, so the legs must agree
-    exactly -- an empty schedule must still equal no schedule); and
-    the tracked loop (empty schedule plus a retry budget, which buys
-    per-query attempt records).  ``ratio_tracked_vs_fault_off`` is
-    recorded for trend inspection only (per-query records are
-    documented overhead).
-
-    A fourth and fifth leg replay a *scripted* schedule (two recovering
-    crashes, a slowdown episode, a permanent crash) under round-robin
-    through the python core and the segmented vectorized fault path.
-    ``speedup_vector_fault_vs_python`` is the number CI gates at > 2.5
-    on the full configuration, best-of-three walls per side, and the
-    two legs must agree float-for-float on every report field.
-    """
+def _fault_schedule(kind: str, fleet: _Fleet):
     from repro.fleet import FaultSchedule
     from repro.fleet.faults import crash, slowdown
 
-    fleet, trace = _two_model_fleet(ctx)
-    # The p2c legs are pinned to the python core: the tracked leg must
-    # run there, so its ratio compares one core with itself.
-    wall_off, result_off, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", core="python"
+    if kind == "empty":
+        return FaultSchedule()
+    # Two recovering crashes, a slowdown episode and a permanent crash;
+    # targets scale with the fleet so quick mode stays in range.
+    n_srv, duration = fleet.servers, fleet.duration
+    return FaultSchedule([
+        crash(duration * 0.30, 0, recover_after=duration * 0.15),
+        crash(duration * 0.55, max(1, n_srv // 4), recover_after=duration * 0.10),
+        slowdown(duration * 0.20, max(2, n_srv // 3), 2.5, duration=duration * 0.30),
+        crash(duration * 0.80, n_srv - 1),
+    ])
+
+
+def _probe(kind: str, fleet: _Fleet):
+    from repro.obs import FleetProbe
+
+    window_s = max(fleet.duration / 32.0, 1e-3)  # ~32 samples regardless of mode
+    return FleetProbe(
+        window_s=window_s, metrics=kind == "metrics", trace=kind == "trace"
     )
-    wall_light, result_light, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", core="python", faults=FaultSchedule()
-    )
-    wall_tracked, result_tracked, _ = fleet.replay(
-        2, lambda: trace, policy="p2c", core="python",
-        faults=FaultSchedule(), retries=2,
-    )
-    for label, result in (("light", result_light), ("tracked", result_tracked)):
-        if result.per_model != result_off.per_model:
-            raise AssertionError(
-                f"{label} replay with an empty schedule diverged from the "
-                "replay with no schedule"
-            )
-
-    # Scripted-schedule legs: the vectorized fault path partitions the
-    # horizon at fault boundaries and must stay bit-identical.
-    n_srv = fleet.servers
-    duration = fleet.duration
-
-    def scripted():
-        # Targets scale with the fleet so quick mode stays in range.
-        return FaultSchedule([
-            crash(duration * 0.30, 0, recover_after=duration * 0.15),
-            crash(duration * 0.55, max(1, n_srv // 4),
-                  recover_after=duration * 0.10),
-            slowdown(duration * 0.20, max(2, n_srv // 3), 2.5,
-                     duration=duration * 0.30),
-            crash(duration * 0.80, n_srv - 1),
-        ])
-
-    wall_fault_py, result_fault_py, _ = fleet.replay(
-        3, lambda: trace, policy="rr", core="python", faults=scripted()
-    )
-    wall_fault_vec, result_fault_vec, _ = fleet.replay(
-        3, lambda: trace, policy="rr", core="vector", faults=scripted()
-    )
-    for field in ("per_model", "fault_events", "availability",
-                  "phases", "events", "avg_power_w"):
-        if getattr(result_fault_vec, field) != getattr(result_fault_py, field):
-            raise AssertionError(
-                "vectorized fault path diverged from the python "
-                f"core on {field}"
-            )
-
-    events = result_light.events
-    return {
-        "wall_s": wall_light,
-        "wall_fault_off_s": wall_off,
-        "wall_tracked_s": wall_tracked,
-        "ratio_tracked_vs_fault_off": (
-            wall_tracked / wall_off if wall_off > 0 else None
-        ),
-        "wall_fault_python_s": wall_fault_py,
-        "wall_fault_vector_s": wall_fault_vec,
-        "speedup_vector_fault_vs_python": (
-            wall_fault_py / wall_fault_vec if wall_fault_vec > 0 else None
-        ),
-        "queries": len(trace),
-        "queries_per_s": len(trace) / wall_light if wall_light > 0 else 0.0,
-        "events": events,
-        "events_per_s": (events / wall_light) if (events and wall_light > 0) else None,
-        "completed": result_light.total_completed,
-    }
 
 
-def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
-    """gCO2 pricing after the replay vs the bare replay.
-
-    Every replay records per-replica activation windows; pricing them
-    is a pass over the finished run.  Replays the identical fleet/trace
-    three ways: bare (carbon off); priced (the replay plus one
-    ``attach_carbon`` pass -- what a replay pays for a gCO2 report);
-    and priced with a batch of deferrable jobs (the replay plus the
-    deferrable planner/executor plus pricing).
-
-    ``ratio_vs_carbon_off`` (priced/bare, no jobs) is the number CI's
-    perf-smoke job bounds at < 1.1; the jobs ratio is recorded for
-    trend inspection.  The realtime report must agree float-for-float
-    across all three legs -- a built-in differential smoke check that
-    pricing only adds the ``carbon`` block.
-    """
+def _pricer(kind: str, fleet: _Fleet) -> Callable[[Any, Any], Any]:
+    """``price(sim, result)``: the post-run gCO2 pass a priced replay pays."""
     from repro.carbon import (
         CarbonTrace,
         DeferrableJob,
@@ -681,10 +522,9 @@ def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
         run_deferrable,
     )
 
-    fleet, trace = _two_model_fleet(ctx)
     duration = fleet.duration
     carbon = CarbonTrace.diurnal(period_s=duration, steps=24)
-    jobs = tuple(
+    jobs = () if kind == "carbon" else tuple(
         DeferrableJob(
             name=f"batch-{i}",
             submit_s=i * duration / 8.0,
@@ -695,208 +535,232 @@ def _scenario_fleet_replay_carbonpath(ctx: _Context) -> dict[str, Any]:
         for i in range(4)
     )
 
-    def price(sim, result, jobs=()):
+    def price(sim, result):
         horizon = sim.last_horizon_s
-        report = None
-        if jobs:
-            report = run_deferrable(
-                jobs, carbon, policy="carbon-waiting", horizon_s=horizon,
-                realtime_profile=realtime_power_profile(sim.servers),
-            )
+        report = run_deferrable(
+            jobs, carbon, policy="carbon-waiting", horizon_s=horizon,
+            realtime_profile=realtime_power_profile(sim.servers),
+        ) if jobs else None
         return attach_carbon(result, sim.servers, carbon, horizon, report)
 
-    wall_off, result_off, _ = fleet.replay(2, lambda: trace, policy="p2c")
-    wall_on, result_on, _ = fleet.replay(
-        2, lambda: trace, price=price, policy="p2c"
-    )
-    wall_jobs, result_jobs, _ = fleet.replay(
-        2, lambda: trace, price=lambda sim, r: price(sim, r, jobs),
-        policy="p2c",
-    )
-    for label, result in (("carbon", result_on), ("deferrable", result_jobs)):
-        if result.per_model != result_off.per_model:
-            raise AssertionError(
-                f"{label} run diverged from the carbon-off replay on "
-                "per-model stats"
-            )
-        if result.avg_power_w != result_off.avg_power_w:
-            raise AssertionError(
-                f"{label} run diverged from the carbon-off replay on power"
-            )
-    if result_on.carbon is None or result_on.carbon.total_g <= 0.0:
+    return price
+
+
+#: The replay scenarios' fleets: shares, then the ``cfg`` keys of their
+#: size.
+_REPLAY_FLEETS = {
+    "two_model": (_TWO_MODEL_SHARES, "fleet_servers", "fleet_queries"),
+    "one_model": (_ONE_MODEL_SHARES, "queueaware_servers", "queueaware_queries"),
+}
+
+
+class _ReplayScenario(NamedTuple):
+    """One fleet-replay scenario as data, run by :func:`_time_legs`.
+
+    ``walls`` maps output wall keys to legs, in timing order (the
+    ``wall_s`` leg's report fills the common fields); ``ratios`` maps
+    output keys to ``(leg, leg)``, best wall over best wall; ``checks``
+    are ``(leg, reference leg, report fields)`` that must be ``==``
+    (``name()`` calls a method); ``extra`` adds fields from the last
+    round's ``{leg: (report, probe)}``.
+    """
+
+    fleet: str
+    rounds: int
+    walls: dict[str, str]
+    ratios: dict[str, tuple[str, str]]
+    checks: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
+    extra: Callable[[dict[str, Any]], dict[str, Any]] | None = None
+
+
+def _least_percentiles(runs: dict[str, Any]) -> dict[str, Any]:
+    (stats,) = runs["least_auto"][0].per_model.values()
+    return {"p50_ms": stats.p50_ms, "p99_ms": stats.p99_ms}
+
+
+def _emissions(runs: dict[str, Any]) -> dict[str, Any]:
+    carbon = runs["p2c_auto_carbon"][0].carbon
+    if carbon is None or carbon.total_g <= 0.0:
         raise AssertionError("carbon-on replay produced no emissions")
+    return {"total_g": carbon.total_g}
 
-    events = result_on.events
+
+def _probe_sizes(runs: dict[str, Any]) -> dict[str, Any]:
     return {
-        "wall_s": wall_on,
-        "wall_carbon_off_s": wall_off,
-        "wall_deferrable_s": wall_jobs,
-        "ratio_vs_carbon_off": wall_on / wall_off if wall_off > 0 else None,
-        "ratio_deferrable_vs_carbon_off": (
-            wall_jobs / wall_off if wall_off > 0 else None
-        ),
-        "queries": len(trace),
-        "queries_per_s": len(trace) / wall_on if wall_on > 0 else 0.0,
-        "events": events,
-        "events_per_s": (events / wall_on) if (events and wall_on > 0) else None,
-        "completed": result_on.total_completed,
-        "total_g": result_on.carbon.total_g,
+        "metric_rows": len(runs["p2c_python_metrics"][1].metrics_rows),
+        "trace_spans": len(runs["p2c_python_traced"][1].spans),
     }
 
 
-def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
-    """Streamed arrivals vs materialize-then-replay on the same traffic.
+#: The fleet-replay scenarios, in registry order.
+_REPLAY_SCENARIOS: dict[str, _ReplayScenario] = {
+    # The per-event loop's absolute trajectory, pinned to the python
+    # core ("auto" would route p2c on the vector core).
+    "fleet_replay": _ReplayScenario("two_model", 1, {"wall_s": "p2c_python"}, {}),
+    # rr: the configuration the vectorized batch core targets.
+    "fleet_replay_fastcore": _ReplayScenario(
+        "two_model", 3,
+        {"wall_python_s": "rr_python", "wall_s": "rr_vector"},
+        {"speedup_vector_vs_python": ("rr_python", "rr_vector")},
+        (("rr_vector", "rr_python", ("per_model", "events")),),
+    ),
+    "fleet_replay_queueaware": _ReplayScenario(
+        "one_model", 3,
+        {
+            "wall_python_s": "least_python",
+            "wall_s": "least_auto",
+            "wall_p2c_python_s": "p2c_python",
+            "wall_p2c_vector_s": "p2c_auto",
+        },
+        {
+            "speedup_vector_least_vs_python": ("least_python", "least_auto"),
+            "speedup_vector_p2c_vs_python": ("p2c_python", "p2c_auto"),
+        },
+        (
+            ("least_auto", "least_python", ("to_dict()",)),
+            ("p2c_auto", "p2c_python", ("to_dict()",)),
+        ),
+        _least_percentiles,
+    ),
+    # Traffic synthesis is timed on both sides of the python pair: the
+    # materialized leg builds the list inside its timer.
+    "fleet_replay_streaming": _ReplayScenario(
+        "two_model", 3,
+        {
+            "wall_materialized_s": "p2c_python_materialize",
+            "wall_s": "p2c_python_stream",
+            "wall_vector_list_s": "rr_vector",
+            "wall_vector_stream_s": "rr_vector_stream",
+        },
+        {
+            "ratio_vs_materialized": ("p2c_python_stream", "p2c_python_materialize"),
+            "ratio_vector_stream_vs_list": ("rr_vector_stream", "rr_vector"),
+        },
+        (
+            ("p2c_python_stream", "p2c_python_materialize", ("per_model",)),
+            ("rr_vector_stream", "rr_vector", ("per_model",)),
+        ),
+    ),
+    # An empty schedule must equal no schedule, on the light loop and
+    # on the tracked one; the vectorized fault path partitions the
+    # horizon at fault boundaries and must stay bit-identical.
+    "fleet_replay_faultpath": _ReplayScenario(
+        "two_model", 3,
+        {
+            "wall_s": "p2c_python_empty_faults",
+            "wall_fault_off_s": "p2c_python",
+            "wall_tracked_s": "p2c_python_tracked",
+            "wall_fault_python_s": "rr_python_scripted",
+            "wall_fault_vector_s": "rr_vector_scripted",
+        },
+        {
+            "ratio_tracked_vs_fault_off": ("p2c_python_tracked", "p2c_python"),
+            "speedup_vector_fault_vs_python": (
+                "rr_python_scripted", "rr_vector_scripted",
+            ),
+        },
+        (
+            ("p2c_python_empty_faults", "p2c_python", ("per_model",)),
+            ("p2c_python_tracked", "p2c_python", ("per_model",)),
+            (
+                "rr_vector_scripted", "rr_python_scripted",
+                ("per_model", "fault_events", "availability", "phases",
+                 "events", "avg_power_w"),
+            ),
+        ),
+    ),
+    # Pricing only adds the carbon block: the realtime report of every
+    # priced leg must equal the bare replay's.
+    "fleet_replay_carbonpath": _ReplayScenario(
+        "two_model", 2,
+        {
+            "wall_s": "p2c_auto_carbon",
+            "wall_carbon_off_s": "p2c_auto",
+            "wall_deferrable_s": "p2c_auto_deferrable",
+        },
+        {
+            "ratio_vs_carbon_off": ("p2c_auto_carbon", "p2c_auto"),
+            "ratio_deferrable_vs_carbon_off": ("p2c_auto_deferrable", "p2c_auto"),
+        },
+        (
+            ("p2c_auto_carbon", "p2c_auto", ("per_model", "avg_power_w")),
+            ("p2c_auto_deferrable", "p2c_auto", ("per_model", "avg_power_w")),
+        ),
+        _emissions,
+    ),
+    # Every leg runs the python core (probes, tracing and retries need
+    # it), and no observer may perturb a float of the plain run.
+    "fleet_replay_observed": _ReplayScenario(
+        "two_model", 2,
+        {
+            "wall_plain_s": "p2c_python",
+            "wall_s": "p2c_python_observer_off",
+            "wall_metrics_s": "p2c_python_metrics",
+            "wall_tracked_s": "p2c_python_tracked",
+            "wall_traced_s": "p2c_python_traced",
+        },
+        {
+            "ratio_off_vs_plain": ("p2c_python_observer_off", "p2c_python"),
+            "ratio_traced_vs_tracked": ("p2c_python_traced", "p2c_python_tracked"),
+            "ratio_metrics_vs_off": ("p2c_python_metrics", "p2c_python_observer_off"),
+            "ratio_traced_vs_off": ("p2c_python_traced", "p2c_python_observer_off"),
+        },
+        tuple(
+            (leg, "p2c_python", ("per_model",))
+            for leg in ("p2c_python_observer_off", "p2c_python_metrics",
+                        "p2c_python_tracked", "p2c_python_traced")
+        ),
+        _probe_sizes,
+    ),
+}
 
-    The arrival-stream refactor lets the fleet engine pull arrivals
-    lazily from an :class:`~repro.traces.FleetArrivals` source (O(one
-    segment) memory) instead of a fully-materialized sorted list.
-    This scenario runs the identical fleet/traffic both ways end to
-    end on the python core -- traffic synthesis *included* on both
-    sides, since either path must draw the arrivals: the materialized
-    leg builds the full list first and replays it, the streamed leg
-    replays the source directly.  ``ratio_vs_materialized`` (streamed wall over
-    materialized wall) is the number CI's perf-smoke job bounds at
-    < 1.1, and the two replays must agree float-for-float -- a
-    built-in differential smoke check of the lazy pull.
 
-    A second, vector leg replays the same traffic under rr on
-    ``core="vector"``: the source directly (its synthesis timed, its
-    merged blocks ingested as arrays) against its list built before
-    the timer.  ``ratio_vector_stream_vs_list`` (best of three walls
-    per side) is gated at < 1.1: a streamed vector replay must cost
-    about what the vector core costs on a pre-built list.
+def _report_field(result: Any, field: str) -> Any:
+    if field.endswith("()"):
+        return getattr(result, field[:-2])()
+    return getattr(result, field)
+
+
+def _time_legs(ctx: _Context, spec: _ReplayScenario) -> dict[str, Any]:
+    """Time a scenario's legs in interleaved rounds and summarize them.
+
+    Every round replays each leg once, in table order on even rounds and
+    reversed on odd ones, so the two legs of a ratio run side by side
+    instead of all runs of one before all runs of the other.  A leg's
+    wall is its best over the rounds, a ratio the quotient of best walls
+    (the gated statistic) and ``<ratio>_rounds`` its per-round
+    quotients.  A failed check raises :class:`AssertionError` naming
+    both legs and the field.
     """
-    fleet, trace = _two_model_fleet(ctx)
-    stream = fleet.stream
-    wall_mat, result_mat, _ = fleet.replay(
-        2, lambda: list(stream), policy="p2c", core="python"
-    )
-    wall_stream, result_stream, _ = fleet.replay(
-        2, lambda: stream, policy="p2c", core="python"
-    )
-    if result_stream.per_model != result_mat.per_model:
-        raise AssertionError(
-            "streamed arrivals diverged from the materialized trace"
-        )
+    shares, servers, queries = _REPLAY_FLEETS[spec.fleet]
+    fleet = _Fleet(ctx, shares, ctx.cfg[servers], ctx.cfg[queries])
+    trace = list(fleet.stream)
+    order = list(spec.walls.values())
+    walls: dict[str, list[float]] = {leg: [] for leg in order}
+    runs: dict[str, Any] = {}
+    for r in range(spec.rounds):
+        for leg in order if r % 2 == 0 else order[::-1]:
+            wall, result, probe = fleet.time_leg(_LEGS[leg], trace)
+            walls[leg].append(wall)
+            runs[leg] = result, probe
+    for leg, ref, fields in spec.checks:
+        for field in fields:
+            got = _report_field(runs[leg][0], field)
+            if got != _report_field(runs[ref][0], field):
+                raise AssertionError(
+                    f"leg {leg!r} diverged from its reference leg {ref!r} on {field}"
+                )
 
-    wall_vec_list, result_vec_list, _ = fleet.replay(
-        3, lambda: trace, policy="rr", core="vector"
-    )
-    wall_vec_stream, result_vec_stream, _ = fleet.replay(
-        3, lambda: stream, policy="rr", core="vector"
-    )
-    if result_vec_stream.per_model != result_vec_list.per_model:
-        raise AssertionError(
-            "streamed arrivals diverged from the pre-built list on "
-            "the vector core"
-        )
-
-    events = result_stream.events
-    return {
-        "wall_s": wall_stream,
-        "wall_materialized_s": wall_mat,
-        "ratio_vs_materialized": (
-            wall_stream / wall_mat if wall_mat > 0 else None
-        ),
-        "wall_vector_list_s": wall_vec_list,
-        "wall_vector_stream_s": wall_vec_stream,
-        "ratio_vector_stream_vs_list": (
-            wall_vec_stream / wall_vec_list if wall_vec_list > 0 else None
-        ),
-        "queries": len(trace),
-        "queries_per_s": len(trace) / wall_stream if wall_stream > 0 else 0.0,
-        "events": events,
-        "events_per_s": (
-            events / wall_stream if (events and wall_stream > 0) else None
-        ),
-        "completed": result_stream.total_completed,
-    }
-
-
-def _scenario_fleet_replay_observed(ctx: _Context) -> dict[str, Any]:
-    """Observer cost: dark engine vs metrics probe vs tracing probe.
-
-    Replays the identical fleet/trace five ways, all on the python
-    core (the only core that takes probes, tracing and retries): the
-    plain engine exactly as every pre-observability caller constructs
-    it (no ``observer`` argument); explicitly observer-off (the
-    dormant-guard path); with a streaming-metrics
-    :class:`~repro.obs.FleetProbe`; through the tracked fault loop
-    without an observer (empty schedule plus a retry budget -- the
-    loop tracing rides on); and with a trace-only probe.  All five
-    must agree float-for-float on per-model stats -- the bit-identical
-    observer-off contract, checked differentially on every bench run.
-
-    Three ratios feed CI gates.  ``ratio_off_vs_plain`` (< 1.05)
-    bounds the observer-off path against the no-observer
-    construction: the dormant hook guards must stay within
-    measurement noise of the plain engine.
-    ``ratio_traced_vs_tracked`` (< 1.5) bounds tracing against the
-    tracked loop it rides on: span capture reads the loop's own
-    per-query records and defers span construction to export, so a
-    traced run must stay close to the tracked loop's cost.
-    ``ratio_metrics_vs_off`` (< 1.60) bounds live windowed metrics,
-    which pay a Python hook per event, against the dark loop.
-    """
-    from repro.fleet import FaultSchedule
-    from repro.obs import FleetProbe
-
-    fleet, trace = _two_model_fleet(ctx)
-    window_s = max(fleet.duration / 32.0, 1e-3)  # ~32 samples regardless of mode
-
-    # Every leg runs the python core: probes, tracing and retries need
-    # it, so the dark legs are pinned there too.
-    legs = {"policy": "p2c", "core": "python"}
-    wall_plain, result_plain, _ = fleet.replay(2, lambda: trace, **legs)
-    wall_off, result_off, _ = fleet.replay(
-        2, lambda: trace, observer=None, **legs
-    )
-    wall_metrics, result_metrics, probe_m = fleet.replay(
-        2, lambda: trace,
-        make_probe=lambda: FleetProbe(window_s=window_s, metrics=True),
-        **legs,
-    )
-    wall_tracked, result_tracked, _ = fleet.replay(
-        2, lambda: trace, faults=FaultSchedule(), retries=2, **legs
-    )
-    wall_traced, result_traced, probe_t = fleet.replay(
-        2, lambda: trace,
-        make_probe=lambda: FleetProbe(window_s=window_s, metrics=False, trace=True),
-        **legs,
-    )
-    for label, result in (
-        ("observer-off", result_off),
-        ("metrics", result_metrics),
-        ("tracked", result_tracked),
-        ("traced", result_traced),
-    ):
-        if result.per_model != result_plain.per_model:
-            raise AssertionError(
-                f"{label} replay perturbed the simulation: per-model stats "
-                "diverged from the plain run"
-            )
-
-    events = result_plain.events
-    return {
-        "wall_s": wall_off,
-        "wall_plain_s": wall_plain,
-        "wall_metrics_s": wall_metrics,
-        "wall_tracked_s": wall_tracked,
-        "wall_traced_s": wall_traced,
-        "ratio_off_vs_plain": wall_off / wall_plain if wall_plain > 0 else None,
-        "ratio_traced_vs_tracked": (
-            wall_traced / wall_tracked if wall_tracked > 0 else None
-        ),
-        "ratio_metrics_vs_off": wall_metrics / wall_off if wall_off > 0 else None,
-        "ratio_traced_vs_off": wall_traced / wall_off if wall_off > 0 else None,
-        "queries": len(trace),
-        "queries_per_s": len(trace) / wall_off if wall_off > 0 else 0.0,
-        "events": events,
-        "events_per_s": (events / wall_off) if (events and wall_off > 0) else None,
-        "completed": result_plain.total_completed,
-        "metric_rows": len(probe_m.metrics_rows),
-        "trace_spans": len(probe_t.spans),
-    }
+    best = {leg: min(w) for leg, w in walls.items()}
+    out: dict[str, Any] = {key: best[leg] for key, leg in spec.walls.items()}
+    for key, (num, den) in spec.ratios.items():
+        out[key] = _per(best[num], best[den])
+        out[f"{key}_rounds"] = [_per(a, b) for a, b in zip(walls[num], walls[den])]
+    out["servers"] = fleet.servers
+    out.update(_replay_rates(runs[spec.walls["wall_s"]][0], out["wall_s"], len(trace)))
+    if spec.extra is not None:
+        out.update(spec.extra(runs))
+    return out
 
 
 def _scenario_fleet_replay_sharded(ctx: _Context) -> dict[str, Any]:
@@ -944,23 +808,14 @@ def _scenario_fleet_replay_sharded(ctx: _Context) -> dict[str, Any]:
         )
 
     queries = result_single.total_completed + result_single.total_dropped
-    events = result_sharded.events
     return {
         "wall_s": wall_sharded,
         "wall_single_s": wall_single,
-        "speedup_shards": (
-            wall_single / wall_sharded if wall_sharded > 0 else None
-        ),
+        "speedup_shards": _per(wall_single, wall_sharded),
         "sharded_merge_equal": True,
         "shards": 4,
         "servers": len(result_sharded.servers),
-        "queries": queries,
-        "queries_per_s": queries / wall_sharded if wall_sharded > 0 else 0.0,
-        "events": events,
-        "events_per_s": (
-            events / wall_sharded if (events and wall_sharded > 0) else None
-        ),
-        "completed": result_sharded.total_completed,
+        **_replay_rates(result_sharded, wall_sharded, queries),
     }
 
 
@@ -1012,14 +867,9 @@ def _scenario_fleet_replay_sketchmem(ctx: _Context) -> dict[str, Any]:
         )
 
     queries = result.total_completed + result.total_dropped
-    events = result.events
     return {
         "wall_s": wall,
-        "queries": queries,
-        "queries_per_s": queries / wall if wall > 0 else 0.0,
-        "events": events,
-        "events_per_s": (events / wall) if (events and wall > 0) else None,
-        "completed": result.total_completed,
+        **_replay_rates(result, wall, queries),
         "rss_delta_kb": delta,
         "rss_budget_kb": budget_kb,
         "percentile_mode": "sketch",
@@ -1099,13 +949,7 @@ _SCENARIO_FNS: dict[str, Callable[[_Context], dict[str, Any]]] = {
     "profile_table": _scenario_profile_table,
     "loadgen": _scenario_loadgen,
     "single_node_des": _scenario_single_node_des,
-    "fleet_replay": _scenario_fleet_replay,
-    "fleet_replay_fastcore": _scenario_fleet_replay_fastcore,
-    "fleet_replay_queueaware": _scenario_fleet_replay_queueaware,
-    "fleet_replay_streaming": _scenario_fleet_replay_streaming,
-    "fleet_replay_faultpath": _scenario_fleet_replay_faultpath,
-    "fleet_replay_carbonpath": _scenario_fleet_replay_carbonpath,
-    "fleet_replay_observed": _scenario_fleet_replay_observed,
+    **{name: partial(_time_legs, spec=s) for name, s in _REPLAY_SCENARIOS.items()},
     "fleet_replay_sharded": _scenario_fleet_replay_sharded,
     "fleet_replay_sketchmem": _scenario_fleet_replay_sketchmem,
     "fault_aware_provisioning": _scenario_fault_aware_provisioning,
@@ -1195,12 +1039,13 @@ def compare_bench(
     Returns ``(report, regressed)``: a human-readable table of
     per-scenario wall times (old vs new, ungated -- wall deltas across
     machines are noise) followed by one row per :data:`BENCH_GATES`
-    entry present in either document, and a flag that is True when any
-    gated metric in the *new* document fails its threshold, or when a
-    gated scenario ran in the new document but recorded
-    ``{"skipped": ...}`` (documents can come from any checkout).
-    ``full_only`` gates are skipped on a document
-    not produced in full mode; metrics absent from the new document
+    entry present in either document, with the new value's per-round
+    range where the document records ``<metric>_rounds``, and a flag
+    that is True when any gated metric in the *new* document fails its
+    threshold, or when a gated scenario ran in the new document but
+    recorded ``{"skipped": ...}`` (documents can come from any
+    checkout).  ``full_only`` gates are skipped on a document not
+    produced in full mode; metrics absent from the new document
     (scenario not run, or an older schema) are reported but never fail
     the comparison.
     """
@@ -1234,14 +1079,18 @@ def compare_bench(
     )
     regressed = False
     for scenario, metric, op, threshold, full_only in BENCH_GATES:
+        block = new_sc.get(scenario, {})
         o = old_sc.get(scenario, {}).get(metric)
-        nw = new_sc.get(scenario, {}).get(metric)
-        skipped = new_sc.get(scenario, {}).get("skipped")
+        nw = block.get(metric)
+        skipped = block.get("skipped")
         if o is None and nw is None and skipped is None:
             continue
         label = f"{scenario}.{metric} {op} {threshold}"
         o_txt = f"{o:7.3f}" if isinstance(o, (int, float)) else "    -- "
         n_txt = f"{nw:7.3f}" if isinstance(nw, (int, float)) else "    -- "
+        rounds = block.get(f"{metric}_rounds")
+        if rounds:
+            n_txt += f" [rounds {min(rounds):.3f}-{max(rounds):.3f}]"
         if full_only and new.get("mode") != "full":
             verdict = "SKIP (needs a full-mode document)"
         elif skipped is not None:

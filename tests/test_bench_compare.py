@@ -130,6 +130,21 @@ class TestCompareBench:
         assert "speedup_vector_vs_python" in row
         assert "numpy absent" in row
 
+    def test_round_range_printed_beside_new_value(self):
+        """A document that records ``<metric>_rounds`` shows each gate's
+        per-round range next to its value, so a FAIL inside its own
+        range reads as host noise; an older document prints none."""
+        old = _doc(**_passing_scenarios())
+        new = _passing_scenarios()
+        new["fleet_replay_carbonpath"]["ratio_vs_carbon_off"] = 1.12
+        new["fleet_replay_carbonpath"]["ratio_vs_carbon_off_rounds"] = [1.12, 0.98]
+        text, regressed = compare_bench(old, _doc(**new))
+        assert regressed
+        row = next(l for l in text.splitlines() if "ratio_vs_carbon_off" in l)
+        assert "1.120 [rounds 0.980-1.120]" in row
+        assert row.endswith("FAIL")
+        assert "rounds" not in compare_bench(old, old)[0]
+
     def test_mode_mismatch_noted(self):
         text, _ = compare_bench(
             _doc(mode="quick", **_passing_scenarios()),

@@ -189,6 +189,12 @@ class TestFailFast:
              SystemExit, "--carbon and --deferrable"),
             (["fleet", *_SLICE, "--trace", "t.txt", "--peak-qps", "100"],
              ValueError, "cannot infer trace format"),
+            (["fleet", *_SLICE, "--shards", "2", "--faults", "crash@1:0"],
+             SystemExit, "supports fault-free replays only"),
+            (["fleet", *_SLICE, "--shards", "2", "--metrics-out", "m.csv"],
+             SystemExit, "cannot export observability"),
+            (["fleet", *_SLICE, "--shards", "2", "--carbon", "constant:intensity=300"],
+             SystemExit, "cannot account carbon"),
         ],
     )
     def test_bad_spec_fails_before_profiling(
